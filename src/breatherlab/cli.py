@@ -59,7 +59,7 @@ def _auto_frame(config: dict) -> float:
         return speed
     if config["evolve"]["initial"] == "soliton":
         return config["evolve"]["soliton_c"]
-    return -(3.0 * config["alpha"] ** 2 - config["beta"] ** 2)
+    return -cfgmod.breather_params(config).gamma
 
 
 def _integrator(config: dict, frame_speed: float, boundary_margin=None) -> ev.IntegratorConfig:
@@ -77,14 +77,14 @@ def _integrator(config: dict, frame_speed: float, boundary_margin=None) -> ev.In
 
 def _residual_grid(config: dict) -> gr.PeriodicGrid:
     # sup-norm residuals need the wide, fine grid; see the grid module notes
-    return gr.PeriodicGrid(44.0 / min(config["beta"], 1.0), config["verify"]["residual_n_points"])
+    return gr.PeriodicGrid(gr.residual_half_length(config["beta"]),
+                           config["verify"]["residual_n_points"])
 
 
 def _cmd_verify(config: dict, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
     t = config["t"]
-    alpha, beta = p.alpha, p.beta
-    gamma = 3.0 * alpha**2 - beta**2
+    alpha, beta, gamma = p.alpha, p.beta, p.gamma
     quad_grid = cfgmod.make_grid(config)
     res_grid = _residual_grid(config)
 
@@ -128,11 +128,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     add(rep.kind, rep.sup_residual, 1e-8)
 
     # energy-functional expansion at a seeded H^2-norm-0.1 perturbation
-    rng = np.random.default_rng(config["seed"])
-    coeff = np.zeros(quad_grid.wavenumbers.shape[0], dtype=complex)
-    band = (quad_grid.wavenumbers >= 0.2) & (quad_grid.wavenumbers <= 2.5)
-    coeff[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
-    z = gr.GridField(quad_grid, np.fft.irfft(coeff, n=quad_grid.n_points))
+    z = gr.GridField(quad_grid, st.band_limited_values(quad_grid, config["seed"]))
     z = z.with_values(0.1 * z.values / gr.sobolev_norm(z, 2))
     u = b.with_values(b.values + z.values)
     h_u = fn.h_value(u, p)

@@ -13,6 +13,8 @@ with phases
 Everything in this module is an explicit formula in (alpha, beta, x1, x2, t, x):
 the field itself, its arctan primitive, the shift derivatives dx1/dx2, the time
 derivative of the primitive, the half cumulative mass integral, and the soliton.
+breather_jet returns B, both shift derivatives and the primitive's time
+derivative from one trig evaluation; the named first-order evaluators read it.
 The scaling derivatives d/dalpha and d/dbeta are evaluated by complex-step
 differentiation of the same formulas (the expressions are analytic in both
 parameters), which is exact to roundoff and avoids the subtractive cancellation
@@ -30,6 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,6 +134,22 @@ def _trig_parts(alpha, beta, x1, x2, t, x):
     return S, C, ch, sh, clipped
 
 
+def _quotient_parts(alpha, beta, x1, x2, t, x):
+    """Trig parts plus the shared quotient denominator and breather numerator."""
+    S, C, ch, sh, clipped = _trig_parts(alpha, beta, x1, x2, t, x)
+    den = alpha * alpha * ch * ch + beta * beta * S * S
+    num = alpha * C * ch - beta * S * sh
+    return S, C, ch, sh, clipped, den, num
+
+
+def _zero_clipped(out, clipped):
+    return np.where(clipped, 0.0 * out, out)
+
+
+def _breather_quotient(alpha, beta, num, den, clipped):
+    return _zero_clipped(2.0 * _SQRT2 * alpha * beta * num / den, clipped)
+
+
 def breather_values(alpha, beta, x1, x2, t, x):
     """Breather field for raw parameters (any nonzero alpha, beta).
 
@@ -138,11 +157,8 @@ def breather_values(alpha, beta, x1, x2, t, x):
     - beta*sin(a y1)*sinh(b y2)) / (alpha^2 cosh^2(b y2) + beta^2 sin^2(a y1)).
     Accepts complex alpha or beta (used for complex-step derivatives).
     """
-    S, C, ch, sh, clipped = _trig_parts(alpha, beta, x1, x2, t, x)
-    den = alpha * alpha * ch * ch + beta * beta * S * S
-    num = alpha * C * ch - beta * S * sh
-    out = 2.0 * _SQRT2 * alpha * beta * num / den
-    return np.where(clipped, 0.0 * out, out)
+    *_, clipped, den, num = _quotient_parts(alpha, beta, x1, x2, t, x)
+    return _breather_quotient(alpha, beta, num, den, clipped)
 
 
 def breather(p: BreatherParams, t, x):
@@ -155,68 +171,78 @@ def breather_primitive(p: BreatherParams, t, x):
     return 2.0 * _SQRT2 * np.arctan((p.beta / p.alpha) * S / ch)
 
 
-def _primitive_t_values(alpha, beta, x1, x2, t, x, velocity_scale=1.0):
-    """Time derivative of the primitive.
+class BreatherJet(NamedTuple):
+    """The breather and its first-order companions from one trig evaluation.
 
-    velocity_scale multiplies the y2 phase velocity gamma in the coefficient
-    (not in the phases); it exists purely as a fault-injection hook for the
-    CLI verification self-test and is 1.0 in every scientific code path.
+    b is B, dx1 and dx2 are the shift derivatives, primitive_t the time
+    derivative of the arctan primitive.
     """
-    delta = alpha * alpha - 3.0 * beta * beta
-    gamma = (3.0 * alpha * alpha - beta * beta) * velocity_scale
-    S, C, ch, sh, clipped = _trig_parts(alpha, beta, x1, x2, t, x)
-    den = alpha * alpha * ch * ch + beta * beta * S * S
-    out = 2.0 * _SQRT2 * alpha * beta * (alpha * delta * C * ch - beta * gamma * S * sh) / den
-    return np.where(clipped, 0.0 * out, out)
+
+    b: np.ndarray
+    dx1: np.ndarray
+    dx2: np.ndarray
+    primitive_t: np.ndarray
+
+    @property
+    def b_x(self):
+        """Space derivative; x enters only through y1 and y2."""
+        return self.dx1 + self.dx2
+
+    @property
+    def b_xx(self):
+        """Second space derivative via the pointwise relation
+        B_xx = -(primitive_t + B^3), so no grid is involved. The relation
+        itself is verified independently by the identity residual suite."""
+        return -(self.primitive_t + self.b**3)
+
+
+def breather_jet(p: BreatherParams, t, x) -> BreatherJet:
+    """B, B1 = dB/dx1, B2 = dB/dx2 and the primitive's time derivative."""
+    a, b = p.alpha, p.beta
+    delta = a * a - 3.0 * b * b
+    gamma = 3.0 * a * a - b * b
+    S, C, ch, sh, clipped, den, num = _quotient_parts(a, b, p.x1, p.x2, t, x)
+    num_over_den = num / den
+    r1 = (a * S * ch + b * C * sh) / den
+    r2 = num_over_den * (S * C / den)
+    r3 = (a * C * sh - b * S * ch) / den
+    r4 = num_over_den * (ch * sh / den)
+    return BreatherJet(
+        b=_breather_quotient(a, b, num, den, clipped),
+        dx1=_zero_clipped(-2.0 * _SQRT2 * a * a * b * (r1 + 2.0 * b * b * r2), clipped),
+        dx2=_zero_clipped(2.0 * _SQRT2 * a * b * b * (r3 - 2.0 * a * a * r4), clipped),
+        primitive_t=_zero_clipped(
+            2.0 * _SQRT2 * a * b * (a * delta * C * ch - b * gamma * S * sh) / den, clipped
+        ),
+    )
 
 
 def breather_primitive_t(p: BreatherParams, t, x):
-    return _primitive_t_values(p.alpha, p.beta, p.x1, p.x2, t, x)
+    return breather_jet(p, t, x).primitive_t
 
 
 def breather_dx1(p: BreatherParams, t, x):
     """Derivative with respect to the first shift (equivalently the y1 phase)."""
-    a, b = p.alpha, p.beta
-    S, C, ch, sh, clipped = _trig_parts(a, b, p.x1, p.x2, t, x)
-    den = a * a * ch * ch + b * b * S * S
-    num_over_den = (a * C * ch - b * S * sh) / den
-    r1 = (a * S * ch + b * C * sh) / den
-    r2 = num_over_den * (S * C / den)
-    out = -2.0 * _SQRT2 * a * a * b * (r1 + 2.0 * b * b * r2)
-    return np.where(clipped, 0.0 * out, out)
+    return breather_jet(p, t, x).dx1
 
 
 def breather_dx2(p: BreatherParams, t, x):
     """Derivative with respect to the second shift (the y2 phase)."""
-    a, b = p.alpha, p.beta
-    S, C, ch, sh, clipped = _trig_parts(a, b, p.x1, p.x2, t, x)
-    den = a * a * ch * ch + b * b * S * S
-    num_over_den = (a * C * ch - b * S * sh) / den
-    r3 = (a * C * sh - b * S * ch) / den
-    r4 = num_over_den * (ch * sh / den)
-    out = 2.0 * _SQRT2 * a * b * b * (r3 - 2.0 * a * a * r4)
-    return np.where(clipped, 0.0 * out, out)
+    return breather_jet(p, t, x).dx2
 
 
 def breather_x(p: BreatherParams, t, x):
-    """Space derivative; x enters only through y1 and y2."""
-    return breather_dx1(p, t, x) + breather_dx2(p, t, x)
+    return breather_jet(p, t, x).b_x
 
 
 def breather_t(p: BreatherParams, t, x):
     """Time derivative: delta*dx1 + gamma*dx2."""
-    return p.delta * breather_dx1(p, t, x) + p.gamma * breather_dx2(p, t, x)
+    jet = breather_jet(p, t, x)
+    return p.delta * jet.dx1 + p.gamma * jet.dx2
 
 
 def breather_xx(p: BreatherParams, t, x):
-    """Second space derivative via the pointwise second-order relation.
-
-    B_xx = -(primitive_t + B^3); both terms are closed forms, so no grid is
-    involved. The relation itself is verified independently by the identity
-    residual suite using spectral differentiation.
-    """
-    B = breather(p, t, x)
-    return -(breather_primitive_t(p, t, x) + B**3)
+    return breather_jet(p, t, x).b_xx
 
 
 def mass_profile(p: BreatherParams, t, x):
@@ -225,9 +251,8 @@ def mass_profile(p: BreatherParams, t, x):
     Tends to 0 as x -> -inf and to 4*beta as x -> +inf.
     """
     a, b = p.alpha, p.beta
-    S, C, ch, sh, clipped = _trig_parts(a, b, p.x1, p.x2, t, x)
+    S, C, ch, sh, clipped, den, _ = _quotient_parts(a, b, p.x1, p.x2, t, x)
     _, y2 = _phases(a, b, p.x1, p.x2, t, x)
-    den = a * a * ch * ch + b * b * S * S
     grow = ch + sh  # exp(b*y2) on the clipped range
     f = a * a + 2.0 * a * b * S * C + 2.0 * b * b * S * S + a * a * grow * grow
     out = b * f / den
@@ -241,8 +266,7 @@ def mass_profile_t(p: BreatherParams, t, x):
     """Time derivative of the mass profile, in closed form."""
     a, b = p.alpha, p.beta
     delta, gamma = p.delta, p.gamma
-    S, C, ch, sh, clipped = _trig_parts(a, b, p.x1, p.x2, t, x)
-    den = a * a * ch * ch + b * b * S * S
+    S, C, ch, sh, clipped, den, _ = _quotient_parts(a, b, p.x1, p.x2, t, x)
     cos2 = 1.0 - 2.0 * S * S
     sin2 = 2.0 * S * C
     cosh2 = 2.0 * ch * ch - 1.0
@@ -254,8 +278,7 @@ def mass_profile_t(p: BreatherParams, t, x):
         + (delta * a * a - gamma * b * b) * cos2 * cosh2
         - a * b * (delta + gamma) * sin2 * sinh2
     )
-    out = a * a * b * b * (h / den) / den
-    return np.where(clipped, 0.0 * out, out)
+    return _zero_clipped(a * a * b * b * (h / den) / den, clipped)
 
 
 def wronskian_det(p: BreatherParams, t, x):
@@ -267,11 +290,9 @@ def wronskian_det(p: BreatherParams, t, x):
     guard, so the division is staged ratio by ratio like the derivatives.
     """
     a, b = p.alpha, p.beta
-    S, C, ch, sh, clipped = _trig_parts(a, b, p.x1, p.x2, t, x)
-    den = a * a * ch * ch + b * b * S * S
+    S, C, ch, sh, clipped, den, _ = _quotient_parts(a, b, p.x1, p.x2, t, x)
     num = 2.0 * a * sh * ch - 2.0 * b * S * C
-    out = 4.0 * a**3 * b**3 * (a * a + b * b) * (num / den) / den
-    return np.where(clipped, 0.0 * out, out)
+    return _zero_clipped(4.0 * a**3 * b**3 * (a * a + b * b) * (num / den) / den, clipped)
 
 
 def scaling_derivative(p: BreatherParams, t, x, which: str):
@@ -313,32 +334,28 @@ def double_pole(p: BreatherParams, t, x):
     th = np.tanh(w2)
     u = b * y1 * sech
     out = 2.0 * _SQRT2 * b * sech * (1.0 - b * y1 * th) / (1.0 + u * u)
-    return np.where(clipped, 0.0 * out, out)
+    return _zero_clipped(out, clipped)
+
+
+_EVALUATORS = {
+    Direction.B: breather,
+    Direction.PRIMITIVE: breather_primitive,
+    Direction.DX1: breather_dx1,
+    Direction.DX2: breather_dx2,
+    Direction.DALPHA: lambda p, t, x: scaling_derivative(p, t, x, "alpha"),
+    Direction.DBETA: lambda p, t, x: scaling_derivative(p, t, x, "beta"),
+    Direction.B0: b0_direction,
+    Direction.PRIMITIVE_T: breather_primitive_t,
+    Direction.MASS_PROFILE: mass_profile,
+    Direction.DOUBLE_POLE: double_pole,
+}
 
 
 def eval_direction(p: BreatherParams, direction: Direction, t, x):
     """Dispatch a Direction tag to its evaluator."""
-    if direction is Direction.B:
-        return breather(p, t, x)
-    if direction is Direction.PRIMITIVE:
-        return breather_primitive(p, t, x)
-    if direction is Direction.DX1:
-        return breather_dx1(p, t, x)
-    if direction is Direction.DX2:
-        return breather_dx2(p, t, x)
-    if direction is Direction.DALPHA:
-        return scaling_derivative(p, t, x, "alpha")
-    if direction is Direction.DBETA:
-        return scaling_derivative(p, t, x, "beta")
-    if direction is Direction.B0:
-        return b0_direction(p, t, x)
-    if direction is Direction.PRIMITIVE_T:
-        return breather_primitive_t(p, t, x)
-    if direction is Direction.MASS_PROFILE:
-        return mass_profile(p, t, x)
-    if direction is Direction.DOUBLE_POLE:
-        return double_pole(p, t, x)
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in _EVALUATORS:
+        raise ValueError(f"unknown direction {direction!r}")
+    return _EVALUATORS[direction](p, t, x)
 
 
 def soliton(s: SolitonParams, t, x):

@@ -201,7 +201,7 @@ def breather_params(config: dict) -> cf.BreatherParams:
 def make_grid(config: dict, n_points: int | None = None) -> gr.PeriodicGrid:
     half = config["grid"]["half_length"]
     if half is None:
-        half = 30.0 / min(config["beta"], 1.0)
+        half = gr.quadrature_half_length(config["beta"])
     return gr.PeriodicGrid(half, n_points if n_points is not None else config["grid"]["n_points"])
 
 

@@ -25,32 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import closed_forms as cf
-from .grid import GridField, PeriodicGrid, cumulative_quadrature, derivative, quadrature, sample
-
-_LONG_PI = np.arccos(np.longdouble(-1.0))
-
-
-def _spectral_derivative_values(vals: np.ndarray, half_length: float, order: int) -> np.ndarray:
-    """(ik)^order multiplier on raw samples, preserving the input dtype.
-
-    longdouble input stays in 80-bit precision through scipy.fft. The extra
-    digits matter for fourth derivatives: in float64 the sampling quantization
-    alone is amplified by k_max^4, which caps sup-norm residual checks near
-    1e-8 on the grids wide enough to hold the breather tails.
-    """
-    n = vals.shape[0]
-    if vals.dtype == np.longdouble:
-        k = (_LONG_PI / np.longdouble(half_length)) * np.arange(n // 2 + 1, dtype=np.longdouble)
-        m = (1j * k.astype(np.clongdouble)) ** order
-        m[-1] = 0.0
-        return sfft.irfft(sfft.rfft(vals) * m, n=n)
-    spacing = 2.0 * half_length / n
-    m = (1j * 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)) ** order
-    m[-1] = 0.0
-    return np.fft.irfft(np.fft.rfft(vals) * m, n=n)
+from .grid import (GridField, PeriodicGrid, cumulative_quadrature, derivative, quadrature, sample,
+                   spectral_derivatives)
 
 
 def mass(u: GridField) -> float:
@@ -63,8 +41,7 @@ def energy(u: GridField) -> float:
 
 
 def f_value(u: GridField) -> float:
-    ux = derivative(u, 1).values
-    uxx = derivative(u, 2).values
+    ux, uxx = spectral_derivatives(u.values, u.grid, (1, 2))
     integrand = 0.5 * uxx**2 - 2.5 * u.values**2 * ux**2 + 0.25 * u.values**6
     return float(quadrature(u.with_values(integrand)))
 
@@ -92,24 +69,18 @@ def functional_report(u: GridField, p: cf.BreatherParams) -> FunctionalReport:
 
 def coefficient_fields(p: cf.BreatherParams, grid: PeriodicGrid, t: float):
     """Closed-form (B, B_x, B_xx) sampled on the grid."""
-    x = grid.nodes
-    b = np.asarray(cf.breather(p, t, x), dtype=float)
-    bx = np.asarray(cf.breather_x(p, t, x), dtype=float)
-    bxx = np.asarray(cf.breather_xx(p, t, x), dtype=float)
-    return b, bx, bxx
+    jet = cf.breather_jet(p, t, grid.nodes)
+    return jet.b, jet.b_x, jet.b_xx
 
 
-def _operator_values(zv: np.ndarray, p: cf.BreatherParams, half_length: float, t: float,
+def _operator_values(zv: np.ndarray, p: cf.BreatherParams, grid: PeriodicGrid, t: float,
                      x: np.ndarray) -> np.ndarray:
     """Operator action on raw samples; dtype (float64 or longdouble) follows x."""
     a2, b2 = p.alpha**2, p.beta**2
-    b = cf.breather(p, t, x)
-    bx = cf.breather_x(p, t, x)
-    bxx = cf.breather_xx(p, t, x)
-    z4 = _spectral_derivative_values(zv, half_length, 4)
-    z2 = _spectral_derivative_values(zv, half_length, 2)
-    zx = _spectral_derivative_values(zv, half_length, 1)
-    adv = _spectral_derivative_values(5.0 * b**2 * zx, half_length, 1)
+    jet = cf.breather_jet(p, t, x)
+    b, bx, bxx = jet.b, jet.b_x, jet.b_xx
+    zx, z2, z4 = spectral_derivatives(zv, grid, (1, 2, 4))
+    adv = spectral_derivatives(5.0 * b**2 * zx, grid, (1,))[0]
     pot = 5.0 * bx**2 + 10.0 * b * bxx + 7.5 * b**4 - 6.0 * (b2 - a2) * b**2
     return z4 - 2.0 * (b2 - a2) * z2 + (a2 + b2) ** 2 * zv + adv + pot * zv
 
@@ -121,7 +92,7 @@ def apply_operator(z: GridField, p: cf.BreatherParams, t: float) -> GridField:
           + d/dx(5 B^2 z_x)
           + [5 B_x^2 + 10 B B_xx + 15/2 B^4 - 6(beta^2-alpha^2) B^2] z
     """
-    out = _operator_values(z.values, p, z.grid.half_length, t, z.grid.nodes)
+    out = _operator_values(z.values, p, z.grid, t, z.grid.nodes)
     return z.with_values(out, time_tag=t)
 
 
@@ -137,7 +108,7 @@ def apply_operator_direction(which: cf.Direction, p: cf.BreatherParams, grid: Pe
     """
     x = grid.nodes.astype(np.longdouble)
     zv = np.asarray(cf.eval_direction(p, which, t, x), dtype=np.longdouble)
-    out = _operator_values(zv, p, grid.half_length, t, x)
+    out = _operator_values(zv, p, grid, t, x)
     return GridField(grid, out.astype(float), time_tag=t)
 
 
@@ -151,8 +122,7 @@ def quadratic_form(z: GridField, p: cf.BreatherParams, t: float) -> float:
     """
     a2, b2 = p.alpha**2, p.beta**2
     b, bx, bxx = coefficient_fields(p, z.grid, t)
-    zx = derivative(z, 1).values
-    zxx = derivative(z, 2).values
+    zx, zxx = spectral_derivatives(z.values, z.grid, (1, 2))
     zz = z.values
     integrand = (
         zxx**2
@@ -230,9 +200,7 @@ def stationary_residual(
     gam = p.gamma * gamma_scale
     c1 = 0.5 * (p.delta + gam)
     c2 = (0.5 * (p.delta - gam)) ** 2
-    bx = _spectral_derivative_values(b, grid.half_length, 1)
-    bxx = _spectral_derivative_values(b, grid.half_length, 2)
-    b4 = _spectral_derivative_values(b, grid.half_length, 4)
+    bx, bxx, b4 = spectral_derivatives(b, grid, (1, 2, 4))
     res = (
         b4
         + c1 * (bxx + b**3)

@@ -17,8 +17,6 @@ the monotone root function.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,7 @@ from scipy.optimize import brentq
 
 from . import closed_forms as cf
 from .functionals import apply_operator, coefficient_fields
-from .grid import GridField, PeriodicGrid
+from .grid import GridField, PeriodicGrid, residual_half_length, spectral_derivatives
 
 _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
@@ -119,12 +117,7 @@ def continuum_edge(p: cf.BreatherParams) -> float:
 
 def _derivative_matrices(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fourier differentiation matrices D1, D2, D4 (multiplier on identity)."""
-    eye_hat = np.fft.rfft(np.eye(grid.n_points), axis=0)
-    out = []
-    for order in (1, 2, 4):
-        m = grid.multiplier(order)
-        out.append(np.fft.irfft(m[:, None] * eye_hat, n=grid.n_points, axis=0))
-    return out[0], out[1], out[2]
+    return tuple(spectral_derivatives(np.eye(grid.n_points), grid, (1, 2, 4), axis=0))
 
 
 def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> DiscreteOperator:
@@ -190,10 +183,8 @@ def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
 
 
 def _sampled_kernel_directions(op: DiscreteOperator) -> np.ndarray:
-    x = op.grid.nodes
-    b1 = cf.breather_dx1(op.params, op.time_tag, x)
-    b2 = cf.breather_dx2(op.params, op.time_tag, x)
-    return np.column_stack([b1, b2])
+    jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
+    return np.column_stack([jet.dx1, jet.dx2])
 
 
 def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -322,17 +313,9 @@ def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
     return nu0, mu0
 
 
-def sweep_spectra(cases, workers: int | None = None) -> list[SpectrumReport]:
-    """Assemble+analyze a sequence of (params, grid, t) cases, optionally in
-    parallel threads (eigensolves release the GIL). Worker count falls back to
-    the BREATHERLAB_WORKERS environment variable, default 1."""
-    items = list(cases)
-    if workers is None:
-        workers = int(os.environ.get("BREATHERLAB_WORKERS", "1"))
-    if workers <= 1:
-        return [spectrum(assemble(p, g, t)) for (p, g, t) in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda case: spectrum(assemble(*case)), items))
+def sweep_spectra(cases) -> list[SpectrumReport]:
+    """Assemble and analyze a sequence of (params, grid, t) cases in order."""
+    return [spectrum(assemble(p, g, t)) for (p, g, t) in cases]
 
 
 def root_function(p: cf.BreatherParams, t: float, y2):
@@ -381,15 +364,11 @@ def wronskian_analysis(p: cf.BreatherParams, t: float,
     else:
         location = math.nan
 
-    grid = PeriodicGrid(44.0 / min(p.beta, 1.0), 2048)
+    grid = PeriodicGrid(residual_half_length(p.beta), 2048)
     x = grid.nodes
-    b1 = cf.breather_dx1(p, t, x)
-    b2 = cf.breather_dx2(p, t, x)
-    fh1 = np.fft.rfft(b1)
-    fh2 = np.fft.rfft(b2)
-    m = grid.multiplier(1)
-    d1b1 = np.fft.irfft(m * fh1, n=grid.n_points)
-    d1b2 = np.fft.irfft(m * fh2, n=grid.n_points)
+    jet = cf.breather_jet(p, t, x)
+    b1, b2 = jet.dx1, jet.dx2
+    d1b1, d1b2 = spectral_derivatives(np.stack([b1, b2]), grid, (1,))[0]
     det_numeric = d1b1 * b2 - d1b2 * b1
     det_closed = cf.wronskian_det(p, t, x)
     err = float(np.max(np.abs(det_numeric - det_closed)) / np.max(np.abs(det_closed)))

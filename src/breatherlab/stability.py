@@ -10,8 +10,6 @@ energy-functional expansion that controls that growth.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,11 +102,9 @@ class LyapunovAudit:
 
 
 def _shift_fit_parts(u_vals: np.ndarray, p: cf.BreatherParams, t: float, grid: gr.PeriodicGrid):
-    x = grid.nodes
-    b = cf.breather(p, t, x)
-    b1 = cf.breather_dx1(p, t, x)
-    b2 = cf.breather_dx2(p, t, x)
-    z = u_vals - b
+    jet = cf.breather_jet(p, t, grid.nodes)
+    b1, b2 = jet.dx1, jet.dx2
+    z = u_vals - jet.b
     h = grid.spacing
     r1 = h * float(z @ b1)
     r2 = h * float(z @ b2)
@@ -171,7 +167,8 @@ def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> Modulatio
     )
 
 
-def _band_limited_values(grid: gr.PeriodicGrid, seed: int) -> np.ndarray:
+def band_limited_values(grid: gr.PeriodicGrid, seed: int) -> np.ndarray:
+    """Seeded random field with Fourier content on wavenumbers 0.2 <= k <= 2.5."""
     rng = np.random.default_rng(seed)
     coeff = np.zeros(grid.wavenumbers.shape[0], dtype=complex)
     band = (grid.wavenumbers >= 0.2) & (grid.wavenumbers <= 2.5)
@@ -186,7 +183,7 @@ def default_perturbations(grid: gr.PeriodicGrid, seed: int = _BAND_SEED) -> dict
     shapes = {
         "sech": 1.0 / np.cosh(x),
         "sech_cos": np.cos(3.0 * x) / np.cosh(x),
-        "random_band": _band_limited_values(grid, seed),
+        "random_band": band_limited_values(grid, seed),
     }
     out = {}
     for name, vals in shapes.items():
@@ -197,11 +194,10 @@ def default_perturbations(grid: gr.PeriodicGrid, seed: int = _BAND_SEED) -> dict
 
 def default_stability_config(p: cf.BreatherParams, t_end: float = 5.0, dt: float = 1.25e-4) -> ev.IntegratorConfig:
     """Co-moving frame, 0.01 monitor interval, boundary guard at 5/beta."""
-    gamma = 3.0 * p.alpha**2 - p.beta**2
     return ev.IntegratorConfig(
         dt=dt,
         t_end=t_end,
-        frame_speed=-gamma,
+        frame_speed=-p.gamma,
         monitor_stride=max(1, int(round(_MONITOR_INTERVAL / dt))),
         boundary_margin=5.0 / p.beta,
     )
@@ -284,19 +280,10 @@ def stability_experiment(
     )
 
 
-def sweep_runs(cases, workers: int | None = None) -> list[StabilityRunReport]:
-    """Run independent experiments, optionally on a thread pool.
-
-    cases is a sequence of (p, perturbation, eta, cfg) tuples; results keep
-    the input order.  Worker count defaults to the BREATHERLAB_WORKERS
-    environment variable, then 1.
-    """
-    if workers is None:
-        workers = int(os.environ.get("BREATHERLAB_WORKERS", "1"))
-    if workers <= 1:
-        return [stability_experiment(*case) for case in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda case: stability_experiment(*case), cases))
+def sweep_runs(cases) -> list[StabilityRunReport]:
+    """Run independent experiments in order; cases is a sequence of
+    (p, perturbation, eta, cfg) tuples."""
+    return [stability_experiment(*case) for case in cases]
 
 
 def lyapunov_audit(run: StabilityRunReport, p: cf.BreatherParams, tol: float = 1e-8) -> LyapunovAudit:

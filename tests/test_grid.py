@@ -53,6 +53,34 @@ def test_derivative_composition_closed():
         gr.derivative(f, -1)
 
 
+def test_spectral_derivatives_one_call_matches_separate_derivatives():
+    g = gr.PeriodicGrid(12.0, 128)
+    f = _band_field(g, 11, kmax=4.0)
+    d1, d2, d4 = gr.spectral_derivatives(f.values, g, (1, 2, 4))
+    for order, got in ((1, d1), (2, d2), (4, d4)):
+        assert got.tobytes() == gr.derivative(f, order).values.tobytes()
+
+
+def test_spectral_derivatives_keep_longdouble():
+    g = gr.PeriodicGrid(12.0, 64)
+    vals = _band_field(g, 12).values.astype(np.longdouble)
+    for out in gr.spectral_derivatives(vals, g, (1, 2, 4)):
+        assert out.dtype == np.longdouble
+    # a float64 derivative would miss by about 1e-15 here
+    k = 5 * np.arccos(np.longdouble(-1.0)) / np.longdouble(12.0)
+    x = g.nodes.astype(np.longdouble)
+    (d1,) = gr.spectral_derivatives(np.sin(k * x), g, (1,))
+    assert np.max(np.abs(d1 - k * np.cos(k * x))) < 1e-16
+
+
+def test_spectral_derivatives_matrix_along_axis_zero():
+    g = gr.PeriodicGrid(12.0, 64)
+    mats = gr.spectral_derivatives(np.eye(g.n_points), g, (1, 2, 4), axis=0)
+    f = _band_field(g, 13, kmax=4.0).values
+    for mat, direct in zip(mats, gr.spectral_derivatives(f, g, (1, 2, 4))):
+        assert np.linalg.norm(mat @ f - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
 def test_nyquist_mode_annihilated():
     g = gr.PeriodicGrid(8.0, 32)
     f = gr.GridField(g, (-1.0) ** np.arange(32) * 1.0)
@@ -190,3 +218,5 @@ def test_default_grid_half_length():
     assert gr.default_grid(2.0).half_length == pytest.approx(30.0)
     assert gr.default_grid(0.5).half_length == pytest.approx(60.0)
     assert gr.default_grid(1.0, 512).n_points == 512
+    assert gr.residual_half_length(2.0) == 44.0
+    assert gr.residual_half_length(0.5) == 88.0

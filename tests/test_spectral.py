@@ -164,15 +164,6 @@ def test_coercivity_bounds_hold_on_samples(op, report):
         assert q2 - mu0 + pairing**2 / mu0 >= -1e-8
 
 
-def test_sweep_spectra_parallel_matches_sequential():
-    cases = [(P, GRID, 0.0), (cf.BreatherParams(1.0, 1.0), GRID, 0.1)]
-    seq = sp.sweep_spectra(cases, workers=1)
-    par = sp.sweep_spectra(cases, workers=2)
-    for a, b in zip(seq, par):
-        assert a.lambda0_sq == b.lambda0_sq
-        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-
-
 def test_root_function_nondecreasing():
     p = cf.BreatherParams(1.5, 1.0, 0.9, -0.4)
     ys = np.linspace(-3.0, 3.0, 4001)

@@ -145,15 +145,3 @@ def test_stability_csv_deterministic(tmp_path, short_run):
     st.write_stability_csv(rerun, reaudit, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "t,z_h2,x1,x2,H_u,Q_z,N_z"
-
-
-def test_sweep_runs_parallel_matches_sequential():
-    perts = st.default_perturbations(GRID)
-    cfg = st.default_stability_config(P, t_end=0.02)
-    cases = [(P, perts["sech"], 1e-3, cfg), (P, perts["sech_cos"], 1e-3, cfg)]
-    seq = st.sweep_runs(cases, workers=1)
-    par = st.sweep_runs(cases, workers=2)
-    for a, b in zip(seq, par):
-        np.testing.assert_array_equal(a.z_h2_series, b.z_h2_series)
-        np.testing.assert_array_equal(a.x1_series, b.x1_series)
-        assert a.sup_z_h2 == b.sup_z_h2
