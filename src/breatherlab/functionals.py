@@ -253,14 +253,14 @@ def identity_residual(
         #                             + (alpha^2+beta^2)^2 B,
         # with B_xt the spectral x-derivative of the closed-form B_t.
         a2, b2 = p.alpha**2, p.beta**2
-        bt = sample(lambda tt, xx: cf.breather_t(p, tt, xx), grid, t)
+        jet = cf.breather_jet(p, t, x)
+        bt = GridField(grid, p.delta * jet.dx1 + p.gamma * jet.dx2, time_tag=t)
         bxt = derivative(bt, 1).values
-        b = cf.breather(p, t, x)
         res = (
             bxt
-            + 2.0 * cf.mass_profile_t(p, t, x) * b
-            - 2.0 * (b2 - a2) * cf.breather_primitive_t(p, t, x)
-            - (a2 + b2) ** 2 * b
+            + 2.0 * cf.mass_profile_t(p, t, x) * jet.b
+            - 2.0 * (b2 - a2) * jet.primitive_t
+            - (a2 + b2) ** 2 * jet.b
         )
         return GridField(grid, res, time_tag=t)
     if kind is IdentityKind.MASS_PROFILE:
@@ -274,9 +274,9 @@ def identity_residual(
     if kind is IdentityKind.WRONSKIAN:
         # (B1)_x B2 - (B2)_x B1 with spectral first derivatives, against the
         # closed-form determinant.
-        b1 = sample(lambda tt, xx: cf.breather_dx1(p, tt, xx), grid, t)
-        b2 = sample(lambda tt, xx: cf.breather_dx2(p, tt, xx), grid, t)
-        det = derivative(b1, 1).values * b2.values - derivative(b2, 1).values * b1.values
+        jet = cf.breather_jet(p, t, x)
+        d1b1, d1b2 = spectral_derivatives(np.stack([jet.dx1, jet.dx2]), grid, (1,))[0]
+        det = d1b1 * jet.dx2 - d1b2 * jet.dx1
         res = det - cf.wronskian_det(p, t, x)
         return GridField(grid, res, time_tag=t)
     raise ValueError(f"unsupported identity kind {kind!r}")

@@ -5,8 +5,11 @@ Fourier differentiation matrices, eigendecomposed in full, and its spectrum
 classified into the unique negative eigenvalue, the two-dimensional kernel,
 and the rest sitting above the continuum edge. Coercivity constants are
 computed on constraint complements: nu0 as a projected Rayleigh minimum and
-mu0 as a certified positive-semidefiniteness threshold, so the advertised
-quadratic-form inequalities hold for every grid field by construction.
+mu0 as the exact positive-semidefiniteness threshold of the compensated form
+(the root of a scalar secular equation, times 0.99), certified by one more
+eigensolve, so the advertised quadratic-form inequalities hold for every grid
+field by construction. Phase sweeps only classify: eigenvalues without
+vectors, no coercivity.
 
 The Wronskian of the two kernel directions has a closed form whose sign
 structure counts the negative eigenvalues; wronskian_analysis cross-checks
@@ -249,27 +252,28 @@ def negative_eigenvector(op: DiscreteOperator) -> GridField:
     return GridField(op.grid, evecs[:, 0], time_tag=op.time_tag)
 
 
-def coercivity(op: DiscreteOperator) -> tuple[float, float]:
+def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
+                           evecs: np.ndarray) -> tuple[float, float]:
     """(nu0, mu0) on the classified operator.
 
     nu0: Rayleigh minimum of Q[z]/||z||_H2^2 over the L2-complement of
     span{negative eigenvector, B1, B2}, via the projected generalized
     symmetric pencil with the H^2 Gram matrix.
 
-    mu0: the largest mu (1% safety margin) such that
+    mu0: 0.99 mu*, where mu* is the largest mu such that
     Q[z] - mu ||z||_H2^2 + (1/mu)(int z B)^2 >= 0 for every grid field z
-    orthogonal to B1 and B2, certified by bisection on the smallest
-    eigenvalue of the compensated projected pencil. Unlike a Rayleigh
-    quotient over a third constraint, this form makes the advertised
-    inequality hold for arbitrary fields, not just sampled ones.
+    orthogonal to B1 and B2. On that complement the pencil (L, G) is
+    diagonalized once, W^T L W = diag(lam), W^T G W = I. Congruence by W keeps
+    inertia; for mu in (0, lam_1), diag(lam) - mu I has exactly one negative
+    entry, and the positive rank-one term (h/mu) c c^T, c = W^T b, can only
+    lift that one. So the form is positive semidefinite exactly when
+    phi(mu) = mu + h sum_i c_i^2 / (lam_i - mu) <= 0 (Golub, SIAM Rev. 15,
+    1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978). phi increases
+    on (0, lam_1), so mu* is its single root there. One eigensolve of the
+    compensated form at mu0 certifies the result. Unlike a Rayleigh quotient
+    over a third constraint, this form makes the advertised inequality hold
+    for arbitrary fields, not just sampled ones.
     """
-    evals, evecs = eigensystem(op)
-    _classify(evals, continuum_edge(op.params))
-    return _coercivity_from_parts(op, evals, evecs)
-
-
-def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
-                           evecs: np.ndarray) -> tuple[float, float]:
     h = op.grid.spacing
     gram = _gram_matrix(op.grid)
     kernel_span = _sampled_kernel_directions(op)
@@ -277,45 +281,64 @@ def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
 
     constraints3 = np.vstack([b_neg, kernel_span.T])
     z3 = scipy.linalg.null_space(constraints3)
-    lam = scipy.linalg.eigh(
+    nu0 = float(scipy.linalg.eigh(
         z3.T @ op.matrix @ z3, z3.T @ gram @ z3, eigvals_only=True,
         subset_by_index=(0, 0),
-    )[0]
-    nu0 = float(lam)
+    )[0])
+    del z3
 
     z2 = scipy.linalg.null_space(kernel_span.T)
     lred = z2.T @ op.matrix @ z2
     gred = z2.T @ gram @ z2
     bred = z2.T @ cf.breather(op.params, op.time_tag, op.grid.nodes)
-    rank1 = h * np.outer(bred, bred)
+    del z2, gram
 
-    def smallest(mu: float) -> float:
-        m = lred - mu * gred + rank1 / mu
-        return float(scipy.linalg.eigh(0.5 * (m + m.T), eigvals_only=True,
-                                       subset_by_index=(0, 0))[0])
+    lam, w = scipy.linalg.eigh(lred, gred)
+    c2 = h * (w.T @ bred) ** 2
+    del w
+    if not lam[0] < 0.0 < lam[1]:
+        raise ClassificationError(
+            "constrained pencil does not show exactly one negative eigenvalue", lam[:3])
 
-    lo = 1e-6
-    if smallest(lo) < 0.0:
+    def phi(mu: float) -> float:
+        return mu + float(np.sum(c2 / (lam - mu)))
+
+    if phi(0.0) >= 0.0:
         raise ClassificationError(
             "compensated quadratic form is not positive even for tiny mu",
-            np.array([smallest(lo)]),
+            np.array([phi(0.0)]),
         )
-    hi = 2.0 * lo
-    while smallest(hi) >= 0.0 and hi < 1e6:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 0.01 * lo:
-        mid = 0.5 * (lo + hi)
-        if smallest(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu0 = 0.99 * lo
-    return nu0, mu0
+    # with c_1 = 0, phi stays finite up to lam_1 and the supremum is lam_1
+    hi = lam[1] * (1.0 - 1e-12)
+    mu_star = brentq(phi, 0.0, hi) if phi(hi) > 0.0 else hi
+    mu0 = 0.99 * mu_star
+
+    m = lred - mu0 * gred + (h / mu0) * np.outer(bred, bred)
+    certificate = scipy.linalg.eigh(0.5 * (m + m.T), eigvals_only=True,
+                                    subset_by_index=(0, 0))
+    if certificate[0] < 0.0:
+        raise ClassificationError(
+            f"compensated quadratic form is not positive at mu0 = {mu0:.6g}", certificate)
+    return nu0, float(mu0)
 
 
-def sweep_spectra(cases) -> list[SpectrumReport]:
-    """Assemble and analyze a sequence of (params, grid, t) cases in order."""
-    return [spectrum(assemble(p, g, t)) for (p, g, t) in cases]
+@dataclass(frozen=True)
+class Classification:
+    negative_count: int
+    lambda0_sq: float
+
+
+def classify(op: DiscreteOperator) -> Classification:
+    """Eigenvalues only (no vectors, no coercivity), classified; raises
+    ClassificationError when the negative/kernel/continuum split is wrong."""
+    evals = scipy.linalg.eigh(op.matrix, eigvals_only=True)
+    negative_count, _ = _classify(evals, continuum_edge(op.params))
+    return Classification(negative_count, float(-evals[0]))
+
+
+def sweep_spectra(cases) -> list[Classification]:
+    """Assemble and classify a sequence of (params, grid, t) cases in order."""
+    return [classify(assemble(p, g, t)) for (p, g, t) in cases]
 
 
 def root_function(p: cf.BreatherParams, t: float, y2):

@@ -120,6 +120,20 @@ def test_spectrum_phase_sweep(tmp_path):
     assert manifest["pass_fail"]["sweep_lambda0_sq_positive"] is True
 
 
+def test_spectrum_manifest_replay(tmp_path):
+    # one process, so one BLAS thread count: the report must replay byte for
+    # byte (across thread counts the eigenvalues differ in the last digits)
+    first = tmp_path / "first"
+    assert main(["spectrum", "--out", str(first)]) == 0
+    man_path, _ = _read(first, ".manifest.json")
+    second = tmp_path / "second"
+    assert main(["spectrum", "--config", str(man_path), "--out", str(second)]) == 0
+    firsts = sorted(p.name for p in first.iterdir())
+    assert firsts == sorted(p.name for p in second.iterdir())
+    for name in firsts:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_evolve_breather_short(tmp_path):
     code = main(["evolve", "--set", "integrator.t_end=0.01",
                  "--set", "integrator.dt=0.0001", "--out", str(tmp_path)])

@@ -191,3 +191,55 @@ def test_wronskian_analysis_asymmetric():
     assert abs(sp.root_function(p, 0.2, rep.root_location)) <= 1e-9
     assert rep.closed_form_max_err <= 1e-8
     assert json.dumps(rep.to_dict())
+
+
+def _compensated_minimum(op, mu):
+    """Smallest eigenvalue of Q - mu G + (h/mu) b b^T on the complement of
+    B1, B2, built independently of the secular solve."""
+    x = GRID.nodes
+    z2 = np.linalg.svd(np.column_stack([cf.breather_dx1(P, 0.0, x),
+                                        cf.breather_dx2(P, 0.0, x)]))[0][:, 2:]
+    d2, d4 = gr.spectral_derivatives(np.eye(GRID.n_points), GRID, (2, 4), axis=0)
+    gram = np.eye(GRID.n_points) - d2 + d4
+    bred = z2.T @ cf.breather(P, 0.0, x)
+    m = z2.T @ (op.matrix - mu * gram) @ z2 + (GRID.spacing / mu) * np.outer(bred, bred)
+    return np.linalg.eigvalsh(0.5 * (m + m.T))[0]
+
+
+def test_mu0_is_the_exact_threshold(op, report):
+    # mu0 = 0.99 mu*; the form must turn indefinite within 0.1% above mu*,
+    # so the threshold is exact rather than a 1% bracket
+    mu_star = report.mu0_estimate / 0.99
+    assert _compensated_minimum(op, 0.999 * mu_star) >= 0.0
+    assert _compensated_minimum(op, 1.001 * mu_star) < 0.0
+
+
+def test_coercivity_rejects_flat_operator():
+    flat = sp.assemble_flat(P, GRID)
+    with pytest.raises(sp.ClassificationError, match="exactly one negative"):
+        sp._coercivity_from_parts(flat, *sp.eigensystem(flat))
+
+
+def test_coercivity_rejects_form_not_positive_for_tiny_mu():
+    # one negative direction, a grid mode that B does not see: no
+    # compensation by (int z B)^2 can lift it
+    v = np.cos(GRID.wavenumbers[40] * GRID.nodes)
+    flat = sp.assemble_flat(P, GRID)
+    shift = 2.0 * (v @ flat.matrix @ v) / (v @ v) ** 2
+    op = sp.DiscreteOperator(GRID, flat.matrix - shift * np.outer(v, v), P, 0.0)
+    with pytest.raises(sp.ClassificationError, match="tiny mu"):
+        sp._coercivity_from_parts(op, *sp.eigensystem(op))
+
+
+def test_sweep_spectra_matches_spectrum():
+    cases = [(P, GRID, 0.0), (P.with_shifts(P.x1 + 0.5 * np.pi / P.alpha, P.x2), GRID, 0.0)]
+    for point, case in zip(sp.sweep_spectra(cases), cases):
+        full = sp.spectrum(sp.assemble(*case))
+        assert point.negative_count == 1
+        assert point.lambda0_sq == pytest.approx(full.lambda0_sq, rel=1e-12)
+
+
+def test_classify_rejects_flat_operator():
+    with pytest.raises(sp.ClassificationError) as exc:
+        sp.classify(sp.assemble_flat(P, GRID))
+    assert isinstance(exc.value.offending, np.ndarray)
