@@ -229,21 +229,22 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     perturbation = st.default_perturbations(grid, seed=config["seed"])[stab["perturbation"]]
     cfg = _integrator(config, _auto_frame(config), boundary_margin=5.0 / p.beta)
     etas = list(stab["eta_sweep"]) or [stab["eta"]]
-    runs = st.sweep_runs([(p, perturbation, eta, cfg) for eta in etas])
+    runs = [st.stability_experiment(p, perturbation, eta, cfg) for eta in etas]
 
     pass_fail: dict[str, bool] = {}
     outputs: list[str] = []
     summaries = []
     config_hash = cfgmod.config_hash(config)
     for i, run in enumerate(runs):
-        audit = st.lyapunov_audit(run, p, tol=stab["closure_tol"])
+        audit = run.audit
         h_drift = float(np.max(np.abs(audit.h_u - audit.h_u[0])) / max(abs(audit.h_u[0]), 1e-30))
         stable = run.failure_time is None and run.a0_observed < stab["a0_threshold"]
-        audit_ok = not bool(audit.flagged.any()) and h_drift < stab["h_drift_tol"]
+        flagged = audit.closure_rel > stab["closure_tol"]
+        audit_ok = not bool(flagged.any()) and h_drift < stab["h_drift_tol"]
         pass_fail[f"run{i}_stable"] = stable
         pass_fail[f"run{i}_audit"] = audit_ok
         csv_name = f"{prefix}_run{i}.csv"
-        st.write_stability_csv(run, audit, os.path.join(outdir, csv_name))
+        st.write_stability_csv(run, os.path.join(outdir, csv_name))
         outputs.append(csv_name)
         summaries.append({
             "eta": run.eta,

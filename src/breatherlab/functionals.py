@@ -46,9 +46,14 @@ def f_value(u: GridField) -> float:
     return float(quadrature(u.with_values(integrand)))
 
 
-def h_value(u: GridField, p: cf.BreatherParams) -> float:
+def h_from_parts(p: cf.BreatherParams, m, e, f):
+    """H from its parts M, E, F; works elementwise on invariant series."""
     a2, b2 = p.alpha**2, p.beta**2
-    return f_value(u) + 2.0 * (b2 - a2) * energy(u) + (a2 + b2) ** 2 * mass(u)
+    return f + 2.0 * (b2 - a2) * e + (a2 + b2) ** 2 * m
+
+
+def h_value(u: GridField, p: cf.BreatherParams) -> float:
+    return h_from_parts(p, mass(u), energy(u), f_value(u))
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,8 @@ class FunctionalReport:
 
 def functional_report(u: GridField, p: cf.BreatherParams) -> FunctionalReport:
     m, e, f = mass(u), energy(u), f_value(u)
-    a2, b2 = p.alpha**2, p.beta**2
     # h assembled from the three parts so the weighted-sum identity is exact
-    return FunctionalReport(m, e, f, f + 2.0 * (b2 - a2) * e + (a2 + b2) ** 2 * m, p)
+    return FunctionalReport(m, e, f, h_from_parts(p, m, e, f), p)
 
 
 def coefficient_fields(p: cf.BreatherParams, grid: PeriodicGrid, t: float):

@@ -179,7 +179,7 @@ def _assemble_from_coefficients(p: cf.BreatherParams, grid: PeriodicGrid, b: np.
 
 def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
     """Discrete H^2 Gram: I + D1^T D1 + D2^T D2 = I - D2 + D4 (exact algebra)."""
-    d1, d2, d4 = _derivative_matrices(grid)
+    d2, d4 = spectral_derivatives(np.eye(grid.n_points), grid, (2, 4), axis=0)
     g = d4 - d2
     g[np.diag_indices_from(g)] += 1.0
     return 0.5 * (g + g.T)

@@ -4,7 +4,7 @@ A perturbed breather field is decomposed as u = B(t; x1, x2) + z where the
 two shifts are fitted so that z is L2-orthogonal to both translation
 directions of B.  The experiment evolves B + eta*P in the breather's
 co-moving frame, refits the shifts at every monitor time, and reports the
-observed perturbation growth and shift drift; the Lyapunov audit checks the
+observed perturbation growth and shift drift; the same pass audits the
 energy-functional expansion that controls that growth.
 """
 
@@ -36,10 +36,11 @@ class ModulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulationState:
-    """Fitted shifts and the orthogonal remainder z = u - B(t; x1, x2)."""
+    """Fitted shifts, b = B(t; x1, x2) and the orthogonal remainder z = u - b."""
 
     x1: float
     x2: float
+    b: gr.GridField
     z: gr.GridField
     z_h2: float
     ortho_residuals: tuple[float, float]
@@ -47,12 +48,28 @@ class ModulationState:
 
 
 @dataclass(frozen=True)
+class LyapunovAudit:
+    """Per-checkpoint decomposition H[u] = H[B] + Q[z]/2 + N[z], its miss
+    relative to |H[u]| (closure_rel) and the mass pairing |integral z B|."""
+
+    h_u: np.ndarray
+    h_b: np.ndarray
+    q_z: np.ndarray
+    n_z: np.ndarray
+    closure_rel: np.ndarray
+    mass_pairing: np.ndarray
+    q_growth_constant: float
+    pairing_constant: float
+
+
+@dataclass(frozen=True)
 class StabilityRunReport:
     """History of one perturbed run.
 
     x1_series and x2_series are lab-frame shifts (fitted frame shifts minus
-    frame_speed*t); fields are the checkpointed frame states.  failure_time
-    is set when modulation stopped converging and the series are truncated.
+    frame_speed*t); audit is the Lyapunov decomposition at the same times.
+    failure_time is set when modulation stopped converging and the series
+    are truncated.
     """
 
     eta: float
@@ -66,7 +83,7 @@ class StabilityRunReport:
     sign_branches: np.ndarray
     ortho_max: float
     frame_speed: float
-    fields: tuple[gr.GridField, ...]
+    audit: LyapunovAudit
     params: cf.BreatherParams
     failure_time: float | None = None
 
@@ -77,28 +94,12 @@ class StabilityRunReport:
             and self.x1_series.shape[0] == n
             and self.x2_series.shape[0] == n
             and self.sign_branches.shape[0] == n
-            and len(self.fields) == n
+            and self.audit.h_u.shape[0] == n
         )
         if not same:
             raise ValueError("report series must all have the same length")
         if not np.isfinite(self.a0_observed):
             raise ValueError("a0_observed must be finite")
-
-
-@dataclass(frozen=True)
-class LyapunovAudit:
-    """Per-checkpoint decomposition H[u] = H[B] + Q[z]/2 + N[z]."""
-
-    times: np.ndarray
-    h_u: np.ndarray
-    h_b: np.ndarray
-    q_z: np.ndarray
-    n_z: np.ndarray
-    closure_rel: np.ndarray
-    mass_pairing: np.ndarray
-    flagged: np.ndarray
-    q_growth_constant: float
-    pairing_constant: float
 
 
 def _shift_fit_parts(u_vals: np.ndarray, p: cf.BreatherParams, t: float, grid: gr.PeriodicGrid):
@@ -109,7 +110,7 @@ def _shift_fit_parts(u_vals: np.ndarray, p: cf.BreatherParams, t: float, grid: g
     r1 = h * float(z @ b1)
     r2 = h * float(z @ b2)
     gram = h * np.array([[b1 @ b1, b1 @ b2], [b1 @ b2, b2 @ b2]])
-    return z, r1, r2, gram
+    return jet.b, r1, r2, gram
 
 
 def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> ModulationState:
@@ -118,7 +119,9 @@ def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> Modulatio
     Newton iteration on the two orthogonality integrals with the Gram matrix
     of (B1, B2) as Jacobian; the half-period sign ambiguity of the breather
     family is resolved afterwards by keeping whichever of (x1, x2) and
-    (x1 + pi/alpha, x2) leaves the smaller remainder.
+    (x1 + pi/alpha, x2) leaves the smaller remainder.  B at the fitted
+    shifts comes from the jet of the last Newton evaluation, which ran at
+    exactly those shifts.
     """
     grid = u.grid
     x1, x2 = p_guess.x1, p_guess.x2
@@ -127,7 +130,7 @@ def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> Modulatio
     step = np.inf
     for _ in range(_NEWTON_MAX_ITER):
         p_cur = replace(p_guess, x1=x1, x2=x2)
-        _, r1, r2, gram = _shift_fit_parts(u.values, p_cur, t, grid)
+        b, r1, r2, gram = _shift_fit_parts(u.values, p_cur, t, grid)
         if max(abs(r1), abs(r2)) <= _NEWTON_TOL or step < _STALL_STEP:
             converged = True
             break
@@ -146,20 +149,17 @@ def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> Modulatio
             f"no convergence in {_NEWTON_MAX_ITER} iterations", residuals=(r1, r2)
         )
 
-    half_period = np.pi / p_guess.alpha
-    sign_branch = 0
-    z_vals = u.values - cf.breather(replace(p_guess, x1=x1, x2=x2), t, grid.nodes)
-    z_flip = u.values - cf.breather(replace(p_guess, x1=x1 + half_period, x2=x2), t, grid.nodes)
-    if np.linalg.norm(z_flip) < np.linalg.norm(z_vals):
-        x1 += half_period
-        sign_branch = 1
-        z_vals = z_flip
-    p_fit = replace(p_guess, x1=x1, x2=x2)
-    _, r1, r2, _ = _shift_fit_parts(u.values, p_fit, t, grid)
-    z = gr.GridField(grid, z_vals)
+    p_flip = replace(p_cur, x1=x1 + np.pi / p_guess.alpha)
+    z_flip = u.values - cf.breather(p_flip, t, grid.nodes)
+    sign_branch = int(np.linalg.norm(z_flip) < np.linalg.norm(u.values - b))
+    if sign_branch:
+        x1 = p_flip.x1
+        b, r1, r2, _ = _shift_fit_parts(u.values, p_flip, t, grid)
+    z = gr.GridField(grid, u.values - b)
     return ModulationState(
         x1=x1,
         x2=x2,
+        b=gr.GridField(grid, b),
         z=z,
         z_h2=gr.sobolev_norm(z, 2),
         ortho_residuals=(r1, r2),
@@ -209,12 +209,16 @@ def stability_experiment(
     eta: float,
     cfg: ev.IntegratorConfig,
 ) -> StabilityRunReport:
-    """Evolve B + eta*perturbation and track the modulation decomposition.
+    """Evolve B + eta*perturbation, track the modulation decomposition and
+    audit the Lyapunov expansion, in one pass over the checkpoints.
 
     The evolution runs in the frame cfg prescribes; fitted frame shifts are
     converted to lab shifts via x_lab = x_fit - frame_speed*t, which are the
-    series the shift-rate bound applies to.  A modulation failure truncates
-    the series at the failure time instead of aborting.
+    series the shift-rate bound applies to.  H[u] comes from the trace's
+    invariant series; H[B], Q[z], N[z] and |integral z B| from the fitted
+    state.  A modulation failure truncates the series at the failure time
+    instead of aborting, unless it happens at the first checkpoint, where it
+    is raised.
     """
     h2 = gr.sobolev_norm(perturbation, 2)
     if abs(h2 - 1.0) > 1e-6:
@@ -229,117 +233,100 @@ def stability_experiment(
 
     c = cfg.frame_speed
     times: list[float] = []
-    fields: list[gr.GridField] = []
     z_h2s: list[float] = []
     lab1: list[float] = []
     lab2: list[float] = []
     branches: list[int] = []
+    h_b: list[float] = []
+    q_z: list[float] = []
+    n_z: list[float] = []
+    pairing: list[float] = []
     ortho_max = 0.0
     failure_time = None
     guess1, guess2 = p.x1, p.x2
     prev_t = 0.0
     for t, field in zip(trace.times, trace.fields):
+        t = float(t)
         # warm start: previous fit advected by the known frame drift
         guess = replace(p, x1=guess1 + c * (t - prev_t), x2=guess2 + c * (t - prev_t))
         try:
-            state = modulate(field, guess, float(t))
+            state = modulate(field, guess, t)
         except ModulationError:
-            failure_time = float(t)
+            if not times:
+                raise
+            failure_time = t
             break
-        times.append(float(t))
-        fields.append(field)
+        p_fit = replace(p, x1=state.x1, x2=state.x2)
+        times.append(t)
         z_h2s.append(state.z_h2)
         lab1.append(state.x1 - c * t)
         lab2.append(state.x2 - c * t)
         branches.append(state.sign_branch)
         ortho_max = max(ortho_max, abs(state.ortho_residuals[0]), abs(state.ortho_residuals[1]))
-        guess1, guess2, prev_t = state.x1, state.x2, float(t)
+        h_b.append(fn.h_value(state.b, p))
+        q_z.append(fn.quadratic_form(state.z, p_fit, t))
+        n_z.append(fn.remainder(state.z, p_fit, t))
+        pairing.append(abs(gr.inner_product(state.z, state.b)))
+        guess1, guess2, prev_t = state.x1, state.x2, t
 
+    n = len(times)
     t_arr = np.asarray(times)
-    sup_z = float(np.max(z_h2s)) if z_h2s else 0.0
+    z_h2_arr = np.asarray(z_h2s)
+    sup_z = float(np.max(z_h2_arr))
+    a0 = sup_z / eta if eta > 0.0 else 0.0
     rate = 0.0
-    if len(times) >= 3:
+    if n >= 3:
         r1 = np.gradient(np.asarray(lab1), t_arr)
         r2 = np.gradient(np.asarray(lab2), t_arr)
         rate = float(np.max(np.abs(r1) + np.abs(r2)))
+
+    h_u = fn.h_from_parts(p, trace.mass_series, trace.energy_series, trace.f_series)[:n]
+    h_b_arr, q_arr, n_arr = np.asarray(h_b), np.asarray(q_z), np.asarray(n_z)
+    closure = np.abs(h_u - h_b_arr - 0.5 * q_arr - n_arr) / np.maximum(np.abs(h_u), 1e-30)
+    # growth-bound constants: Q[z](t) - Q[z](0) against the cubes of the H^2
+    # norms, and the mass pairing against eta + eta^2 a0^2
+    cubes = z_h2_arr**3 + z_h2_arr[0] ** 3
+    growth = q_arr - q_arr[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_const = float(np.max(np.where(cubes > 0.0, growth / cubes, 0.0)))
+    pairing_arr = np.asarray(pairing)
+    pairing_scale = eta + eta**2 * a0**2
+    p_const = float(np.max(pairing_arr) / pairing_scale) if pairing_scale > 0.0 else 0.0
+    audit = LyapunovAudit(
+        h_u=h_u,
+        h_b=h_b_arr,
+        q_z=q_arr,
+        n_z=n_arr,
+        closure_rel=closure,
+        mass_pairing=pairing_arr,
+        q_growth_constant=max(0.0, q_const),
+        pairing_constant=p_const,
+    )
     return StabilityRunReport(
         eta=eta,
         sup_z_h2=sup_z,
-        a0_observed=sup_z / eta if eta > 0.0 else 0.0,
+        a0_observed=a0,
         shift_rate_sup=rate,
         times=t_arr,
-        z_h2_series=np.asarray(z_h2s),
+        z_h2_series=z_h2_arr,
         x1_series=np.asarray(lab1),
         x2_series=np.asarray(lab2),
         sign_branches=np.asarray(branches, dtype=int),
         ortho_max=ortho_max,
         frame_speed=c,
-        fields=tuple(fields),
+        audit=audit,
         params=p,
         failure_time=failure_time,
     )
 
 
-def sweep_runs(cases) -> list[StabilityRunReport]:
-    """Run independent experiments in order; cases is a sequence of
-    (p, perturbation, eta, cfg) tuples."""
-    return [stability_experiment(*case) for case in cases]
-
-
-def lyapunov_audit(run: StabilityRunReport, p: cf.BreatherParams, tol: float = 1e-8) -> LyapunovAudit:
-    """Check H[u] = H[B] + Q[z]/2 + N[z] at every checkpoint.
-
-    Checkpoints where the decomposition misses by more than tol relative to
-    |H[u]| are flagged.  Also reports the measured constants of the two
-    growth bounds: Q[z](t) - Q[z](0) against the cubes of the H^2 norms, and
-    the mass pairing |integral B z| against eta + eta^2 a0^2.
-    """
-    if run.times.shape[0] == 0:
-        raise ValueError("run has no checkpoints")
-    c = run.frame_speed
-    h_u = np.empty(run.times.shape[0])
-    h_b = np.empty_like(h_u)
-    q_z = np.empty_like(h_u)
-    n_z = np.empty_like(h_u)
-    pairing = np.empty_like(h_u)
-    for i, (t, field) in enumerate(zip(run.times, run.fields)):
-        p_fit = replace(p, x1=run.x1_series[i] + c * t, x2=run.x2_series[i] + c * t)
-        b = gr.sample(lambda tt, xx: cf.breather(p_fit, tt, xx), field.grid, float(t))
-        z = field.with_values(field.values - b.values)
-        h_u[i] = fn.h_value(field, p)
-        h_b[i] = fn.h_value(b, p)
-        q_z[i] = fn.quadratic_form(z, p_fit, float(t))
-        n_z[i] = fn.remainder(z, p_fit, float(t))
-        pairing[i] = abs(gr.inner_product(z, b))
-    closure = np.abs(h_u - h_b - 0.5 * q_z - n_z) / np.maximum(np.abs(h_u), 1e-30)
-
-    cubes = run.z_h2_series**3 + run.z_h2_series[0] ** 3
-    growth = q_z - q_z[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_const = float(np.max(np.where(cubes > 0.0, growth / cubes, 0.0)))
-    pairing_scale = run.eta + run.eta**2 * run.a0_observed**2
-    p_const = float(np.max(pairing) / pairing_scale) if pairing_scale > 0.0 else 0.0
-    return LyapunovAudit(
-        times=run.times.copy(),
-        h_u=h_u,
-        h_b=h_b,
-        q_z=q_z,
-        n_z=n_z,
-        closure_rel=closure,
-        mass_pairing=pairing,
-        flagged=closure > tol,
-        q_growth_constant=max(0.0, q_const),
-        pairing_constant=p_const,
-    )
-
-
-def write_stability_csv(run: StabilityRunReport, audit: LyapunovAudit, path) -> None:
+def write_stability_csv(run: StabilityRunReport, path) -> None:
     """One row per checkpoint: t, z_h2, x1, x2, H_u, Q_z, N_z."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write("t,z_h2,x1,x2,H_u,Q_z,N_z\n")
         rows = zip(
             run.times, run.z_h2_series, run.x1_series, run.x2_series,
-            audit.h_u, audit.q_z, audit.n_z,
+            run.audit.h_u, run.audit.q_z, run.audit.n_z,
         )
         for t, zh, x1, x2, hu, qz, nz in rows:
             handle.write(f"{t:.17g},{zh:.17g},{x1:.17g},{x2:.17g},{hu:.17g},{qz:.17g},{nz:.17g}\n")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import breatherlab
+from breatherlab import stability as st
 from breatherlab.cli import main
 
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -209,6 +210,16 @@ def test_stability_sweep_and_manifest_replay(tmp_path):
     assert firsts == sorted(p.name for p in second.iterdir())
     for name in firsts:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_stability_unfittable_first_checkpoint_exits_two(tmp_path, monkeypatch, capsys):
+    def no_fit(u, p_guess, t):
+        raise st.ModulationError("no fit", residuals=(1.0, 1.0))
+
+    monkeypatch.setattr(st, "modulate", no_fit)
+    code = main(["stability", "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
+    assert code == 2
+    assert "check failed" in capsys.readouterr().err
 
 
 def test_out_directory_is_created(tmp_path):

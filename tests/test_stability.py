@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from breatherlab import closed_forms as cf
+from breatherlab import evolution as ev
+from breatherlab import functionals as fn
 from breatherlab import grid as gr
 from breatherlab import stability as st
 
@@ -23,6 +25,8 @@ def test_modulate_recovers_shifts():
     assert state.x2 == pytest.approx(-0.21, abs=1e-11)
     assert state.sign_branch == 0
     assert state.z_h2 <= 1e-9
+    fitted = cf.breather(P.with_shifts(state.x1, state.x2), 0.25, FIT_GRID.nodes)
+    np.testing.assert_array_equal(state.b.values, fitted)
     assert max(abs(r) for r in state.ortho_residuals) <= 1e-10
 
 
@@ -34,6 +38,8 @@ def test_modulate_resolves_half_period_branch():
     assert state.x1 == pytest.approx(half, abs=1e-12)
     assert state.sign_branch == 1
     assert state.z_h2 <= 1e-12
+    fitted = cf.breather(P.with_shifts(state.x1, state.x2), 0.0, FIT_GRID.nodes)
+    np.testing.assert_array_equal(state.b.values, fitted)
 
 
 def test_modulate_leaves_orthogonal_remainder_alone():
@@ -97,26 +103,27 @@ def test_unperturbed_run_sits_on_the_manifold():
 def short_run():
     pert = st.default_perturbations(GRID)["sech"]
     cfg = st.default_stability_config(P, t_end=0.05)
-    run = st.stability_experiment(P, pert, 1e-2, cfg)
-    return run, st.lyapunov_audit(run, P)
+    return st.stability_experiment(P, pert, 1e-2, cfg)
 
 
 def test_short_experiment_report(short_run):
-    run, _ = short_run
+    run = short_run
     assert run.failure_time is None
     assert run.eta == 1e-2
     assert set(np.unique(run.sign_branches)) == {0}
     assert run.ortho_max <= 1e-9
     assert 1.0 < run.a0_observed < 100.0
     assert run.sup_z_h2 > 0.0
-    assert run.times.shape[0] == len(run.fields) == 6
+    assert run.times.shape[0] == run.audit.h_u.shape[0] == 6
     assert run.frame_speed == pytest.approx(-P.gamma)
 
 
 def test_short_experiment_audit(short_run):
-    run, audit = short_run
-    assert audit.times.shape == run.times.shape
-    assert not np.any(audit.flagged)
+    run = short_run
+    audit = run.audit
+    for column in (audit.h_u, audit.h_b, audit.q_z, audit.n_z, audit.mass_pairing):
+        assert column.shape == run.times.shape
+    assert not np.any(audit.closure_rel > 1e-8)
     assert np.max(audit.closure_rel) <= 1e-10
     h0 = audit.h_u[0]
     assert np.max(np.abs(audit.h_u - h0)) <= 1e-9 * abs(h0)
@@ -124,6 +131,28 @@ def test_short_experiment_audit(short_run):
     assert np.isfinite(audit.pairing_constant)
     # the quadratic term dominates the remainder at this amplitude
     assert np.max(np.abs(audit.n_z[1:])) < np.max(np.abs(audit.q_z[1:]))
+
+
+def test_audit_matches_independent_recomputation(short_run):
+    # re-evolve, rebuild B at the lab shifts advected back to the frame, and
+    # recompute every audit term from the fields
+    run = short_run
+    pert = st.default_perturbations(GRID)["sech"]
+    b0 = _breather_field(P, GRID)
+    cfg = st.default_stability_config(P, t_end=0.05)
+    trace = ev.evolve(b0.with_values(b0.values + 1e-2 * pert.values), cfg)
+    np.testing.assert_array_equal(trace.times, run.times)
+    c = run.frame_speed
+    for i, (t, field) in enumerate(zip(trace.times, trace.fields)):
+        t = float(t)
+        p_fit = P.with_shifts(run.x1_series[i] + c * t, run.x2_series[i] + c * t)
+        b = _breather_field(p_fit, GRID, t)
+        z = field.with_values(field.values - b.values)
+        assert fn.h_value(field, P) == run.audit.h_u[i]
+        assert fn.h_value(b, P) == run.audit.h_b[i]
+        assert fn.quadratic_form(z, p_fit, t) == run.audit.q_z[i]
+        assert fn.remainder(z, p_fit, t) == run.audit.n_z[i]
+        assert abs(gr.inner_product(z, b)) == run.audit.mass_pairing[i]
 
 
 def test_remainder_scales_linearly_with_eta():
@@ -135,13 +164,12 @@ def test_remainder_scales_linearly_with_eta():
 
 
 def test_stability_csv_deterministic(tmp_path, short_run):
-    run, audit = short_run
+    run = short_run
     pert = st.default_perturbations(GRID)["sech"]
     cfg = st.default_stability_config(P, t_end=0.05)
     rerun = st.stability_experiment(P, pert, 1e-2, cfg)
-    reaudit = st.lyapunov_audit(rerun, P)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    st.write_stability_csv(run, audit, a)
-    st.write_stability_csv(rerun, reaudit, b)
+    st.write_stability_csv(run, a)
+    st.write_stability_csv(rerun, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "t,z_h2,x1,x2,H_u,Q_z,N_z"
