@@ -53,25 +53,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _auto_frame(config: dict) -> float:
-    speed = config["integrator"]["frame_speed"]
-    if speed is not None:
-        return speed
-    if config["evolve"]["initial"] == "soliton":
-        return config["evolve"]["soliton_c"]
-    return -cfgmod.breather_params(config).gamma
-
-
 def _integrator(config: dict, frame_speed: float, boundary_margin=None) -> ev.IntegratorConfig:
+    """Integrator settings from the config; a null integrator.frame_speed or
+    integrator.boundary_margin takes the command's default given here."""
     integ = config["integrator"]
-    margin = integ["boundary_margin"] if integ["boundary_margin"] is not None else boundary_margin
+    if integ["frame_speed"] is not None:
+        frame_speed = integ["frame_speed"]
+    if integ["boundary_margin"] is not None:
+        boundary_margin = integ["boundary_margin"]
     return ev.IntegratorConfig(
         dt=integ["dt"],
         t_end=integ["t_end"],
         frame_speed=frame_speed,
         dealias=integ["dealias"],
         monitor_stride=integ["monitor_stride"],
-        boundary_margin=margin,
+        boundary_margin=boundary_margin,
     )
 
 
@@ -167,11 +163,8 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
     if config["spectrum"]["phase_sweep"]:
         n_samples = config["spectrum"]["phase_samples"]
         half_period = np.pi / p.alpha
-        cases = [
-            (replace(p, x1=p.x1 + j * half_period / n_samples), eig_grid, t)
-            for j in range(n_samples)
-        ]
-        reports = sp.sweep_spectra(cases)
+        shifts = [p.x1 + j * half_period / n_samples for j in range(n_samples)]
+        reports = [sp.classify(sp.assemble(replace(p, x1=x1), eig_grid, t)) for x1 in shifts]
         lam = [r.lambda0_sq for r in reports]
         pass_fail["sweep_lambda0_sq_positive"] = bool(all(v > 0.0 for v in lam))
         report_doc["sweep"] = {
@@ -186,13 +179,16 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
 def _cmd_evolve(config: dict, outdir: str, prefix: str):
     t0 = config["t"]
     grid = cfgmod.make_grid(config)
+    # default frame: the initial profile's own co-moving frame
     if config["evolve"]["initial"] == "breather":
         p = cfgmod.breather_params(config)
         u0 = gr.sample(lambda tt, xx: cf.breather(p, tt, xx), grid, t0)
+        frame_speed = -p.gamma
     else:
         soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid, t0)
-    cfg = _integrator(config, _auto_frame(config))
+        frame_speed = soliton.c
+    cfg = _integrator(config, frame_speed)
     trace = ev.evolve(u0, cfg)
 
     drift_tol = config["evolve"]["drift_tol"]
@@ -227,7 +223,8 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     stab = config["stability"]
     grid = cfgmod.make_grid(config, n_points=stab["n_points"])
     perturbation = st.default_perturbations(grid, seed=config["seed"])[stab["perturbation"]]
-    cfg = _integrator(config, _auto_frame(config), boundary_margin=5.0 / p.beta)
+    defaults = st.default_stability_config(p)
+    cfg = _integrator(config, defaults.frame_speed, defaults.boundary_margin)
     etas = list(stab["eta_sweep"]) or [stab["eta"]]
     runs = [st.stability_experiment(p, perturbation, eta, cfg) for eta in etas]
 

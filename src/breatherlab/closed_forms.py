@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -41,21 +40,6 @@ COSH_GUARD = 300.0
 # Complex-step size for parameter derivatives; no cancellation, so it can sit
 # far below any finite-difference step.
 _CSTEP = 1e-20
-
-
-class Direction(Enum):
-    """Evaluable members of the breather family."""
-
-    B = "b"
-    PRIMITIVE = "primitive"
-    DX1 = "dx1"
-    DX2 = "dx2"
-    DALPHA = "dalpha"
-    DBETA = "dbeta"
-    B0 = "b0"
-    PRIMITIVE_T = "primitive_t"
-    MASS_PROFILE = "mass_profile"
-    DOUBLE_POLE = "double_pole"
 
 
 @dataclass(frozen=True)
@@ -231,20 +215,6 @@ def breather_dx2(p: BreatherParams, t, x):
     return breather_jet(p, t, x).dx2
 
 
-def breather_x(p: BreatherParams, t, x):
-    return breather_jet(p, t, x).b_x
-
-
-def breather_t(p: BreatherParams, t, x):
-    """Time derivative: delta*dx1 + gamma*dx2."""
-    jet = breather_jet(p, t, x)
-    return p.delta * jet.dx1 + p.gamma * jet.dx2
-
-
-def breather_xx(p: BreatherParams, t, x):
-    return breather_jet(p, t, x).b_xx
-
-
 def mass_profile(p: BreatherParams, t, x):
     """Half cumulative mass 0.5*int_{-inf}^x B^2, in closed form.
 
@@ -337,27 +307,6 @@ def double_pole(p: BreatherParams, t, x):
     return _zero_clipped(out, clipped)
 
 
-_EVALUATORS = {
-    Direction.B: breather,
-    Direction.PRIMITIVE: breather_primitive,
-    Direction.DX1: breather_dx1,
-    Direction.DX2: breather_dx2,
-    Direction.DALPHA: lambda p, t, x: scaling_derivative(p, t, x, "alpha"),
-    Direction.DBETA: lambda p, t, x: scaling_derivative(p, t, x, "beta"),
-    Direction.B0: b0_direction,
-    Direction.PRIMITIVE_T: breather_primitive_t,
-    Direction.MASS_PROFILE: mass_profile,
-    Direction.DOUBLE_POLE: double_pole,
-}
-
-
-def eval_direction(p: BreatherParams, direction: Direction, t, x):
-    """Dispatch a Direction tag to its evaluator."""
-    if direction not in _EVALUATORS:
-        raise ValueError(f"unknown direction {direction!r}")
-    return _EVALUATORS[direction](p, t, x)
-
-
 def soliton(s: SolitonParams, t, x):
     """Soliton sqrt(2c) sech(sqrt(c)(x - c t - x0))."""
     rc = math.sqrt(s.c)
@@ -374,9 +323,3 @@ def shift_to_spacetime(p: BreatherParams) -> tuple[float, float]:
     x0 = (p.delta * p.x2 - p.gamma * p.x1) / s
     return t0, x0
 
-
-def spacetime_to_shift(alpha: float, beta: float, t0: float, x0: float) -> tuple[float, float]:
-    """Inverse of shift_to_spacetime: x_j = -x0 - (velocity_j) * t0."""
-    delta = alpha**2 - 3.0 * beta**2
-    gamma = 3.0 * alpha**2 - beta**2
-    return -x0 - delta * t0, -x0 - gamma * t0

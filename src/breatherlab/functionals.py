@@ -62,13 +62,12 @@ class FunctionalReport:
     energy: float
     f_value: float
     h_value: float
-    params_used: cf.BreatherParams
 
 
 def functional_report(u: GridField, p: cf.BreatherParams) -> FunctionalReport:
     m, e, f = mass(u), energy(u), f_value(u)
     # h assembled from the three parts so the weighted-sum identity is exact
-    return FunctionalReport(m, e, f, h_from_parts(p, m, e, f), p)
+    return FunctionalReport(m, e, f, h_from_parts(p, m, e, f))
 
 
 def coefficient_fields(p: cf.BreatherParams, grid: PeriodicGrid, t: float):
@@ -100,9 +99,12 @@ def apply_operator(z: GridField, p: cf.BreatherParams, t: float) -> GridField:
     return z.with_values(out, time_tag=t)
 
 
-def apply_operator_direction(which: cf.Direction, p: cf.BreatherParams, grid: PeriodicGrid,
+def apply_operator_direction(direction, p: cf.BreatherParams, grid: PeriodicGrid,
                              t: float) -> GridField:
     """Operator applied to a closed-form direction, in extended precision.
+
+    direction is an evaluator (p, t, x) -> values such as cf.breather_dx1,
+    cf.breather_dx2 or cf.b0_direction.
 
     Sampling, differentiation and coefficient evaluation all run in
     longdouble, so kernel residuals (L B1, L B2) and inverse checks
@@ -111,7 +113,7 @@ def apply_operator_direction(which: cf.Direction, p: cf.BreatherParams, grid: Pe
     float64 fields.
     """
     x = grid.nodes.astype(np.longdouble)
-    zv = np.asarray(cf.eval_direction(p, which, t, x), dtype=np.longdouble)
+    zv = np.asarray(direction(p, t, x), dtype=np.longdouble)
     out = _operator_values(zv, p, grid, t, x)
     return GridField(grid, out.astype(float), time_tag=t)
 

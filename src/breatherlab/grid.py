@@ -167,20 +167,6 @@ def inner_product(f: GridField, g: GridField) -> float:
     return float(f.grid.spacing * np.dot(f.values, g.values))
 
 
-def write_csv(f: GridField, path: str | Path) -> None:
-    """Two-column x,value CSV with 17 significant digits."""
-    lines = ["x,value"]
-    for xv, fv in zip(f.grid.nodes, f.values):
-        lines.append(f"{xv:.17g},{fv:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
-    return data[:, 0], data[:, 1]
-
-
 def write_binary(f: GridField, path: str | Path) -> None:
     """Checkpoint format: magic, N (int64), L, t (float64), then values."""
     with open(path, "wb") as fh:

@@ -336,11 +336,6 @@ def classify(op: DiscreteOperator) -> Classification:
     return Classification(negative_count, float(-evals[0]))
 
 
-def sweep_spectra(cases) -> list[Classification]:
-    """Assemble and classify a sequence of (params, grid, t) cases in order."""
-    return [classify(assemble(p, g, t)) for (p, g, t) in cases]
-
-
 def root_function(p: cf.BreatherParams, t: float, y2):
     """Monotone function whose single sign change locates det W = 0.
 

@@ -193,7 +193,9 @@ def default_perturbations(grid: gr.PeriodicGrid, seed: int = _BAND_SEED) -> dict
 
 
 def default_stability_config(p: cf.BreatherParams, t_end: float = 5.0, dt: float = 1.25e-4) -> ev.IntegratorConfig:
-    """Co-moving frame, 0.01 monitor interval, boundary guard at 5/beta."""
+    """Co-moving frame, 0.01 monitor interval, boundary guard at 5/beta.
+
+    The stability command takes its frame and boundary guard from here."""
     return ev.IntegratorConfig(
         dt=dt,
         t_end=t_end,

@@ -83,9 +83,9 @@ def test_c04_kernel_directions():
     p = cf.BreatherParams(1.5, 1.0)
     grid = _wide_grid(1.0)
     worst = 0.0
-    for which in (cf.Direction.DX1, cf.Direction.DX2):
-        res = fn.apply_operator_direction(which, p, grid, t=0.0)
-        scale = max(1.0, float(np.max(np.abs(cf.eval_direction(p, which, 0.0, grid.nodes)))))
+    for direction in (cf.breather_dx1, cf.breather_dx2):
+        res = fn.apply_operator_direction(direction, p, grid, t=0.0)
+        scale = max(1.0, float(np.max(np.abs(direction(p, 0.0, grid.nodes)))))
         worst = max(worst, float(np.max(np.abs(res.values))) / scale)
     rep = sp.spectrum(sp.assemble(p, gr.default_grid(1.0, 512)))
     ok = (worst < 1e-6 and len(rep.kernel_defect) == 2 and rep.kernel_angle < 1e-3)
@@ -113,7 +113,7 @@ def test_c06_inverse_direction():
     for alpha, beta in ((1.5, 1.0), (2.0, 0.5)):
         p = cf.BreatherParams(alpha, beta)
         grid = _wide_grid(beta)
-        res = fn.apply_operator_direction(cf.Direction.B0, p, grid, t=0.0)
+        res = fn.apply_operator_direction(cf.b0_direction, p, grid, t=0.0)
         target = -cf.breather(p, 0.0, grid.nodes)
         worst_res = max(worst_res, float(np.max(np.abs(res.values - target))))
         pairing = 1.0 / (2.0 * beta * (alpha**2 + beta**2))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import breatherlab
+from breatherlab import config as cfgmod
 from breatherlab import stability as st
 from breatherlab.cli import main
 
@@ -220,6 +221,24 @@ def test_stability_unfittable_first_checkpoint_exits_two(tmp_path, monkeypatch, 
     code = main(["stability", "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
     assert code == 2
     assert "check failed" in capsys.readouterr().err
+
+
+def test_stability_frame_ignores_evolve_section(tmp_path, monkeypatch):
+    # the stability run always co-moves with the breather, whatever evolve.* says
+    seen = []
+
+    def record(p, perturbation, eta, cfg):
+        seen.append(cfg)
+        raise st.ModulationError("stop after recording", residuals=(0.0, 0.0))
+
+    monkeypatch.setattr(st, "stability_experiment", record)
+    code = main(["stability", "--set", "evolve.initial=soliton",
+                 "--set", "integrator.t_end=0.01", "--out", str(tmp_path)])
+    assert code == 2
+    p = cfgmod.breather_params(cfgmod.default_config())
+    assert len(seen) == 1
+    assert seen[0].frame_speed == -p.gamma
+    assert seen[0].boundary_margin == 5.0 / p.beta
 
 
 def test_out_directory_is_created(tmp_path):

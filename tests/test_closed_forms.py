@@ -122,8 +122,9 @@ def test_space_and_time_derivatives_match_finite_difference():
     x = np.array([-3.0, -0.8, 0.4, 1.9])
     fdx = _richardson(lambda e: cf.breather(p, 0.4, x + e), 1e-3)
     fdt = _richardson(lambda e: cf.breather(p, 0.4 + e, x), 1e-3)
-    np.testing.assert_allclose(cf.breather_x(p, 0.4, x), fdx, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(cf.breather_t(p, 0.4, x), fdt, rtol=0, atol=1e-9)
+    jet = cf.breather_jet(p, 0.4, x)
+    np.testing.assert_allclose(jet.b_x, fdx, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(p.delta * jet.dx1 + p.gamma * jet.dx2, fdt, rtol=0, atol=1e-9)
 
 
 def test_second_derivative_matches_stencil():
@@ -136,7 +137,7 @@ def test_second_derivative_matches_stencil():
         - 30 * cf.breather(p, 0.1, x) + 16 * cf.breather(p, 0.1, x - h)
         - cf.breather(p, 0.1, x - 2 * h)
     ) / (12 * h * h)
-    np.testing.assert_allclose(cf.breather_xx(p, 0.1, x), stencil, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cf.breather_jet(p, 0.1, x).b_xx, stencil, rtol=0, atol=1e-6)
 
 
 def test_mass_profile_limits_and_monotonicity():
@@ -162,14 +163,6 @@ def test_clip_guard_returns_exact_far_field():
         assert prof[0] == 0.0 and prof[1] == 4.0 * p.beta
         assert np.all(cf.double_pole(p, 0.3, far) == 0.0)
         assert np.all(cf.soliton(cf.SolitonParams(1.0), 0.0, far) == 0.0)
-
-
-def test_shift_spacetime_roundtrip():
-    p = cf.BreatherParams(1.7, 0.8, x1=0.9, x2=-1.3)
-    t0, x0 = cf.shift_to_spacetime(p)
-    x1, x2 = cf.spacetime_to_shift(p.alpha, p.beta, t0, x0)
-    assert x1 == pytest.approx(p.x1, abs=1e-12)
-    assert x2 == pytest.approx(p.x2, abs=1e-12)
 
 
 def test_shift_equals_spacetime_translation():
@@ -206,27 +199,6 @@ def test_soliton_travels_at_speed_c():
     x = np.linspace(-5.0, 5.0, 41)
     np.testing.assert_allclose(cf.soliton(s, 1.2, x + 1.8 * 1.2), cf.soliton(s, 0.0, x),
                                rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("direction", list(cf.Direction))
-def test_eval_direction_matches_named_functions(direction):
-    p = cf.BreatherParams(1.5, 1.0, x1=0.2, x2=-0.3)
-    x = np.linspace(-4.0, 4.0, 33)
-    named = {
-        cf.Direction.B: cf.breather,
-        cf.Direction.PRIMITIVE: cf.breather_primitive,
-        cf.Direction.DX1: cf.breather_dx1,
-        cf.Direction.DX2: cf.breather_dx2,
-        cf.Direction.DALPHA: lambda q, t, xx: cf.scaling_derivative(q, t, xx, "alpha"),
-        cf.Direction.DBETA: lambda q, t, xx: cf.scaling_derivative(q, t, xx, "beta"),
-        cf.Direction.B0: cf.b0_direction,
-        cf.Direction.PRIMITIVE_T: cf.breather_primitive_t,
-        cf.Direction.MASS_PROFILE: cf.mass_profile,
-        cf.Direction.DOUBLE_POLE: cf.double_pole,
-    }
-    np.testing.assert_array_equal(
-        cf.eval_direction(p, direction, 0.15, x), named[direction](p, 0.15, x)
-    )
 
 
 def test_scaling_derivative_rejects_unknown_direction():

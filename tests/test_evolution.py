@@ -38,13 +38,13 @@ def test_config_validation(kwargs):
 def test_stability_budget_rejects_coarse_dt():
     u = _breather_field(P, gr.PeriodicGrid(30.0, 1024))
     with pytest.raises(ValueError, match="stability budget"):
-        ev.step(u, ev.IntegratorConfig(dt=5e-3, t_end=1.0))
+        ev.evolve(u, ev.IntegratorConfig(dt=5e-3, t_end=1.0))
 
 
 def test_zero_field_is_exact_fixed_point():
     g = gr.PeriodicGrid(30.0, 64)
     u = gr.GridField(g, np.zeros(64))
-    out = ev.step(u, ev.IntegratorConfig(dt=1e-3, t_end=1e-3))
+    out = ev.evolve(u, ev.IntegratorConfig(dt=1e-3, t_end=1e-3)).fields[-1]
     np.testing.assert_array_equal(out.values, np.zeros(64))
 
 
@@ -141,10 +141,8 @@ def test_blowup_rejected_at_start():
     u0 = gr.GridField(g, 2e6 / np.cosh(g.nodes))
     cfg = ev.IntegratorConfig(dt=1e-4, t_end=0.01)
     with pytest.raises(ev.BlowUpError) as exc:
-        ev.step(u0, cfg)
-    assert exc.value.time == 0.0
-    with pytest.raises(ev.BlowUpError):
         ev.evolve(u0, cfg)
+    assert exc.value.time == 0.0
 
 
 def test_blowup_detected_mid_run():
@@ -214,10 +212,3 @@ def test_checkpoints_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, trace.fields[-1].values)
 
 
-def test_single_step_matches_evolve():
-    g = gr.PeriodicGrid(30.0, 512)
-    u0 = _breather_field(P, g)
-    cfg = ev.IntegratorConfig(dt=1e-4, t_end=1e-4)
-    via_step = ev.step(u0, cfg)
-    via_evolve = ev.evolve(u0, cfg).fields[-1]
-    np.testing.assert_array_equal(via_step.values, via_evolve.values)

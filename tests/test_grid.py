@@ -178,17 +178,6 @@ def test_sample_sets_time_tag():
     assert np.all(f.values == 0.75)
 
 
-def test_csv_roundtrip_exact(tmp_path):
-    g = gr.PeriodicGrid(10.0, 64)
-    f = _band_field(g, 5)
-    path = tmp_path / "field.csv"
-    gr.write_csv(f, path)
-    x, vals = gr.read_csv(path)
-    assert path.read_text().splitlines()[0] == "x,value"
-    np.testing.assert_array_equal(x, g.nodes)  # 17 digits round-trips float64
-    np.testing.assert_array_equal(vals, f.values)
-
-
 def test_binary_roundtrip_exact(tmp_path):
     g = gr.PeriodicGrid(12.5, 128)
     f = _band_field(g, 9).with_values(_band_field(g, 9).values, time_tag=0.375)
