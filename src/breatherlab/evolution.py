@@ -198,7 +198,8 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
 
     def record(step_index: int, vals: np.ndarray) -> None:
         t = step_index * cfg.dt
-        if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > _BLOWUP_SUP:
+        sup = float(np.max(np.abs(vals)))
+        if not np.all(np.isfinite(vals)) or sup > _BLOWUP_SUP:
             raise BlowUpError(f"blow-up detected at t = {t}", time=t)
         field = u0.with_values(vals)
         if cfg.boundary_margin is not None:
@@ -212,10 +213,11 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
                 )
         times.append(t)
         fields.append(field)
-        masses.append(fn.mass(field))
-        energies.append(fn.energy(field))
-        f_values.append(fn.f_value(field))
-        sups.append(float(np.max(np.abs(vals))))
+        m, e, f = fn.invariants(field)
+        masses.append(m)
+        energies.append(e)
+        f_values.append(f)
+        sups.append(sup)
 
     record(0, u0.values)
     vhat = np.fft.rfft(u0.values)

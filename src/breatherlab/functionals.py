@@ -27,23 +27,32 @@ from enum import Enum
 import numpy as np
 
 from . import closed_forms as cf
-from .grid import (GridField, PeriodicGrid, cumulative_quadrature, derivative, quadrature, sample,
-                   spectral_derivatives)
+from .grid import (GridField, PeriodicGrid, cumulative_quadrature, derivative, integrate,
+                   quadrature, sample, spectral_derivatives)
 
 
 def mass(u: GridField) -> float:
-    return 0.5 * quadrature(u.with_values(u.values**2))
+    return 0.5 * integrate(u.values**2, u.grid)
+
+
+def invariants(u: GridField) -> tuple[float, float, float]:
+    """(M, E, F) from one spectral-derivative pass; powers above 2 are
+    products of the shared square."""
+    ux, uxx = spectral_derivatives(u.values, u.grid, (1, 2))
+    u2 = u.values * u.values
+    u4 = u2 * u2
+    ux2 = ux * ux
+    e = integrate(0.5 * ux2 - 0.25 * u4, u.grid)
+    f = integrate(0.5 * uxx**2 - 2.5 * u2 * ux2 + 0.25 * (u4 * u2), u.grid)
+    return mass(u), e, f
 
 
 def energy(u: GridField) -> float:
-    ux = derivative(u, 1).values
-    return float(quadrature(u.with_values(0.5 * ux**2 - 0.25 * u.values**4)))
+    return invariants(u)[1]
 
 
 def f_value(u: GridField) -> float:
-    ux, uxx = spectral_derivatives(u.values, u.grid, (1, 2))
-    integrand = 0.5 * uxx**2 - 2.5 * u.values**2 * ux**2 + 0.25 * u.values**6
-    return float(quadrature(u.with_values(integrand)))
+    return invariants(u)[2]
 
 
 def h_from_parts(p: cf.BreatherParams, m, e, f):
@@ -53,7 +62,7 @@ def h_from_parts(p: cf.BreatherParams, m, e, f):
 
 
 def h_value(u: GridField, p: cf.BreatherParams) -> float:
-    return h_from_parts(p, mass(u), energy(u), f_value(u))
+    return h_from_parts(p, *invariants(u))
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,7 @@ class FunctionalReport:
 
 
 def functional_report(u: GridField, p: cf.BreatherParams) -> FunctionalReport:
-    m, e, f = mass(u), energy(u), f_value(u)
+    m, e, f = invariants(u)
     # h assembled from the three parts so the weighted-sum identity is exact
     return FunctionalReport(m, e, f, h_from_parts(p, m, e, f))
 
@@ -76,15 +85,23 @@ def coefficient_fields(p: cf.BreatherParams, grid: PeriodicGrid, t: float):
     return jet.b, jet.b_x, jet.b_xx
 
 
+def potential(p: cf.BreatherParams, b, bx, bxx):
+    """Zeroth-order coefficient of the linearized operator,
+    5 B_x^2 + 10 B B_xx + 15/2 B^4 - 6(beta^2-alpha^2) B^2."""
+    a2, b2 = p.alpha**2, p.beta**2
+    bb = b * b
+    return 5.0 * bx**2 + 10.0 * b * bxx + 7.5 * (bb * bb) - 6.0 * (b2 - a2) * bb
+
+
 def _operator_values(zv: np.ndarray, p: cf.BreatherParams, grid: PeriodicGrid, t: float,
                      x: np.ndarray) -> np.ndarray:
     """Operator action on raw samples; dtype (float64 or longdouble) follows x."""
     a2, b2 = p.alpha**2, p.beta**2
     jet = cf.breather_jet(p, t, x)
-    b, bx, bxx = jet.b, jet.b_x, jet.b_xx
+    b = jet.b
     zx, z2, z4 = spectral_derivatives(zv, grid, (1, 2, 4))
     adv = spectral_derivatives(5.0 * b**2 * zx, grid, (1,))[0]
-    pot = 5.0 * bx**2 + 10.0 * b * bxx + 7.5 * b**4 - 6.0 * (b2 - a2) * b**2
+    pot = potential(p, b, jet.b_x, jet.b_xx)
     return z4 - 2.0 * (b2 - a2) * z2 + (a2 + b2) ** 2 * zv + adv + pot * zv
 
 
@@ -118,46 +135,60 @@ def apply_operator_direction(direction, p: cf.BreatherParams, grid: PeriodicGrid
     return GridField(grid, out.astype(float), time_tag=t)
 
 
-def quadratic_form(z: GridField, p: cf.BreatherParams, t: float) -> float:
-    """Expanded quadratic form of the linearized operator.
+def expansion_terms(z: GridField, zx: np.ndarray, zxx: np.ndarray, jet: cf.BreatherJet,
+                    p: cf.BreatherParams) -> tuple[float, float]:
+    """Q[z] and N[z] from z, its first two spectral derivatives and the
+    breather jet at the same shifts and time.
 
     Q[z] = int z_xx^2 + 2(beta^2-alpha^2) int z_x^2 + (alpha^2+beta^2)^2 int z^2
            - 5 int B^2 z_x^2 + 5 int B_x^2 z^2 + 10 int B B_xx z^2
            + 15/2 int B^4 z^2 - 6(beta^2-alpha^2) int B^2 z^2
-    Agrees with quadrature(z * L z) to roundoff (summation by parts is exact).
+    agrees with quadrature(z * L z) to roundoff (summation by parts is
+    exact). N[z] is the nine-term cubic-and-higher remainder. Powers above
+    2 are products of shared squares.
     """
     a2, b2 = p.alpha**2, p.beta**2
-    b, bx, bxx = coefficient_fields(p, z.grid, t)
-    zx, zxx = spectral_derivatives(z.values, z.grid, (1, 2))
+    b, bxx = jet.b, jet.b_xx
     zz = z.values
-    integrand = (
+    bb = b * b
+    z2 = zz * zz
+    z3 = z2 * zz
+    z4 = z2 * z2
+    zx2 = zx * zx
+    q_integrand = (
         zxx**2
-        + 2.0 * (b2 - a2) * zx**2
-        + (a2 + b2) ** 2 * zz**2
-        - 5.0 * b**2 * zx**2
-        + (5.0 * bx**2 + 10.0 * b * bxx + 7.5 * b**4 - 6.0 * (b2 - a2) * b**2) * zz**2
+        + 2.0 * (b2 - a2) * zx2
+        + (a2 + b2) ** 2 * z2
+        - 5.0 * bb * zx2
+        + potential(p, b, jet.b_x, bxx) * z2
     )
-    return float(quadrature(z.with_values(integrand)))
+    n_integrand = (
+        5.0 * (bb * b) * z3
+        - 2.0 * (b2 - a2) * b * z3
+        + (5.0 / 3.0) * bxx * z3
+        - 5.0 * b * zx2 * zz
+        + 3.75 * bb * z4
+        - 0.5 * (b2 - a2) * z4
+        - 2.5 * z2 * zx2
+        + 1.5 * b * (z4 * zz)
+        + 0.25 * (z4 * z2)
+    )
+    return integrate(q_integrand, z.grid), integrate(n_integrand, z.grid)
+
+
+def _expansion_at(z: GridField, p: cf.BreatherParams, t: float) -> tuple[float, float]:
+    zx, zxx = spectral_derivatives(z.values, z.grid, (1, 2))
+    return expansion_terms(z, zx, zxx, cf.breather_jet(p, t, z.grid.nodes), p)
+
+
+def quadratic_form(z: GridField, p: cf.BreatherParams, t: float) -> float:
+    """Quadratic form Q[z] of the linearized operator (see expansion_terms)."""
+    return _expansion_at(z, p, t)[0]
 
 
 def remainder(z: GridField, p: cf.BreatherParams, t: float) -> float:
     """Nine-term cubic-and-higher remainder N[z] of the H expansion."""
-    a2, b2 = p.alpha**2, p.beta**2
-    b, _, bxx = coefficient_fields(p, z.grid, t)
-    zx = derivative(z, 1).values
-    zz = z.values
-    integrand = (
-        5.0 * b**3 * zz**3
-        - 2.0 * (b2 - a2) * b * zz**3
-        + (5.0 / 3.0) * bxx * zz**3
-        - 5.0 * b * zx**2 * zz
-        + 3.75 * b**2 * zz**4
-        - 0.5 * (b2 - a2) * zz**4
-        - 2.5 * zz**2 * zx**2
-        + 1.5 * b * zz**5
-        + 0.25 * zz**6
-    )
-    return float(quadrature(z.with_values(integrand)))
+    return _expansion_at(z, p, t)[1]
 
 
 class IdentityKind(Enum):

@@ -129,7 +129,12 @@ def derivative(f: GridField, order: int) -> GridField:
 
 def quadrature(f: GridField) -> float:
     """Trapezoid rule; exact Parseval pairing for periodic integrands."""
-    return float(f.grid.spacing * np.sum(f.values))
+    return integrate(f.values, f.grid)
+
+
+def integrate(values: np.ndarray, grid: PeriodicGrid) -> float:
+    """quadrature of raw samples, for integrands that need no GridField."""
+    return float(grid.spacing * np.sum(values))
 
 
 def cumulative_quadrature(f: GridField) -> GridField:
@@ -155,9 +160,16 @@ def sobolev_norm(f: GridField, order: int) -> float:
     """L2-based Sobolev norm: sqrt(sum_{j<=order} int (d^j f)^2)."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    total = quadrature(f.with_values(f.values**2))
-    for dj in spectral_derivatives(f.values, f.grid, range(1, order + 1)):
-        total += quadrature(f.with_values(dj**2))
+    derivatives = spectral_derivatives(f.values, f.grid, range(1, order + 1))
+    return sobolev_from_derivatives(f.values, derivatives, f.grid)
+
+
+def sobolev_from_derivatives(values: np.ndarray, derivatives, grid: PeriodicGrid) -> float:
+    """sqrt(int f^2 + sum_j int d_j^2) for samples of f and of derivatives d_j
+    already at hand, summed in the order sobolev_norm uses."""
+    total = integrate(values**2, grid)
+    for dj in derivatives:
+        total += integrate(dj**2, grid)
     return float(np.sqrt(total))
 
 

@@ -27,7 +27,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from . import closed_forms as cf
-from .functionals import apply_operator, coefficient_fields
+from .functionals import apply_operator, coefficient_fields, potential
 from .grid import GridField, PeriodicGrid, residual_half_length, spectral_derivatives
 
 _CONSISTENCY_SEED = 1729
@@ -171,7 +171,7 @@ def _assemble_from_coefficients(p: cf.BreatherParams, grid: PeriodicGrid, b: np.
                                 bx: np.ndarray, bxx: np.ndarray) -> np.ndarray:
     a2, b2 = p.alpha**2, p.beta**2
     d1, d2, d4 = _derivative_matrices(grid)
-    pot = 5.0 * bx**2 + 10.0 * b * bxx + 7.5 * b**4 - 6.0 * (b2 - a2) * b**2
+    pot = potential(p, b, bx, bxx)
     mat = d4 - 2.0 * (b2 - a2) * d2 + (d1 * (5.0 * b**2)[None, :]) @ d1
     mat[np.diag_indices_from(mat)] += (a2 + b2) ** 2 + pot
     return 0.5 * (mat + mat.T)

@@ -22,6 +22,11 @@ from . import grid as gr
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 50
 _STALL_STEP = 1e-14
+# a stalled Newton fit is accepted only at residuals this small
+_STALL_RESIDUAL = 1e-8
+# ||z||_H2 at or above this fraction of ||B||_H2 is outside the modulation
+# regime: z is not a small perturbation of the fitted breather
+_MAX_Z_FRACTION = 0.5
 _MONITOR_INTERVAL = 0.01
 _BAND_SEED = 20406
 
@@ -36,15 +41,22 @@ class ModulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulationState:
-    """Fitted shifts, b = B(t; x1, x2) and the orthogonal remainder z = u - b."""
+    """Fitted shifts, the breather jet at them and the orthogonal remainder
+    z = u - B(t; x1, x2) with its first two spectral derivatives."""
 
     x1: float
     x2: float
-    b: gr.GridField
+    jet: cf.BreatherJet
     z: gr.GridField
+    z_x: np.ndarray
+    z_xx: np.ndarray
     z_h2: float
     ortho_residuals: tuple[float, float]
     sign_branch: int
+
+    @property
+    def b(self) -> gr.GridField:
+        return gr.GridField(self.z.grid, self.jet.b)
 
 
 @dataclass(frozen=True)
@@ -102,38 +114,45 @@ class StabilityRunReport:
             raise ValueError("a0_observed must be finite")
 
 
-def _shift_fit_parts(u_vals: np.ndarray, p: cf.BreatherParams, t: float, grid: gr.PeriodicGrid):
-    jet = cf.breather_jet(p, t, grid.nodes)
+def _shift_fit_parts(u_vals: np.ndarray, p: cf.BreatherParams, t: float, x: np.ndarray, h: float):
+    jet = cf.breather_jet(p, t, x)
     b1, b2 = jet.dx1, jet.dx2
     z = u_vals - jet.b
-    h = grid.spacing
     r1 = h * float(z @ b1)
     r2 = h * float(z @ b2)
     gram = h * np.array([[b1 @ b1, b1 @ b2], [b1 @ b2, b2 @ b2]])
-    return jet.b, r1, r2, gram
+    return jet, r1, r2, gram
 
 
 def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> ModulationState:
     """Fit (x1, x2) so that u - B(t; x1, x2) is orthogonal to B1 and B2.
 
     Newton iteration on the two orthogonality integrals with the Gram matrix
-    of (B1, B2) as Jacobian; the half-period sign ambiguity of the breather
-    family is resolved afterwards by keeping whichever of (x1, x2) and
-    (x1 + pi/alpha, x2) leaves the smaller remainder.  B at the fitted
-    shifts comes from the jet of the last Newton evaluation, which ran at
-    exactly those shifts.
+    of (B1, B2) as Jacobian; a stalled iteration counts as converged only at
+    residuals below _STALL_RESIDUAL.  The half-period sign ambiguity is
+    resolved afterwards: B(t; x1 + pi/alpha, x2) = -B, so the flip wins when
+    ||u + B|| < ||u - B||.  The jet at the fitted shifts is the one of the
+    last Newton evaluation, which ran at exactly those shifts, or of one
+    more evaluation at the flipped shift.  Raises ModulationError when the
+    fit fails or when ||z||_H2 is not small against ||B||_H2.
     """
     grid = u.grid
+    nodes, h = grid.nodes, grid.spacing
     x1, x2 = p_guess.x1, p_guess.x2
     r1 = r2 = np.inf
     converged = False
     step = np.inf
     for _ in range(_NEWTON_MAX_ITER):
         p_cur = replace(p_guess, x1=x1, x2=x2)
-        b, r1, r2, gram = _shift_fit_parts(u.values, p_cur, t, grid)
-        if max(abs(r1), abs(r2)) <= _NEWTON_TOL or step < _STALL_STEP:
+        jet, r1, r2, gram = _shift_fit_parts(u.values, p_cur, t, nodes, h)
+        stalled = step < _STALL_STEP
+        if max(abs(r1), abs(r2)) <= (_STALL_RESIDUAL if stalled else _NEWTON_TOL):
             converged = True
             break
+        if stalled:
+            raise ModulationError(
+                f"Newton stalled at residuals ({r1:.3e}, {r2:.3e})", residuals=(r1, r2)
+            )
         det = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
         if abs(det) < 1e-10 * gram[0, 0] * gram[1, 1]:
             raise ModulationError("singular shift-fit Jacobian", residuals=(r1, r2))
@@ -149,19 +168,28 @@ def modulate(u: gr.GridField, p_guess: cf.BreatherParams, t: float) -> Modulatio
             f"no convergence in {_NEWTON_MAX_ITER} iterations", residuals=(r1, r2)
         )
 
-    p_flip = replace(p_cur, x1=x1 + np.pi / p_guess.alpha)
-    z_flip = u.values - cf.breather(p_flip, t, grid.nodes)
-    sign_branch = int(np.linalg.norm(z_flip) < np.linalg.norm(u.values - b))
+    sign_branch = int(np.linalg.norm(u.values + jet.b) < np.linalg.norm(u.values - jet.b))
     if sign_branch:
-        x1 = p_flip.x1
-        b, r1, r2, _ = _shift_fit_parts(u.values, p_flip, t, grid)
-    z = gr.GridField(grid, u.values - b)
+        x1 += np.pi / p_guess.alpha
+        jet, r1, r2, _ = _shift_fit_parts(u.values, replace(p_cur, x1=x1), t, nodes, h)
+    z = gr.GridField(grid, u.values - jet.b)
+    z_x, z_xx = gr.spectral_derivatives(z.values, grid, (1, 2))
+    z_h2 = gr.sobolev_from_derivatives(z.values, (z_x, z_xx), grid)
+    b_h2 = gr.sobolev_from_derivatives(jet.b, (jet.b_x, jet.b_xx), grid)
+    if not z_h2 < _MAX_Z_FRACTION * b_h2:
+        raise ModulationError(
+            f"fit outside the modulation regime: ||z||_H2 = {z_h2:.3e} against "
+            f"||B||_H2 = {b_h2:.3e}",
+            residuals=(r1, r2),
+        )
     return ModulationState(
         x1=x1,
         x2=x2,
-        b=gr.GridField(grid, b),
+        jet=jet,
         z=z,
-        z_h2=gr.sobolev_norm(z, 2),
+        z_x=z_x,
+        z_xx=z_xx,
+        z_h2=z_h2,
         ortho_residuals=(r1, r2),
         sign_branch=sign_branch,
     )
@@ -258,17 +286,18 @@ def stability_experiment(
                 raise
             failure_time = t
             break
-        p_fit = replace(p, x1=state.x1, x2=state.x2)
         times.append(t)
         z_h2s.append(state.z_h2)
         lab1.append(state.x1 - c * t)
         lab2.append(state.x2 - c * t)
         branches.append(state.sign_branch)
         ortho_max = max(ortho_max, abs(state.ortho_residuals[0]), abs(state.ortho_residuals[1]))
-        h_b.append(fn.h_value(state.b, p))
-        q_z.append(fn.quadratic_form(state.z, p_fit, t))
-        n_z.append(fn.remainder(state.z, p_fit, t))
-        pairing.append(abs(gr.inner_product(state.z, state.b)))
+        b = state.b
+        h_b.append(fn.h_value(b, p))
+        q, nz = fn.expansion_terms(state.z, state.z_x, state.z_xx, state.jet, p)
+        q_z.append(q)
+        n_z.append(nz)
+        pairing.append(abs(gr.inner_product(state.z, b)))
         guess1, guess2, prev_t = state.x1, state.x2, t
 
     n = len(times)

@@ -78,6 +78,23 @@ def test_half_period_shift_flips_sign(k):
                                rtol=0, atol=1e-13)
 
 
+def test_half_period_shift_flips_sign_on_random_parameters():
+    # the identity modulate's sign test relies on instead of a second
+    # breather evaluation
+    rng = np.random.default_rng(11)
+    x = np.linspace(-30.0, 30.0, 1024, endpoint=False)
+    worst = 0.0
+    for _ in range(50):
+        alpha, beta = rng.uniform(0.5, 2.0, size=2)
+        x1, x2 = rng.uniform(-1.0, 1.0, size=2)
+        t = rng.uniform(0.0, 1.0)
+        p = cf.BreatherParams(alpha, beta, x1, x2)
+        base = cf.breather(p, t, x)
+        flipped = cf.breather(p.with_shifts(x1 + math.pi / alpha, x2), t, x)
+        worst = max(worst, np.max(np.abs(flipped + base)) / np.max(np.abs(base)))
+    assert worst <= 1e-14
+
+
 def test_full_period_shift_is_identity():
     p = cf.BreatherParams(0.8, 1.2, x1=0.5, x2=0.1)
     shifted = p.with_shifts(p.x1 + 2.0 * math.pi / p.alpha, p.x2)

@@ -12,6 +12,7 @@ import pytest
 from breatherlab import closed_forms as cf
 from breatherlab import functionals as fn
 from breatherlab import grid as gr
+from breatherlab import stability as st
 
 PARAM_SETS = [
     cf.BreatherParams(1.0, 1.0),
@@ -150,6 +151,71 @@ def test_kernel_directions_have_null_quadratic_form():
     for direction in (cf.breather_dx1, cf.breather_dx2):
         z = gr.sample(lambda t, x: direction(p, t, x), KERNEL_GRID, 0.0)
         assert abs(fn.quadratic_form(z, p, t=0.0)) <= 1e-8
+
+
+# The expressions below are the generic-power forms the functionals were
+# first written with; the package writes powers above 2 as products of
+# shared squares, which may differ in the last bits but in nothing else.
+def _reference_invariants(u):
+    ux = gr.derivative(u, 1).values
+    uxx = gr.derivative(u, 2).values
+    m = 0.5 * gr.quadrature(u.with_values(u.values**2))
+    e = gr.quadrature(u.with_values(0.5 * ux**2 - 0.25 * u.values**4))
+    f = gr.quadrature(u.with_values(0.5 * uxx**2 - 2.5 * u.values**2 * ux**2 + 0.25 * u.values**6))
+    return m, e, f
+
+
+def _reference_expansion(z, p, t):
+    a2, b2 = p.alpha**2, p.beta**2
+    jet = cf.breather_jet(p, t, z.grid.nodes)
+    b, bx, bxx = jet.b, jet.dx1 + jet.dx2, -(jet.primitive_t + jet.b**3)
+    zx = gr.derivative(z, 1).values
+    zxx = gr.derivative(z, 2).values
+    zz = z.values
+    q = (
+        zxx**2
+        + 2.0 * (b2 - a2) * zx**2
+        + (a2 + b2) ** 2 * zz**2
+        - 5.0 * b**2 * zx**2
+        + (5.0 * bx**2 + 10.0 * b * bxx + 7.5 * b**4 - 6.0 * (b2 - a2) * b**2) * zz**2
+    )
+    n = (
+        5.0 * b**3 * zz**3
+        - 2.0 * (b2 - a2) * b * zz**3
+        + (5.0 / 3.0) * bxx * zz**3
+        - 5.0 * b * zx**2 * zz
+        + 3.75 * b**2 * zz**4
+        - 0.5 * (b2 - a2) * zz**4
+        - 2.5 * zz**2 * zx**2
+        + 1.5 * b * zz**5
+        + 0.25 * zz**6
+    )
+    return gr.quadrature(z.with_values(q)), gr.quadrature(z.with_values(n))
+
+
+def test_invariants_equal_the_single_functionals():
+    p = PARAM_SETS[1]
+    u = _breather_field(p, _grid_for(p), t=0.3)
+    u = u.with_values(u.values + 0.01 * _band_field(u.grid, 3).values)
+    assert fn.invariants(u) == (fn.mass(u), fn.energy(u), fn.f_value(u))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("seed", range(3))
+def test_product_forms_match_power_forms(eta, seed):
+    p = cf.BreatherParams(1.5, 1.0, 0.3, -0.2)
+    g = _grid_for(p, 2048)
+    t = 0.07 * (seed + 1)
+    w = gr.GridField(g, st.band_limited_values(g, seed))
+    z = w.with_values(eta * w.values / gr.sobolev_norm(w, 2))
+    b = _breather_field(p, g, t)
+    u = b.with_values(b.values + z.values)
+    zx, zxx = gr.spectral_derivatives(z.values, g, (1, 2))
+    got = fn.expansion_terms(z, zx, zxx, cf.breather_jet(p, t, g.nodes), p)
+    want = _reference_expansion(z, p, t)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert (fn.quadratic_form(z, p, t), fn.remainder(z, p, t)) == got
+    np.testing.assert_allclose(fn.invariants(u), _reference_invariants(u), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(3))

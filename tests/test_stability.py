@@ -18,6 +18,17 @@ def _breather_field(p, grid, t=0.0):
     return gr.sample(lambda tt, x: cf.breather(p, tt, x), grid, t)
 
 
+def _assert_jet_at_fit(state, t):
+    # the carried jet and z derivatives are those of the fitted shifts
+    jet = cf.breather_jet(P.with_shifts(state.x1, state.x2), t, FIT_GRID.nodes)
+    for got, want in zip(state.jet, jet):
+        np.testing.assert_array_equal(got, want)
+    zx, zxx = gr.spectral_derivatives(state.z.values, FIT_GRID, (1, 2))
+    np.testing.assert_array_equal(state.z_x, zx)
+    np.testing.assert_array_equal(state.z_xx, zxx)
+    assert state.z_h2 == gr.sobolev_norm(state.z, 2)
+
+
 def test_modulate_recovers_shifts():
     true = cf.BreatherParams(1.5, 1.0, 0.37, -0.21)
     state = st.modulate(_breather_field(true, FIT_GRID, t=0.25), P, t=0.25)
@@ -27,6 +38,7 @@ def test_modulate_recovers_shifts():
     assert state.z_h2 <= 1e-9
     fitted = cf.breather(P.with_shifts(state.x1, state.x2), 0.25, FIT_GRID.nodes)
     np.testing.assert_array_equal(state.b.values, fitted)
+    _assert_jet_at_fit(state, 0.25)
     assert max(abs(r) for r in state.ortho_residuals) <= 1e-10
 
 
@@ -40,6 +52,7 @@ def test_modulate_resolves_half_period_branch():
     assert state.z_h2 <= 1e-12
     fitted = cf.breather(P.with_shifts(state.x1, state.x2), 0.0, FIT_GRID.nodes)
     np.testing.assert_array_equal(state.b.values, fitted)
+    _assert_jet_at_fit(state, 0.0)
 
 
 def test_modulate_leaves_orthogonal_remainder_alone():
@@ -53,6 +66,25 @@ def test_modulate_leaves_orthogonal_remainder_alone():
     assert abs(state.x1) <= 1e-12
     assert abs(state.x2) <= 1e-12
     np.testing.assert_allclose(state.z.values, 1e-3 * w, rtol=0, atol=1e-15)
+
+
+def test_modulate_refuses_field_far_from_the_manifold():
+    # u = 0 satisfies both orthogonality conditions at any shift, but z = -B
+    # is as large as the breather itself
+    zero = gr.GridField(FIT_GRID, np.zeros(FIT_GRID.n_points))
+    with pytest.raises(st.ModulationError, match="modulation regime") as err:
+        st.modulate(zero, P, t=0.0)
+    assert max(abs(r) for r in err.value.residuals) <= 1e-10
+
+
+def test_modulate_refuses_stalled_fit_with_large_residual(monkeypatch):
+    # with every step counted as a stall, the second Newton evaluation stops
+    # the fit while the residuals are still far from zero
+    monkeypatch.setattr(st, "_STALL_STEP", np.inf)
+    u = _breather_field(cf.BreatherParams(1.5, 1.0, 0.3, -0.2), FIT_GRID)
+    with pytest.raises(st.ModulationError, match="stalled") as err:
+        st.modulate(u, P, t=0.0)
+    assert max(abs(r) for r in err.value.residuals) > 1e-8
 
 
 def test_default_perturbations_are_unit_h2():
