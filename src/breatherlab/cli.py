@@ -260,8 +260,9 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     report_doc = {"runs": summaries, "sweep": None}
     if len(runs) > 1:
         sups = [run.sup_z_h2 for run in runs]
-        # etas are swept largest first; sup should shrink with eta up to slack
-        monotone = all(sups[i + 1] <= 1.1 * sups[i] for i in range(len(sups) - 1))
+        # sup should shrink with eta up to slack, whatever order etas are listed in
+        by_eta = [run.sup_z_h2 for run in sorted(runs, key=lambda run: run.eta, reverse=True)]
+        monotone = all(by_eta[i + 1] <= 1.1 * by_eta[i] for i in range(len(by_eta) - 1))
         pass_fail["sweep_monotone"] = monotone
         report_doc["sweep"] = {
             "etas": etas,

@@ -136,17 +136,15 @@ class _Stepper:
         # propagator annihilates that mode, matching the derivative tables
         self.e_full[-1] = 0.0
         self.e_half[-1] = 0.0
+        # 2/3 rule: irfft zero-pads the modes kept for cubing, and the flux
+        # is truncated to the same band
+        self.keep = self.n // 3 + 1 if cfg.dealias else k.shape[0]
         self.minus_ik = -grid.multiplier(1)
-        if cfg.dealias:
-            # 2/3 rule: modes above two thirds of the band are dropped before
-            # cubing and the flux is truncated to the same band
-            self.mask = np.where(np.arange(k.shape[0]) <= self.n // 3, 1.0, 0.0)
-        else:
-            self.mask = np.ones(k.shape[0])
+        self.minus_ik[self.keep:] = 0.0
 
     def flux(self, vhat: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(self.mask * vhat, n=self.n)
-        return self.minus_ik * (self.mask * np.fft.rfft(u * u * u))
+        u = np.fft.irfft(vhat[:self.keep], n=self.n)
+        return self.minus_ik * np.fft.rfft(u * u * u)
 
     def advance(self, vhat: np.ndarray) -> np.ndarray:
         nv = self.flux(vhat)
@@ -177,9 +175,9 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
     """Step u0 to t_end, monitoring invariants every monitor_stride steps.
 
     Checkpoints (full fields plus mass, energy, f, sup|u|) are recorded at
-    t = 0, at every monitor_stride-th step, and at t_end.  Blow-up and
-    boundary-exit checks run at the monitored times and carry the failure
-    time on the raised error.
+    elapsed t = 0, at every monitor_stride-th step, and at t_end; fields
+    carry time_tag u0.time_tag + t.  Blow-up and boundary-exit checks run at
+    the monitored times and carry the failure time on the raised error.
     """
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial field contains non-finite values")
@@ -201,7 +199,7 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
         sup = float(np.max(np.abs(vals)))
         if not np.all(np.isfinite(vals)) or sup > _BLOWUP_SUP:
             raise BlowUpError(f"blow-up detected at t = {t}", time=t)
-        field = u0.with_values(vals)
+        field = u0.with_values(vals, time_tag=u0.time_tag + t)
         if cfg.boundary_margin is not None:
             centroid = energy_centroid(field)
             if grid.half_length - abs(centroid) < cfg.boundary_margin:

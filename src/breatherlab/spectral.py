@@ -3,13 +3,12 @@
 The operator is discretized as a real symmetric N x N matrix built from
 Fourier differentiation matrices, eigendecomposed in full, and its spectrum
 classified into the unique negative eigenvalue, the two-dimensional kernel,
-and the rest sitting above the continuum edge. Coercivity constants are
-computed on constraint complements: nu0 as a projected Rayleigh minimum and
-mu0 as the exact positive-semidefiniteness threshold of the compensated form
-(the root of a scalar secular equation, times 0.99), certified by one more
-eigensolve, so the advertised quadratic-form inequalities hold for every grid
-field by construction. Phase sweeps only classify: eigenvalues without
-vectors, no coercivity.
+and the rest sitting above the continuum edge. Both coercivity constants are
+roots of scalar secular equations on one constrained pencil: nu0 a Rayleigh
+minimum, mu0 0.99 times the exact positive-semidefiniteness threshold of the
+compensated form, certified by one more eigensolve, so the advertised
+quadratic-form inequalities hold for every grid field by construction.
+Phase sweeps only classify: eigenvalues without vectors, no coercivity.
 
 The Wronskian of the two kernel directions has a closed form whose sign
 structure counts the negative eigenvalues; wronskian_analysis cross-checks
@@ -185,11 +184,6 @@ def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def _sampled_kernel_directions(op: DiscreteOperator) -> np.ndarray:
-    jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
-    return np.column_stack([jet.dx1, jet.dx2])
-
-
 def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition; eigenvectors are L2-normalized."""
     evals, evecs = scipy.linalg.eigh(op.matrix)
@@ -229,9 +223,10 @@ def spectrum(op: DiscreteOperator) -> SpectrumReport:
     evals, evecs = eigensystem(op)
     edge = continuum_edge(op.params)
     _, ker_idx = _classify(evals, edge)
-    kernel_span = _sampled_kernel_directions(op)
+    jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
+    kernel_span = np.column_stack([jet.dx1, jet.dx2])
     angles = scipy.linalg.subspace_angles(evecs[:, ker_idx], kernel_span)
-    nu0, mu0 = _coercivity_from_parts(op, evals, evecs)
+    nu0, mu0 = _coercivity_from_parts(op, evecs[:, 0], kernel_span, jet.b)
     return SpectrumReport(
         eigenvalues=evals,
         negative_count=1,
@@ -252,49 +247,41 @@ def negative_eigenvector(op: DiscreteOperator) -> GridField:
     return GridField(op.grid, evecs[:, 0], time_tag=op.time_tag)
 
 
-def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
-                           evecs: np.ndarray) -> tuple[float, float]:
-    """(nu0, mu0) on the classified operator.
+def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span: np.ndarray,
+                           b: np.ndarray) -> tuple[float, float]:
+    """(nu0, mu0) from one pencil on the L2-complement of B1, B2.
 
-    nu0: Rayleigh minimum of Q[z]/||z||_H2^2 over the L2-complement of
-    span{negative eigenvector, B1, B2}, via the projected generalized
-    symmetric pencil with the H^2 Gram matrix.
+    b_neg is the negative eigenvector, kernel_span holds B1, B2, b is B. The
+    pencil (L, G), G the H^2 Gram matrix, is diagonalized once on the
+    complement: W^T L W = diag(lam), W^T G W = I, and congruence keeps
+    inertia. Each constant is then the single root of an increasing secular
+    function (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and Sorensen, Numer.
+    Math. 31, 1978), or lam_1 itself when the lam_1 coefficient vanishes.
 
-    mu0: 0.99 mu*, where mu* is the largest mu such that
-    Q[z] - mu ||z||_H2^2 + (1/mu)(int z B)^2 >= 0 for every grid field z
-    orthogonal to B1 and B2. On that complement the pencil (L, G) is
-    diagonalized once, W^T L W = diag(lam), W^T G W = I. Congruence by W keeps
-    inertia; for mu in (0, lam_1), diag(lam) - mu I has exactly one negative
-    entry, and the positive rank-one term (h/mu) c c^T, c = W^T b, can only
-    lift that one. So the form is positive semidefinite exactly when
-    phi(mu) = mu + h sum_i c_i^2 / (lam_i - mu) <= 0 (Golub, SIAM Rev. 15,
-    1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978). phi increases
-    on (0, lam_1), so mu* is its single root there. One eigensolve of the
-    compensated form at mu0 certifies the result. Unlike a Rayleigh quotient
-    over a third constraint, this form makes the advertised inequality hold
-    for arbitrary fields, not just sampled ones.
+    nu0, the minimum of Q[z]/||z||_H2^2 with z also L2-orthogonal to b_neg,
+    is that of diag(lam) on the hyperplane orthogonal to d = W^T b_neg: the
+    root in (lam_0, lam_1) of psi(nu) = sum_i d_i^2 / (lam_i - nu).
+
+    mu0 is 0.99 mu*, mu* the largest mu with Q[z] - mu ||z||_H2^2
+    + (1/mu)(int z B)^2 >= 0 for every grid field z orthogonal to B1, B2.
+    For mu in (0, lam_1) only one entry of diag(lam) - mu I is negative and
+    the rank-one term (h/mu) c c^T, c = W^T b, can only lift that one, so the
+    form is semidefinite exactly when phi(mu) = mu + h sum_i c_i^2 /
+    (lam_i - mu) <= 0: mu* is the root in (0, lam_1). One eigensolve at mu0
+    certifies the form for arbitrary fields, not just sampled ones.
     """
     h = op.grid.spacing
     gram = _gram_matrix(op.grid)
-    kernel_span = _sampled_kernel_directions(op)
-    b_neg = evecs[:, 0]
-
-    constraints3 = np.vstack([b_neg, kernel_span.T])
-    z3 = scipy.linalg.null_space(constraints3)
-    nu0 = float(scipy.linalg.eigh(
-        z3.T @ op.matrix @ z3, z3.T @ gram @ z3, eigvals_only=True,
-        subset_by_index=(0, 0),
-    )[0])
-    del z3
-
     z2 = scipy.linalg.null_space(kernel_span.T)
     lred = z2.T @ op.matrix @ z2
     gred = z2.T @ gram @ z2
-    bred = z2.T @ cf.breather(op.params, op.time_tag, op.grid.nodes)
+    bred = z2.T @ b
+    neg_red = z2.T @ b_neg
     del z2, gram
 
     lam, w = scipy.linalg.eigh(lred, gred)
     c2 = h * (w.T @ bred) ** 2
+    d2 = (w.T @ neg_red) ** 2
     del w
     if not lam[0] < 0.0 < lam[1]:
         raise ClassificationError(
@@ -303,15 +290,24 @@ def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
     def phi(mu: float) -> float:
         return mu + float(np.sum(c2 / (lam - mu)))
 
+    def psi(nu: float) -> float:
+        return float(np.sum(d2 / (lam - nu)))
+
     if phi(0.0) >= 0.0:
         raise ClassificationError(
             "compensated quadratic form is not positive even for tiny mu",
             np.array([phi(0.0)]),
         )
-    # with c_1 = 0, phi stays finite up to lam_1 and the supremum is lam_1
+    # if c_1 = 0 (d_1 = 0), phi (psi) stays finite up to lam_1: take lam_1
     hi = lam[1] * (1.0 - 1e-12)
     mu_star = brentq(phi, 0.0, hi) if phi(hi) > 0.0 else hi
     mu0 = 0.99 * mu_star
+
+    lo = lam[0] * (1.0 - 1e-12)
+    if not psi(lo) < 0.0:
+        raise ClassificationError("negative eigenvector misses the constrained "
+                                  "pencil's negative direction", np.array([psi(lo)]))
+    nu0 = brentq(psi, lo, hi) if psi(hi) > 0.0 else hi
 
     m = lred - mu0 * gred + (h / mu0) * np.outer(bred, bred)
     certificate = scipy.linalg.eigh(0.5 * (m + m.T), eigvals_only=True,
@@ -319,7 +315,7 @@ def _coercivity_from_parts(op: DiscreteOperator, evals: np.ndarray,
     if certificate[0] < 0.0:
         raise ClassificationError(
             f"compensated quadratic form is not positive at mu0 = {mu0:.6g}", certificate)
-    return nu0, float(mu0)
+    return float(nu0), float(mu0)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,39 @@ def test_stability_eta_zero_reports_null_a0(tmp_path):
     assert report["runs"][0]["failure_time"] is None
 
 
+def test_stability_sweep_monotone_in_any_eta_order(tmp_path):
+    code = main(["stability", "--set", "stability.eta_sweep=[0.001, 0.01]",
+                 "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
+    assert code == 0
+    _, manifest = _read(tmp_path, ".manifest.json")
+    assert manifest["pass_fail"]["sweep_monotone"] is True
+    _, report = _read(tmp_path, ".report.json")
+    # the report keeps the listed order
+    assert report["sweep"]["etas"] == [0.001, 0.01]
+    assert report["sweep"]["sup_z_h2"][0] < report["sweep"]["sup_z_h2"][1]
+
+
+def test_stability_modulation_failure_exits_two(tmp_path, monkeypatch, capsys):
+    real = st.modulate
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) == 3:
+            raise st.ModulationError("injected stall", (1.0, 1.0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(st, "modulate", flaky)
+    code = main(["stability", "--set", "integrator.t_end=0.03", "--out", str(tmp_path)])
+    assert code == 2
+    assert "[FAIL] run0_stable" in capsys.readouterr().out.splitlines()
+    _, report = _read(tmp_path, ".report.json")
+    assert report["runs"][0]["failure_time"] == calls[2]
+    assert report["runs"][0]["stable_flag"] is False
+    rows = (tmp_path / report["runs"][0]["csv"]).read_text().splitlines()
+    assert len(rows) == 3  # header and the two fitted checkpoints
+
+
 def test_stability_sweep_and_manifest_replay(tmp_path):
     first = tmp_path / "first"
     code = main(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

@@ -203,12 +203,37 @@ def test_trace_csv_roundtrip(tmp_path):
 
 def test_checkpoints_roundtrip(tmp_path):
     g = gr.PeriodicGrid(30.0, 256)
-    trace = ev.evolve(_breather_field(P, g),
-                      ev.IntegratorConfig(dt=1e-3, t_end=0.005, monitor_stride=2))
-    paths = ev.write_checkpoints(trace, tmp_path, stem="state")
-    assert [p.rsplit("/", 1)[-1] for p in paths] == [
-        "state_00000.field", "state_00001.field", "state_00002.field", "state_00003.field"]
-    back = gr.read_binary(paths[-1])
-    np.testing.assert_array_equal(back.values, trace.fields[-1].values)
+    cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.005, monitor_stride=2)
+    for t0 in (0.0, 0.25):
+        trace = ev.evolve(_breather_field(P, g, t0), cfg)
+        directory = tmp_path / f"t0_{t0}"
+        directory.mkdir()
+        paths = ev.write_checkpoints(trace, directory, stem="state")
+        assert [p.rsplit("/", 1)[-1] for p in paths] == [
+            "state_00000.field", "state_00001.field", "state_00002.field", "state_00003.field"]
+        back = gr.read_binary(paths[-1])
+        np.testing.assert_array_equal(back.values, trace.fields[-1].values)
+        # trace times are elapsed; each checkpoint carries its absolute time
+        np.testing.assert_array_equal(trace.times, [0.0, 0.002, 0.004, 0.005])
+        tags = [gr.read_binary(path).time_tag for path in paths]
+        assert tags == [t0 + t for t in trace.times]
+        assert tags[0] == t0
 
 
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_flux_matches_explicit_mask(dealias):
+    # the 2/3 rule as a mask on both sides of the cubing, written out
+    g = gr.PeriodicGrid(30.0, 256)
+    stepper = ev._Stepper(g, ev.IntegratorConfig(dt=1e-3, t_end=1.0, dealias=dealias))
+    rng = np.random.default_rng(5)
+    vhat = np.fft.rfft(_breather_field(P, g).values + 0.1 * rng.standard_normal(g.n_points))
+    modes = np.arange(vhat.shape[0])
+    mask = (modes <= g.n_points // 3) if dealias else np.ones(vhat.shape[0], dtype=bool)
+    mask = mask.astype(float)
+    u = np.fft.irfft(mask * vhat, n=g.n_points)
+    expected = -g.multiplier(1) * (mask * np.fft.rfft(u * u * u))
+    np.testing.assert_array_equal(stepper.flux(vhat), expected)
+    if dealias:
+        assert not np.any(stepper.flux(vhat)[g.n_points // 3 + 1:])

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from breatherlab import closed_forms as cf
 from breatherlab import functionals as fn
@@ -214,10 +215,64 @@ def test_mu0_is_the_exact_threshold(op, report):
     assert _compensated_minimum(op, 1.001 * mu_star) < 0.0
 
 
+def _kernel_parts(op):
+    jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
+    return np.column_stack([jet.dx1, jet.dx2]), jet.b
+
+
+def _coercivity(op, b_neg=None):
+    if b_neg is None:
+        b_neg = sp.eigensystem(op)[1][:, 0]
+    return sp._coercivity_from_parts(op, b_neg, *_kernel_parts(op))
+
+
+def _projected_pencil(op, constraints):
+    """(L, G) on an orthonormal basis of the L2-complement of the constraint
+    rows, G the H^2 Gram matrix I - D2 + D4."""
+    z = scipy.linalg.null_space(constraints)
+    n = op.grid.n_points
+    d2, d4 = gr.spectral_derivatives(np.eye(n), op.grid, (2, 4), axis=0)
+    gram = np.eye(n) - d2 + d4
+    return z, z.T @ op.matrix @ z, z.T @ (0.5 * (gram + gram.T)) @ z
+
+
+def _nu0_reference(op, b_neg):
+    """Rayleigh minimum of Q/||.||_H2^2 on the L2-complement of
+    span{b_neg, B1, B2}: the smallest eigenvalue of the projected pair."""
+    kernel_span, _ = _kernel_parts(op)
+    _, lred, gred = _projected_pencil(op, np.vstack([b_neg, kernel_span.T]))
+    return scipy.linalg.eigh(lred, gred, eigvals_only=True, subset_by_index=(0, 0))[0]
+
+
+@pytest.mark.parametrize("x1", [0.0, 0.3, 1.1])
+def test_nu0_is_the_constrained_minimum_n256(x1):
+    # at N=256 the full spectrum does not classify (one kernel eigenvalue
+    # falls below the kernel window), but the constrained pencil is well posed
+    op = sp.assemble(P.with_shifts(x1, 0.0), gr.default_grid(1.0, 256))
+    b_neg = sp.eigensystem(op)[1][:, 0]
+    nu0, _ = _coercivity(op, b_neg)
+    assert nu0 == pytest.approx(_nu0_reference(op, b_neg), rel=1e-10)
+
+
+def test_nu0_is_the_constrained_minimum_n512(op, report):
+    b_neg = sp.negative_eigenvector(op).values
+    assert report.nu0_estimate == pytest.approx(_nu0_reference(op, b_neg), rel=1e-10)
+
+
+def test_nu0_rejects_negative_vector_outside_pencil_direction(op):
+    # b_neg G-orthogonal to the pencil's negative direction: the constraint
+    # no longer removes it, so psi has no root above lam_0
+    kernel_span, _ = _kernel_parts(op)
+    z2, lred, gred = _projected_pencil(op, kernel_span.T)
+    w = scipy.linalg.eigh(lred, gred)[1]
+    with pytest.raises(sp.ClassificationError, match="negative direction"):
+        _coercivity(op, z2 @ (gred @ w[:, 1]))
+
+
 def test_coercivity_rejects_flat_operator():
     flat = sp.assemble_flat(P, GRID)
     with pytest.raises(sp.ClassificationError, match="exactly one negative"):
-        sp._coercivity_from_parts(flat, *sp.eigensystem(flat))
+        _coercivity(flat)
 
 
 def test_coercivity_rejects_form_not_positive_for_tiny_mu():
@@ -228,7 +283,7 @@ def test_coercivity_rejects_form_not_positive_for_tiny_mu():
     shift = 2.0 * (v @ flat.matrix @ v) / (v @ v) ** 2
     op = sp.DiscreteOperator(GRID, flat.matrix - shift * np.outer(v, v), P, 0.0)
     with pytest.raises(sp.ClassificationError, match="tiny mu"):
-        sp._coercivity_from_parts(op, *sp.eigensystem(op))
+        _coercivity(op)
 
 
 def test_sweep_spectra_matches_spectrum():

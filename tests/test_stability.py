@@ -205,3 +205,35 @@ def test_stability_csv_deterministic(tmp_path, short_run):
     st.write_stability_csv(rerun, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "t,z_h2,x1,x2,H_u,Q_z,N_z"
+
+
+def test_modulation_failure_truncates_every_series(monkeypatch):
+    traces = []
+    real_evolve = ev.evolve
+
+    def recording_evolve(*args, **kwargs):
+        traces.append(real_evolve(*args, **kwargs))
+        return traces[-1]
+
+    real_modulate = st.modulate
+    calls = []
+
+    def flaky_modulate(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) == 3:
+            raise st.ModulationError("injected stall", (1.0, 1.0))
+        return real_modulate(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "evolve", recording_evolve)
+    monkeypatch.setattr(st, "modulate", flaky_modulate)
+    pert = st.default_perturbations(GRID)["sech"]
+    run = st.stability_experiment(P, pert, 1e-2, st.default_stability_config(P, t_end=0.03))
+    (trace,) = traces
+    assert len(calls) == 3
+    assert run.failure_time == trace.times[2]
+    np.testing.assert_array_equal(run.times, trace.times[:2])
+    audit = run.audit
+    for series in (run.times, run.z_h2_series, run.x1_series, run.x2_series,
+                   run.sign_branches, audit.h_u, audit.h_b, audit.q_z, audit.n_z,
+                   audit.closure_rel, audit.mass_pairing):
+        assert series.shape == (2,)
