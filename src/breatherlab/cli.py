@@ -189,7 +189,8 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid, t0)
         frame_speed = soliton.c
     cfg = _integrator(config, frame_speed)
-    trace = ev.evolve(u0, cfg)
+    fields: list[gr.GridField] = []
+    trace = ev.evolve(u0, cfg, fields.append)
 
     drift_tol = config["evolve"]["drift_tol"]
     names = ("mass", "energy", "f")
@@ -205,7 +206,7 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         "final_sup": float(trace.sup_series[-1]),
     }
     if config["evolve"]["initial"] == "soliton":
-        deviation = float(np.max(np.abs(trace.fields[-1].values - u0.values)))
+        deviation = float(np.max(np.abs(trace.final.values - u0.values)))
         pass_fail["steady"] = deviation < config["evolve"]["steady_tol"]
         report_doc["steady_deviation"] = deviation
 
@@ -213,7 +214,7 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
     ev.write_trace_csv(trace, os.path.join(outdir, trace_name))
     ckpt_dir = f"{prefix}_checkpoints"
     os.makedirs(os.path.join(outdir, ckpt_dir), exist_ok=True)
-    written = ev.write_checkpoints(trace, os.path.join(outdir, ckpt_dir))
+    written = ev.write_checkpoints(fields, os.path.join(outdir, ckpt_dir))
     outputs = [trace_name] + [os.path.join(ckpt_dir, os.path.basename(w)) for w in written]
     return report_doc, pass_fail, outputs
 

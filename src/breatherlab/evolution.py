@@ -80,13 +80,12 @@ class IntegratorConfig:
 class EvolutionTrace:
     """Monitored history of one evolution run.
 
-    fields holds the checkpointed states at exactly the monitored times;
-    max_drift is the largest relative excursion of (mass, energy, f) from
-    their initial values.
+    final is the state at t_end; max_drift is the largest relative excursion
+    of (mass, energy, f) from their initial values.
     """
 
     times: np.ndarray
-    fields: tuple[gr.GridField, ...]
+    final: gr.GridField
     mass_series: np.ndarray
     energy_series: np.ndarray
     f_series: np.ndarray
@@ -96,8 +95,7 @@ class EvolutionTrace:
     def __post_init__(self):
         n = self.times.shape[0]
         same = (
-            len(self.fields) == n
-            and self.mass_series.shape[0] == n
+            self.mass_series.shape[0] == n
             and self.energy_series.shape[0] == n
             and self.f_series.shape[0] == n
             and self.sup_series.shape[0] == n
@@ -171,13 +169,14 @@ def reflect(u: gr.GridField) -> gr.GridField:
     return u.with_values(np.roll(u.values[::-1], 1))
 
 
-def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
+def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) -> EvolutionTrace:
     """Step u0 to t_end, monitoring invariants every monitor_stride steps.
 
-    Checkpoints (full fields plus mass, energy, f, sup|u|) are recorded at
-    elapsed t = 0, at every monitor_stride-th step, and at t_end; fields
-    carry time_tag u0.time_tag + t.  Blow-up and boundary-exit checks run at
-    the monitored times and carry the failure time on the raised error.
+    Checkpoints (mass, energy, f, sup|u|) are recorded at elapsed t = 0, at
+    every monitor_stride-th step, and at t_end.  Each checkpoint's state,
+    tagged u0.time_tag + t, passes the blow-up and boundary checks (their
+    errors carry the failure time) and then goes to observe, which runs
+    under the caller's numpy error state; an exception it raises ends the run.
     """
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial field contains non-finite values")
@@ -188,13 +187,12 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
         raise ValueError("t_end must be a positive integer multiple of dt")
 
     times: list[float] = []
-    fields: list[gr.GridField] = []
     masses: list[float] = []
     energies: list[float] = []
     f_values: list[float] = []
     sups: list[float] = []
 
-    def record(step_index: int, vals: np.ndarray) -> None:
+    def record(step_index: int, vals: np.ndarray) -> gr.GridField:
         t = step_index * cfg.dt
         sup = float(np.max(np.abs(vals)))
         if not np.all(np.isfinite(vals)) or sup > _BLOWUP_SUP:
@@ -210,20 +208,24 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
                     centroid=centroid,
                 )
         times.append(t)
-        fields.append(field)
         m, e, f = fn.invariants(field)
         masses.append(m)
         energies.append(e)
         f_values.append(f)
         sups.append(sup)
+        return field
 
-    record(0, u0.values)
+    field = record(0, u0.values)
+    observe(field)
     vhat = np.fft.rfft(u0.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            vhat = stepper.advance(vhat)
-            if i % cfg.monitor_stride == 0 or i == n_steps:
-                record(i, np.fft.irfft(vhat, n=grid.n_points))
+    done, stride = 0, int(cfg.monitor_stride)
+    for checkpoint in [*range(stride, n_steps, stride), n_steps]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(checkpoint - done):
+                vhat = stepper.advance(vhat)
+            field = record(checkpoint, np.fft.irfft(vhat, n=grid.n_points))
+        observe(field)
+        done = checkpoint
 
     def drift(series: list[float]) -> float:
         base = series[0]
@@ -231,7 +233,7 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig) -> EvolutionTrace:
 
     return EvolutionTrace(
         times=np.asarray(times),
-        fields=tuple(fields),
+        final=field,
         mass_series=np.asarray(masses),
         energy_series=np.asarray(energies),
         f_series=np.asarray(f_values),
@@ -251,13 +253,13 @@ def write_trace_csv(trace: EvolutionTrace, path) -> None:
             handle.write(f"{t:.17g},{m:.17g},{e:.17g},{f:.17g},{s:.17g}\n")
 
 
-def write_checkpoints(trace: EvolutionTrace, directory, stem: str = "checkpoint") -> list[str]:
-    """Dump every checkpointed field in the binary grid format."""
+def write_checkpoints(fields: list[gr.GridField], directory) -> list[str]:
+    """Dump checkpointed fields in the binary grid format, numbered in order."""
     import os
 
     paths = []
-    for i, field in enumerate(trace.fields):
-        path = os.path.join(str(directory), f"{stem}_{i:05d}.field")
+    for i, field in enumerate(fields):
+        path = os.path.join(str(directory), f"checkpoint_{i:05d}.field")
         gr.write_binary(field, path)
         paths.append(path)
     return paths

@@ -8,8 +8,7 @@ parts is exact; resolved fields carry machine-zero Nyquist content anyway.
 
 Quadrature is the trapezoid rule, which is spectrally accurate for periodic
 integrands. Fields whose real-line integrals are approximated on the
-truncated domain should have negligible boundary values; GridField exposes
-boundary_magnitude so callers can check adequacy.
+truncated domain should have negligible boundary values.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ class GridField:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def boundary_magnitude(self) -> float:
-        return float(max(abs(self.values[0]), abs(self.values[-1])))
 
     def with_values(self, values: np.ndarray, time_tag: float | None = None) -> "GridField":
         return GridField(self.grid, values, self.time_tag if time_tag is None else time_tag)

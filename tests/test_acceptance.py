@@ -216,7 +216,7 @@ def test_c10_breather_evolution():
     trace = ev.evolve(_breather_field(p, grid),
                       ev.IntegratorConfig(dt=1e-4, t_end=0.2, monitor_stride=200))
     elapsed = time.perf_counter() - t0
-    err = float(np.max(np.abs(trace.fields[-1].values - cf.breather(p, 0.2, grid.nodes))))
+    err = float(np.max(np.abs(trace.final.values - cf.breather(p, 0.2, grid.nodes))))
     drift = max(trace.max_drift)
     ok = err < 1e-6 and drift < 1e-8 and elapsed < 30.0
     _report("c10 breather_evolution", ok,

@@ -181,6 +181,21 @@ def test_evolve_unstable_dt_exits_one(tmp_path, capsys):
     assert "stability budget" in capsys.readouterr().err
 
 
+def test_evolve_domain_exit_writes_nothing(tmp_path, capsys):
+    # the soliton drifts in the lab frame and crosses the boundary guard
+    # at t = 0.006, long before t_end
+    out = tmp_path / "out"
+    code = main(["evolve", "--set", "evolve.initial=soliton",
+                 "--set", "integrator.frame_speed=0",
+                 "--set", "integrator.boundary_margin=29.995",
+                 "--set", "integrator.monitor_stride=10",
+                 "--set", "integrator.t_end=0.02",
+                 "--set", "integrator.dt=0.0001", "--out", str(out)])
+    assert code == 2
+    assert "check failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_stability_eta_zero_reports_null_a0(tmp_path):
     code = main(["stability", "--set", "stability.eta=0",
                  "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
@@ -218,6 +233,8 @@ def test_stability_modulation_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert "[FAIL] run0_stable" in capsys.readouterr().out.splitlines()
     _, report = _read(tmp_path, ".report.json")
     assert report["runs"][0]["failure_time"] == calls[2]
+    # two fitted checkpoints measure no shift rate; null, not a zero drift
+    assert report["runs"][0]["shift_rate_sup"] is None
     assert report["runs"][0]["stable_flag"] is False
     rows = (tmp_path / report["runs"][0]["csv"]).read_text().splitlines()
     assert len(rows) == 3  # header and the two fitted checkpoints

@@ -44,7 +44,7 @@ def test_stability_budget_rejects_coarse_dt():
 def test_zero_field_is_exact_fixed_point():
     g = gr.PeriodicGrid(30.0, 64)
     u = gr.GridField(g, np.zeros(64))
-    out = ev.evolve(u, ev.IntegratorConfig(dt=1e-3, t_end=1e-3)).fields[-1]
+    out = ev.evolve(u, ev.IntegratorConfig(dt=1e-3, t_end=1e-3)).final
     np.testing.assert_array_equal(out.values, np.zeros(64))
 
 
@@ -61,7 +61,7 @@ def test_small_amplitude_mode_matches_linear_dispersion(frame_speed):
                               monitor_stride=100)
     trace = ev.evolve(u0, cfg)
     exact = a * np.sin(k * g.nodes + (k**3 + frame_speed * k) * t_end)
-    assert np.max(np.abs(trace.fields[-1].values - exact)) <= 1e-11 * a
+    assert np.max(np.abs(trace.final.values - exact)) <= 1e-11 * a
 
 
 def test_breather_evolution_lab_frame():
@@ -69,7 +69,7 @@ def test_breather_evolution_lab_frame():
     u0 = _breather_field(P, g)
     trace = ev.evolve(u0, ev.IntegratorConfig(dt=1e-4, t_end=0.05, monitor_stride=100))
     exact = cf.breather(P, 0.05, g.nodes)
-    assert np.max(np.abs(trace.fields[-1].values - exact)) <= 1e-7
+    assert np.max(np.abs(trace.final.values - exact)) <= 1e-7
     assert max(trace.max_drift) <= 1e-9
 
 
@@ -80,7 +80,7 @@ def test_breather_evolution_comoving_frame():
     cfg = ev.IntegratorConfig(dt=1.25e-4, t_end=0.1, frame_speed=c, monitor_stride=160)
     trace = ev.evolve(u0, cfg)
     exact = cf.breather(P, 0.1, g.nodes + c * 0.1)
-    assert np.max(np.abs(trace.fields[-1].values - exact)) <= 1e-7
+    assert np.max(np.abs(trace.final.values - exact)) <= 1e-7
 
 
 def test_soliton_steady_in_its_frame():
@@ -89,7 +89,7 @@ def test_soliton_steady_in_its_frame():
     u0 = _soliton_field(s, g)
     cfg = ev.IntegratorConfig(dt=2e-4, t_end=0.5, frame_speed=s.c, monitor_stride=250)
     trace = ev.evolve(u0, cfg)
-    assert np.max(np.abs(trace.fields[-1].values - u0.values)) <= 1e-9
+    assert np.max(np.abs(trace.final.values - u0.values)) <= 1e-9
 
 
 def test_time_reversal_closure():
@@ -98,8 +98,8 @@ def test_time_reversal_closure():
     g = gr.PeriodicGrid(30.0, 512)
     u0 = _soliton_field(cf.SolitonParams(1.0), g)
     cfg = ev.IntegratorConfig(dt=2e-4, t_end=0.2, monitor_stride=1000)
-    forward = ev.evolve(u0, cfg).fields[-1]
-    back = ev.evolve(ev.reflect(forward), cfg).fields[-1]
+    forward = ev.evolve(u0, cfg).final
+    back = ev.evolve(ev.reflect(forward), cfg).final
     closed = ev.reflect(back)
     assert np.max(np.abs(closed.values - u0.values)) <= 1e-9
 
@@ -111,7 +111,7 @@ def test_fourth_order_self_convergence():
 
     def final(dt):
         cfg = ev.IntegratorConfig(dt=dt, t_end=t_end, monitor_stride=10**9)
-        return ev.evolve(u0, cfg).fields[-1].values
+        return ev.evolve(u0, cfg).final.values
 
     ref = final(dt0 / 128)
     e4 = np.max(np.abs(final(dt0 / 4) - ref))
@@ -124,10 +124,11 @@ def test_monitor_stride_times():
     g = gr.PeriodicGrid(30.0, 256)
     u0 = _breather_field(P, g)
     cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.01, monitor_stride=3)
-    trace = ev.evolve(u0, cfg)
+    fields = []
+    trace = ev.evolve(u0, cfg, fields.append)
     np.testing.assert_allclose(trace.times, [0.0, 0.003, 0.006, 0.009, 0.01],
                                rtol=0, atol=1e-15)
-    assert len(trace.fields) == 5
+    assert len(fields) == 5
 
 
 def test_t_end_must_be_multiple_of_dt():
@@ -205,20 +206,59 @@ def test_checkpoints_roundtrip(tmp_path):
     g = gr.PeriodicGrid(30.0, 256)
     cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.005, monitor_stride=2)
     for t0 in (0.0, 0.25):
-        trace = ev.evolve(_breather_field(P, g, t0), cfg)
+        fields = []
+        trace = ev.evolve(_breather_field(P, g, t0), cfg, fields.append)
         directory = tmp_path / f"t0_{t0}"
         directory.mkdir()
-        paths = ev.write_checkpoints(trace, directory, stem="state")
+        paths = ev.write_checkpoints(fields, directory)
         assert [p.rsplit("/", 1)[-1] for p in paths] == [
-            "state_00000.field", "state_00001.field", "state_00002.field", "state_00003.field"]
+            "checkpoint_00000.field", "checkpoint_00001.field", "checkpoint_00002.field",
+            "checkpoint_00003.field"]
         back = gr.read_binary(paths[-1])
-        np.testing.assert_array_equal(back.values, trace.fields[-1].values)
+        np.testing.assert_array_equal(back.values, trace.final.values)
         # trace times are elapsed; each checkpoint carries its absolute time
         np.testing.assert_array_equal(trace.times, [0.0, 0.002, 0.004, 0.005])
         tags = [gr.read_binary(path).time_tag for path in paths]
         assert tags == [t0 + t for t in trace.times]
         assert tags[0] == t0
 
+
+def test_observer_sees_each_checkpoint_under_callers_error_state():
+    g = gr.PeriodicGrid(30.0, 256)
+    u0 = _breather_field(P, g, 0.25)
+    cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.01, monitor_stride=3)
+    seen = []
+
+    def observe(field):
+        seen.append((field, np.geterr()))
+
+    # the stepping ignores overflow and invalid values; the observer must not
+    with np.errstate(all="warn"):
+        caller = np.geterr()
+        trace = ev.evolve(u0, cfg, observe)
+    assert len(seen) == len(trace.times)
+    assert [field.time_tag for field, _ in seen] == [u0.time_tag + t for t in trace.times]
+    assert all(state == caller for _, state in seen)
+    assert seen[-1][0].time_tag == trace.final.time_tag
+    np.testing.assert_array_equal(seen[-1][0].values, trace.final.values)
+
+
+def test_observer_exception_ends_the_run():
+    g = gr.PeriodicGrid(30.0, 256)
+    cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.01, monitor_stride=3)
+    calls = []
+
+    class Stop(Exception):
+        pass
+
+    def observe(field):
+        calls.append(field.time_tag)
+        if len(calls) == 2:
+            raise Stop
+
+    with pytest.raises(Stop):
+        ev.evolve(_breather_field(P, g), cfg, observe)
+    assert calls == [0.0, 0.003]
 
 
 

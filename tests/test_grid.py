@@ -164,13 +164,6 @@ def test_with_values_time_tag():
     assert f.with_values(np.ones(64), time_tag=1.5).time_tag == 1.5
 
 
-def test_boundary_magnitude():
-    g = gr.PeriodicGrid(10.0, 64)
-    vals = np.zeros(64)
-    vals[0], vals[-1] = 1e-3, -2e-3
-    assert gr.GridField(g, vals).boundary_magnitude == pytest.approx(2e-3)
-
-
 def test_sample_sets_time_tag():
     g = gr.PeriodicGrid(10.0, 64)
     f = gr.sample(lambda t, x: t + 0.0 * x, g, 0.75)

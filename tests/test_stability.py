@@ -172,10 +172,11 @@ def test_audit_matches_independent_recomputation(short_run):
     pert = st.default_perturbations(GRID)["sech"]
     b0 = _breather_field(P, GRID)
     cfg = st.default_stability_config(P, t_end=0.05)
-    trace = ev.evolve(b0.with_values(b0.values + 1e-2 * pert.values), cfg)
+    fields = []
+    trace = ev.evolve(b0.with_values(b0.values + 1e-2 * pert.values), cfg, fields.append)
     np.testing.assert_array_equal(trace.times, run.times)
     c = run.frame_speed
-    for i, (t, field) in enumerate(zip(trace.times, trace.fields)):
+    for i, (t, field) in enumerate(zip(trace.times, fields)):
         t = float(t)
         p_fit = P.with_shifts(run.x1_series[i] + c * t, run.x2_series[i] + c * t)
         b = _breather_field(p_fit, GRID, t)
@@ -231,6 +232,7 @@ def test_modulation_failure_truncates_every_series(monkeypatch):
     (trace,) = traces
     assert len(calls) == 3
     assert run.failure_time == trace.times[2]
+    assert run.shift_rate_sup is None
     np.testing.assert_array_equal(run.times, trace.times[:2])
     audit = run.audit
     for series in (run.times, run.z_h2_series, run.x1_series, run.x2_series,
