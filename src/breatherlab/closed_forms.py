@@ -69,9 +69,6 @@ class BreatherParams:
     def gamma(self) -> float:
         return 3.0 * self.alpha**2 - self.beta**2
 
-    def with_shifts(self, x1: float, x2: float) -> "BreatherParams":
-        return BreatherParams(self.alpha, self.beta, x1, x2)
-
 
 @dataclass(frozen=True)
 class SolitonParams:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -84,6 +85,19 @@ def _merge(base: dict, update: dict, path: tuple = ()) -> None:
         base[key] = _coerce(value, default, here)
 
 
+def _finite_float(value, joined: str, kind: str) -> float:
+    """A JSON number other than a bool, as a finite float; else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{joined} must be {kind}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{joined} must be finite, got {number}")
+    return number
+
+
 def _coerce(value, default, path: tuple):
     joined = ".".join(path)
     if value is None:
@@ -95,13 +109,13 @@ def _coerce(value, default, path: tuple):
             raise ConfigError(f"{joined} must be a boolean")
         return value
     if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or int(value) != value:
+        # is_integer() is False for inf and nan
+        if isinstance(value, bool) or not (
+                isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
             raise ConfigError(f"{joined} must be an integer")
         return int(value)
     if isinstance(default, float) or (default is None and isinstance(value, (int, float))):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{joined} must be a number")
-        return float(value)
+        return _finite_float(value, joined, "a number")
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{joined} must be a string")
@@ -109,7 +123,7 @@ def _coerce(value, default, path: tuple):
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{joined} must be a list")
-        return [float(v) for v in value]
+        return [_finite_float(v, joined, "a list of numbers") for v in value]
     raise ConfigError(f"{joined}: unsupported value {value!r}")
 
 
@@ -154,9 +168,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError("alpha > 0 required")
     if not config["beta"] > 0.0:
         raise ConfigError("beta > 0 required")
-    for key in ("x1", "x2", "t"):
-        if not np.isfinite(config[key]):
-            raise ConfigError(f"{key} must be finite")
     for path in (("grid", "n_points"), ("spectrum", "n_points"),
                  ("stability", "n_points"), ("verify", "residual_n_points")):
         n = config[path[0]][path[1]]

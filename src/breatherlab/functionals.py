@@ -17,18 +17,20 @@ pair 5 B^2 z_xx + 10 B B_x z_x is applied in divergence form d/dx(5 B^2 z_x),
 which is pointwise-identical in the continuum and keeps the discrete operator
 exactly symmetric (and exactly consistent with the assembled matrix) for
 arbitrary grid fields, not just resolved ones.
+
+identity_residuals checks the pointwise identities of the closed forms from
+one sampling pass per grid: one jet, one evaluation of each other closed
+form. The identities themselves differentiate sampled B spectrally, so they
+test the closed-form derivative relations rather than assume them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import closed_forms as cf
 from .grid import (GridField, PeriodicGrid, cumulative_quadrature, derivative, integrate,
-                   quadrature, sample, spectral_derivatives)
+                   sample, spectral_derivatives)
 
 
 def mass(u: GridField) -> float:
@@ -63,20 +65,6 @@ def h_from_parts(p: cf.BreatherParams, m, e, f):
 
 def h_value(u: GridField, p: cf.BreatherParams) -> float:
     return h_from_parts(p, *invariants(u))
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    mass: float
-    energy: float
-    f_value: float
-    h_value: float
-
-
-def functional_report(u: GridField, p: cf.BreatherParams) -> FunctionalReport:
-    m, e, f = invariants(u)
-    # h assembled from the three parts so the weighted-sum identity is exact
-    return FunctionalReport(m, e, f, h_from_parts(p, m, e, f))
 
 
 def coefficient_fields(p: cf.BreatherParams, grid: PeriodicGrid, t: float):
@@ -191,28 +179,6 @@ def remainder(z: GridField, p: cf.BreatherParams, t: float) -> float:
     return _expansion_at(z, p, t)[1]
 
 
-class IdentityKind(Enum):
-    """Pointwise identities satisfied by the closed-form family."""
-
-    STATIONARY = "stationary"
-    SECOND_ORDER = "second_order"
-    FIRST_ORDER = "first_order"
-    MIXED = "mixed"
-    MASS_PROFILE = "mass_profile"
-    WRONSKIAN = "wronskian"
-    SOLITON_ODE = "soliton_ode"
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """sup/L2 residual of one identity plus the magnitude that normalizes it."""
-
-    kind: str
-    sup_residual: float
-    l2_residual: float
-    scale: float
-
-
 def stationary_residual(
     p: cf.BreatherParams, grid: PeriodicGrid, t: float, gamma_scale: float = 1.0
 ) -> GridField:
@@ -249,74 +215,55 @@ def stationary_residual(
     return GridField(grid, res.astype(float), time_tag=t)
 
 
-def identity_residual(
-    kind: IdentityKind,
-    p: cf.BreatherParams | cf.SolitonParams,
-    grid: PeriodicGrid,
-    t: float = 0.0,
-) -> GridField:
-    """Pointwise residual field of the named identity on the grid.
+def wronskian_residual(p: cf.BreatherParams, jet: cf.BreatherJet, grid: PeriodicGrid,
+                       t: float) -> tuple[float, float]:
+    """(sup residual, scale) of the Wronskian of the kernel directions.
 
-    All kinds take BreatherParams except SOLITON_ODE, which takes
-    SolitonParams.
+    (B1)_x B2 - (B2)_x B1 with spectral first derivatives of the jet's B1, B2,
+    against the closed-form determinant; scale is the determinant's sup, so
+    res / scale is a relative check.
     """
-    if kind is IdentityKind.SOLITON_ODE:
-        if not isinstance(p, cf.SolitonParams):
-            raise TypeError("soliton identity needs SolitonParams")
-        return soliton_ode_residual(p, grid, t)
-    if not isinstance(p, cf.BreatherParams):
-        raise TypeError(f"{kind.value} identity needs BreatherParams")
+    d1b1, d1b2 = spectral_derivatives(np.stack([jet.dx1, jet.dx2]), grid, (1,))[0]
+    det = d1b1 * jet.dx2 - d1b2 * jet.dx1
+    det_closed = cf.wronskian_det(p, t, grid.nodes)
+    return float(np.max(np.abs(det - det_closed))), float(np.max(np.abs(det_closed)))
+
+
+def identity_residuals(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
+                       gamma_scale: float = 1.0) -> dict[str, tuple[float, float]]:
+    """{name: (sup residual, scale)} for the pointwise identities of the
+    breather, from one jet and one pass of each other closed form.
+
+    scale is max(1, sup|B|^5) for the quintic stationary identity, the sup of
+    the closed-form determinant for the Wronskian (a relative check), and 1
+    for the rest. B_x and B_xx are spectral derivatives of the sampled B.
+    """
+    a2, b2 = p.alpha**2, p.beta**2
     x = grid.nodes
-    if kind is IdentityKind.STATIONARY:
-        return stationary_residual(p, grid, t)
-    if kind is IdentityKind.SECOND_ORDER:
-        # B_xx + primitive_t + B^3 = 0, with spectral B_xx of the sampled field.
-        u = sample(lambda tt, xx: cf.breather(p, tt, xx), grid, t)
-        res = derivative(u, 2).values + cf.breather_primitive_t(p, t, x) + u.values**3
-        return GridField(grid, res, time_tag=t)
-    if kind is IdentityKind.FIRST_ORDER:
-        # B_x^2 + B^4/2 + 2 B primitive_t - 2 mass_profile_t = 0.
-        u = sample(lambda tt, xx: cf.breather(p, tt, xx), grid, t)
-        bx = derivative(u, 1).values
-        res = (
-            bx**2
-            + 0.5 * u.values**4
-            + 2.0 * u.values * cf.breather_primitive_t(p, t, x)
-            - 2.0 * cf.mass_profile_t(p, t, x)
-        )
-        return GridField(grid, res, time_tag=t)
-    if kind is IdentityKind.MIXED:
-        # B_xt + 2 mass_profile_t B = 2(beta^2-alpha^2) primitive_t
-        #                             + (alpha^2+beta^2)^2 B,
-        # with B_xt the spectral x-derivative of the closed-form B_t.
-        a2, b2 = p.alpha**2, p.beta**2
-        jet = cf.breather_jet(p, t, x)
-        bt = GridField(grid, p.delta * jet.dx1 + p.gamma * jet.dx2, time_tag=t)
-        bxt = derivative(bt, 1).values
-        res = (
-            bxt
-            + 2.0 * cf.mass_profile_t(p, t, x) * jet.b
-            - 2.0 * (b2 - a2) * jet.primitive_t
-            - (a2 + b2) ** 2 * jet.b
-        )
-        return GridField(grid, res, time_tag=t)
-    if kind is IdentityKind.MASS_PROFILE:
-        # Cumulative quadrature of B^2/2 against the closed-form profile,
-        # both anchored at the left edge.
-        u = sample(lambda tt, xx: cf.breather(p, tt, xx), grid, t)
-        cum = cumulative_quadrature(u.with_values(0.5 * u.values**2)).values
-        prof = cf.mass_profile(p, t, x)
-        res = cum - (prof - prof[0])
-        return GridField(grid, res, time_tag=t)
-    if kind is IdentityKind.WRONSKIAN:
-        # (B1)_x B2 - (B2)_x B1 with spectral first derivatives, against the
-        # closed-form determinant.
-        jet = cf.breather_jet(p, t, x)
-        d1b1, d1b2 = spectral_derivatives(np.stack([jet.dx1, jet.dx2]), grid, (1,))[0]
-        det = d1b1 * jet.dx2 - d1b2 * jet.dx1
-        res = det - cf.wronskian_det(p, t, x)
-        return GridField(grid, res, time_tag=t)
-    raise ValueError(f"unsupported identity kind {kind!r}")
+    jet = cf.breather_jet(p, t, x)
+    b, prim_t = jet.b, jet.primitive_t
+    bx, bxx = spectral_derivatives(b, grid, (1, 2))
+    prof = cf.mass_profile(p, t, x)
+    prof_t = cf.mass_profile_t(p, t, x)
+    # B_xt is the spectral x-derivative of the closed-form B_t
+    bxt = spectral_derivatives(p.delta * jet.dx1 + p.gamma * jet.dx2, grid, (1,))[0]
+    cum = cumulative_quadrature(GridField(grid, 0.5 * b**2)).values
+
+    def sup(res) -> float:
+        return float(np.max(np.abs(res)))
+
+    return {
+        "stationary": (sup(stationary_residual(p, grid, t, gamma_scale).values),
+                       max(1.0, sup(b) ** 5)),
+        "second_order": (sup(bxx + prim_t + b**3), 1.0),
+        "first_order": (sup(bx**2 + 0.5 * b**4 + 2.0 * b * prim_t - 2.0 * prof_t), 1.0),
+        "mixed": (sup(bxt + 2.0 * prof_t * b - 2.0 * (b2 - a2) * prim_t - (a2 + b2) ** 2 * b),
+                  1.0),
+        # cumulative quadrature of B^2/2 against the closed-form profile,
+        # both anchored at the left edge
+        "mass_profile": (sup(cum - (prof - prof[0])), 1.0),
+        "wronskian": wronskian_residual(p, jet, grid, t),
+    }
 
 
 def soliton_ode_residual(s: cf.SolitonParams, grid: PeriodicGrid, t: float = 0.0) -> GridField:
@@ -324,29 +271,6 @@ def soliton_ode_residual(s: cf.SolitonParams, grid: PeriodicGrid, t: float = 0.0
     q = sample(lambda tt, xx: cf.soliton(s, tt, xx), grid, t)
     res = derivative(q, 2).values - s.c * q.values + q.values**3
     return GridField(grid, res, time_tag=t)
-
-
-def identity_report(kind: IdentityKind, p: cf.BreatherParams | cf.SolitonParams,
-                    grid: PeriodicGrid, t: float = 0.0) -> IdentityReport:
-    """Residual norms plus the magnitude the tolerance should be read against.
-
-    scale is max(1, sup|B|^5) for the quintic stationary identity, the sup of
-    the closed-form determinant for the Wronskian (a relative check), and 1
-    for the rest.
-    """
-    res = identity_residual(kind, p, grid, t)
-    scale = 1.0
-    if kind is IdentityKind.STATIONARY:
-        sup_b = float(np.max(np.abs(cf.breather(p, t, grid.nodes))))
-        scale = max(1.0, sup_b**5)
-    elif kind is IdentityKind.WRONSKIAN:
-        scale = float(np.max(np.abs(cf.wronskian_det(p, t, grid.nodes))))
-    return IdentityReport(
-        kind=kind.value,
-        sup_residual=float(np.max(np.abs(res.values))),
-        l2_residual=float(np.sqrt(quadrature(res.with_values(res.values**2)))),
-        scale=scale,
-    )
 
 
 def _richardson_scalar(fn, h: float) -> float:

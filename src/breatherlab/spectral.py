@@ -26,7 +26,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from . import closed_forms as cf
-from .functionals import apply_operator, coefficient_fields, potential
+from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
 from .grid import GridField, PeriodicGrid, residual_half_length, spectral_derivatives
 
 _CONSISTENCY_SEED = 1729
@@ -357,7 +357,8 @@ def wronskian_analysis(p: cf.BreatherParams, t: float,
     """Count sign changes of the root function and validate the closed form.
 
     The closed-form determinant is compared against spectral x-derivatives of
-    the sampled kernel directions on a grid wide enough for the tails; the
+    the sampled kernel directions on a grid wide enough for the tails, by the
+    functionals.wronskian_residual check the verify suite also runs; the
     root scan runs on [x_range] (default: the certified bracket).
     """
     if x_range is None:
@@ -379,12 +380,6 @@ def wronskian_analysis(p: cf.BreatherParams, t: float,
         location = math.nan
 
     grid = PeriodicGrid(residual_half_length(p.beta), 2048)
-    x = grid.nodes
-    jet = cf.breather_jet(p, t, x)
-    b1, b2 = jet.dx1, jet.dx2
-    d1b1, d1b2 = spectral_derivatives(np.stack([b1, b2]), grid, (1,))[0]
-    det_numeric = d1b1 * b2 - d1b2 * b1
-    det_closed = cf.wronskian_det(p, t, x)
-    err = float(np.max(np.abs(det_numeric - det_closed)) / np.max(np.abs(det_closed)))
+    res, scale = wronskian_residual(p, cf.breather_jet(p, t, grid.nodes), grid, t)
     return WronskianReport(root_count=root_count, root_location=location,
-                           closed_form_max_err=err)
+                           closed_form_max_err=res / scale)

@@ -83,6 +83,23 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "integrator.monitor_stride=[1]",
+    "stability.eta_sweep=[[0.01]]",
+    "alpha=1e400",
+    "integrator.frame_speed=NaN",
+    "verify.gamma_scale=Infinity",
+    "grid.half_length=Infinity",
+    "integrator.t_end=Infinity",
+])
+def test_malformed_override_exits_one(tmp_path, override):
+    # in a fresh interpreter, so an uncaught exception shows as a traceback
+    proc = _run_entry_point(["verify", "--set", override, "--out", str(tmp_path)], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_key_exits_one(tmp_path):
     assert main(["verify", "--set", "gamma=1", "--out", str(tmp_path)]) == 1
 

@@ -8,6 +8,7 @@ conditioning.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_even_at_zero_shifts():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_half_period_shift_flips_sign(k):
     p = cf.BreatherParams(1.5, 1.0, x1=0.2, x2=-0.4)
-    shifted = p.with_shifts(p.x1 + k * math.pi / p.alpha, p.x2)
+    shifted = replace(p, x1=p.x1 + k * math.pi / p.alpha, x2=p.x2)
     x = np.linspace(-6.0, 6.0, 101)
     base = cf.breather(p, 0.7, x)
     np.testing.assert_allclose(cf.breather(shifted, 0.7, x), (-1.0) ** k * base,
@@ -90,14 +91,14 @@ def test_half_period_shift_flips_sign_on_random_parameters():
         t = rng.uniform(0.0, 1.0)
         p = cf.BreatherParams(alpha, beta, x1, x2)
         base = cf.breather(p, t, x)
-        flipped = cf.breather(p.with_shifts(x1 + math.pi / alpha, x2), t, x)
+        flipped = cf.breather(replace(p, x1=x1 + math.pi / alpha, x2=x2), t, x)
         worst = max(worst, np.max(np.abs(flipped + base)) / np.max(np.abs(base)))
     assert worst <= 1e-14
 
 
 def test_full_period_shift_is_identity():
     p = cf.BreatherParams(0.8, 1.2, x1=0.5, x2=0.1)
-    shifted = p.with_shifts(p.x1 + 2.0 * math.pi / p.alpha, p.x2)
+    shifted = replace(p, x1=p.x1 + 2.0 * math.pi / p.alpha, x2=p.x2)
     x = np.linspace(-5.0, 5.0, 77)
     np.testing.assert_allclose(cf.breather(shifted, 0.2, x), cf.breather(p, 0.2, x),
                                rtol=0, atol=1e-13)
@@ -128,8 +129,8 @@ def test_scaling_derivative_matches_finite_difference(which):
 def test_shift_derivatives_match_finite_difference():
     p = cf.BreatherParams(1.1, 1.3, x1=-0.2, x2=0.4)
     x = np.array([-1.5, 0.2, 0.9, 2.4])
-    fd1 = _richardson(lambda e: cf.breather(p.with_shifts(p.x1 + e, p.x2), 0.25, x), 1e-3)
-    fd2 = _richardson(lambda e: cf.breather(p.with_shifts(p.x1, p.x2 + e), 0.25, x), 1e-3)
+    fd1 = _richardson(lambda e: cf.breather(replace(p, x1=p.x1 + e, x2=p.x2), 0.25, x), 1e-3)
+    fd2 = _richardson(lambda e: cf.breather(replace(p, x1=p.x1, x2=p.x2 + e), 0.25, x), 1e-3)
     np.testing.assert_allclose(cf.breather_dx1(p, 0.25, x), fd1, rtol=0, atol=1e-9)
     np.testing.assert_allclose(cf.breather_dx2(p, 0.25, x), fd2, rtol=0, atol=1e-9)
 

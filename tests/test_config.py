@@ -79,6 +79,7 @@ def test_apply_overrides_rejects_malformed():
     ("alpha=null", "may not be null"),
     ("evolve.initial=[1]", "must be a string"),
     ("stability.eta_sweep=0.01", "must be a list"),
+    ("x1=NaN", "must be finite"),
 ])
 def test_coercion_rejects_wrong_types(assignment, message):
     with pytest.raises(cfg.ConfigError, match=message):
@@ -99,7 +100,6 @@ def test_nullable_paths_accept_null():
     ("alpha=-1", "alpha > 0"),
     ("alpha=0", "alpha > 0"),
     ("beta=0", "beta > 0"),
-    ("x1=NaN", "must be finite"),
     ("grid.n_points=1000", "power of two"),
     ("spectrum.n_points=8", "power of two"),
     ("integrator.dt=0", "dt must be positive"),

@@ -12,6 +12,7 @@ import pytest
 from breatherlab import closed_forms as cf
 from breatherlab import functionals as fn
 from breatherlab import grid as gr
+from breatherlab import spectral as sp
 from breatherlab import stability as st
 
 PARAM_SETS = [
@@ -73,10 +74,11 @@ def test_soliton_functionals(c):
 
 def test_functional_report_h_is_exact_combination():
     p = PARAM_SETS[1]
-    rep = fn.functional_report(_breather_field(p, _grid_for(p), t=0.3), p)
-    combo = (rep.f_value + 2.0 * (p.beta**2 - p.alpha**2) * rep.energy
-             + (p.alpha**2 + p.beta**2) ** 2 * rep.mass)
-    assert rep.h_value == combo
+    u = _breather_field(p, _grid_for(p), t=0.3)
+    m, e, f = fn.invariants(u)
+    combo = f + 2.0 * (p.beta**2 - p.alpha**2) * e + (p.alpha**2 + p.beta**2) ** 2 * m
+    assert fn.h_from_parts(p, m, e, f) == combo
+    assert fn.h_value(u, p) == combo
 
 
 def _band_field(grid, seed, kmax=2.5):
@@ -256,31 +258,61 @@ IDENTITY_CASES = [
     (cf.BreatherParams(1.5, 1.0, 0.4, -0.7), 0.4),
     (cf.BreatherParams(2.0, 0.5, -0.3, 0.2), 0.0),
 ]
+IDENTITY_BOUNDS = {
+    "stationary": 1e-6,
+    "second_order": 1e-6,
+    "first_order": 1e-6,
+    "mixed": 1e-6,
+    "mass_profile": 1e-8,
+    "wronskian": 1e-8,
+}
 
 
+def _residual_grid(p):
+    return gr.PeriodicGrid(gr.residual_half_length(p.beta), 2048)
+
+
+# the ids are the ones these cases had under the former IdentityKind enum
 @pytest.mark.parametrize("p,t", IDENTITY_CASES)
-@pytest.mark.parametrize("kind,bound", [
-    (fn.IdentityKind.SECOND_ORDER, 1e-6),
-    (fn.IdentityKind.FIRST_ORDER, 1e-6),
-    (fn.IdentityKind.MIXED, 1e-6),
-    (fn.IdentityKind.MASS_PROFILE, 1e-8),
-    (fn.IdentityKind.WRONSKIAN, 1e-8),
-])
-def test_breather_identities(p, t, kind, bound):
-    grid = gr.PeriodicGrid(44.0 / min(p.beta, 1.0), 2048)
-    rep = fn.identity_report(kind, p, grid, t)
-    assert rep.kind == kind.value
-    assert rep.sup_residual <= bound * rep.scale
-    assert rep.l2_residual <= rep.sup_residual * np.sqrt(2 * grid.half_length) + 1e-15
+@pytest.mark.parametrize("name,bound",
+                         [(n, b) for n, b in IDENTITY_BOUNDS.items() if n != "stationary"],
+                         ids=lambda v: f"IdentityKind.{v.upper()}" if isinstance(v, str) else None)
+def test_breather_identities(p, t, name, bound):
+    res, scale = fn.identity_residuals(p, _residual_grid(p), t)[name]
+    assert res <= bound * scale
 
 
 @pytest.mark.parametrize("p,t", IDENTITY_CASES)
 def test_stationary_identity(p, t):
-    grid = gr.PeriodicGrid(44.0 / min(p.beta, 1.0), 2048)
-    rep = fn.identity_report(fn.IdentityKind.STATIONARY, p, grid, t)
+    grid = _residual_grid(p)
+    res, scale = fn.identity_residuals(p, grid, t)["stationary"]
     sup_b = np.max(np.abs(cf.breather(p, t, grid.nodes)))
-    assert rep.scale == pytest.approx(max(1.0, sup_b**5))
-    assert rep.sup_residual <= 1e-6 * rep.scale
+    assert scale == pytest.approx(max(1.0, sup_b**5))
+    assert res <= 1e-6 * scale
+
+
+# Each identity reads its closed forms from one shared pass; corrupting one
+# closed form must break exactly the identities that read it, so sharing the
+# samples left no check comparing a quantity with itself.
+@pytest.mark.parametrize("p,t", IDENTITY_CASES)
+@pytest.mark.parametrize("closed_form,broken", [
+    ("mass_profile_t", {"first_order", "mixed"}),
+    ("mass_profile", {"mass_profile"}),
+    ("wronskian_det", {"wronskian"}),
+], ids=["mass_profile_t", "mass_profile", "wronskian_det"])
+def test_identity_suite_negative_controls(p, t, closed_form, broken, monkeypatch):
+    exact = getattr(cf, closed_form)
+    monkeypatch.setattr(cf, closed_form, lambda q, tt, x: (1.0 + 1e-3) * exact(q, tt, x))
+    got = fn.identity_residuals(p, _residual_grid(p), t)
+    assert set(got) == set(IDENTITY_BOUNDS)
+    for name, (res, scale) in got.items():
+        assert (res > IDENTITY_BOUNDS[name] * scale) == (name in broken), name
+
+
+@pytest.mark.parametrize("p,t", IDENTITY_CASES)
+def test_wronskian_analysis_reports_the_suite_residual(p, t):
+    res, scale = fn.identity_residuals(p, _residual_grid(p), t)["wronskian"]
+    assert sp.wronskian_analysis(p, t).closed_form_max_err == res / scale
 
 
 def test_stationary_identity_shift_invariant():
@@ -302,16 +334,5 @@ def test_stationary_identity_detects_wrong_velocity():
 
 def test_soliton_ode_identity():
     grid = gr.PeriodicGrid(30.0, 1024)
-    rep = fn.identity_report(fn.IdentityKind.SOLITON_ODE,
-                             cf.SolitonParams(1.5, 0.2), grid, t=0.1)
-    assert rep.sup_residual <= 1e-8
-
-
-def test_identity_residual_rejects_wrong_params_type():
-    grid = gr.PeriodicGrid(30.0, 1024)
-    with pytest.raises(TypeError):
-        fn.identity_residual(fn.IdentityKind.SOLITON_ODE,
-                             cf.BreatherParams(1.0, 1.0), grid, 0.0)
-    with pytest.raises(TypeError):
-        fn.identity_residual(fn.IdentityKind.STATIONARY,
-                             cf.SolitonParams(1.0), grid, 0.0)
+    res = fn.soliton_ode_residual(cf.SolitonParams(1.5, 0.2), grid, t=0.1)
+    assert np.max(np.abs(res.values)) <= 1e-8

@@ -1,6 +1,7 @@
 """Discrete linearized operator: assembly, classification, coercivity, roots."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,12 +109,12 @@ def test_lambda0_sq_stable_under_refinement(report):
 
 def test_lambda0_sq_translation_invariant(report):
     shift = 8.0 * GRID.spacing
-    moved = sp.spectrum(sp.assemble(P.with_shifts(P.x1 + shift, P.x2 + shift), GRID))
+    moved = sp.spectrum(sp.assemble(replace(P, x1=P.x1 + shift, x2=P.x2 + shift), GRID))
     assert moved.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-8)
 
 
 def test_lambda0_sq_half_period_invariant(report):
-    flipped = sp.spectrum(sp.assemble(P.with_shifts(P.x1 + np.pi / P.alpha, P.x2), GRID))
+    flipped = sp.spectrum(sp.assemble(replace(P, x1=P.x1 + np.pi / P.alpha, x2=P.x2), GRID))
     assert flipped.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-8)
 
 
@@ -248,7 +249,7 @@ def _nu0_reference(op, b_neg):
 def test_nu0_is_the_constrained_minimum_n256(x1):
     # at N=256 the full spectrum does not classify (one kernel eigenvalue
     # falls below the kernel window), but the constrained pencil is well posed
-    op = sp.assemble(P.with_shifts(x1, 0.0), gr.default_grid(1.0, 256))
+    op = sp.assemble(replace(P, x1=x1, x2=0.0), gr.default_grid(1.0, 256))
     b_neg = sp.eigensystem(op)[1][:, 0]
     nu0, _ = _coercivity(op, b_neg)
     assert nu0 == pytest.approx(_nu0_reference(op, b_neg), rel=1e-10)
@@ -287,7 +288,7 @@ def test_coercivity_rejects_form_not_positive_for_tiny_mu():
 
 
 def test_sweep_spectra_matches_spectrum():
-    cases = [(P, GRID, 0.0), (P.with_shifts(P.x1 + 0.5 * np.pi / P.alpha, P.x2), GRID, 0.0)]
+    cases = [(P, GRID, 0.0), (replace(P, x1=P.x1 + 0.5 * np.pi / P.alpha, x2=P.x2), GRID, 0.0)]
     for case in cases:
         op = sp.assemble(*case)
         point, full = sp.classify(op), sp.spectrum(op)

@@ -1,5 +1,7 @@
 """Modulation fitting and perturbed-evolution stability experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def _breather_field(p, grid, t=0.0):
 
 def _assert_jet_at_fit(state, t):
     # the carried jet and z derivatives are those of the fitted shifts
-    jet = cf.breather_jet(P.with_shifts(state.x1, state.x2), t, FIT_GRID.nodes)
+    jet = cf.breather_jet(replace(P, x1=state.x1, x2=state.x2), t, FIT_GRID.nodes)
     for got, want in zip(state.jet, jet):
         np.testing.assert_array_equal(got, want)
     zx, zxx = gr.spectral_derivatives(state.z.values, FIT_GRID, (1, 2))
@@ -36,7 +38,7 @@ def test_modulate_recovers_shifts():
     assert state.x2 == pytest.approx(-0.21, abs=1e-11)
     assert state.sign_branch == 0
     assert state.z_h2 <= 1e-9
-    fitted = cf.breather(P.with_shifts(state.x1, state.x2), 0.25, FIT_GRID.nodes)
+    fitted = cf.breather(replace(P, x1=state.x1, x2=state.x2), 0.25, FIT_GRID.nodes)
     np.testing.assert_array_equal(state.b.values, fitted)
     _assert_jet_at_fit(state, 0.25)
     assert max(abs(r) for r in state.ortho_residuals) <= 1e-10
@@ -46,11 +48,11 @@ def test_modulate_resolves_half_period_branch():
     # B with x1 advanced by a half period equals -B; the fit must land on
     # the representative with the smaller remainder and report the flip
     half = np.pi / P.alpha
-    state = st.modulate(_breather_field(P.with_shifts(half, 0.0), FIT_GRID), P, t=0.0)
+    state = st.modulate(_breather_field(replace(P, x1=half, x2=0.0), FIT_GRID), P, t=0.0)
     assert state.x1 == pytest.approx(half, abs=1e-12)
     assert state.sign_branch == 1
     assert state.z_h2 <= 1e-12
-    fitted = cf.breather(P.with_shifts(state.x1, state.x2), 0.0, FIT_GRID.nodes)
+    fitted = cf.breather(replace(P, x1=state.x1, x2=state.x2), 0.0, FIT_GRID.nodes)
     np.testing.assert_array_equal(state.b.values, fitted)
     _assert_jet_at_fit(state, 0.0)
 
@@ -178,7 +180,7 @@ def test_audit_matches_independent_recomputation(short_run):
     c = run.frame_speed
     for i, (t, field) in enumerate(zip(trace.times, fields)):
         t = float(t)
-        p_fit = P.with_shifts(run.x1_series[i] + c * t, run.x2_series[i] + c * t)
+        p_fit = replace(P, x1=run.x1_series[i] + c * t, x2=run.x2_series[i] + c * t)
         b = _breather_field(p_fit, GRID, t)
         z = field.with_values(field.values - b.values)
         assert fn.h_value(field, P) == run.audit.h_u[i]
