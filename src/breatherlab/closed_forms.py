@@ -11,8 +11,8 @@ with phases
     y2 = x + gamma*t + x2,   gamma = 3*alpha^2 - beta^2.
 
 Everything in this module is an explicit formula in (alpha, beta, x1, x2, t, x):
-the field itself, its arctan primitive, the shift derivatives dx1/dx2, the time
-derivative of the primitive, the half cumulative mass integral, and the soliton.
+the field itself, the shift derivatives dx1/dx2, the time derivative of the
+arctan primitive, the half cumulative mass integral, and the soliton.
 breather_jet returns B, both shift derivatives and the primitive's time
 derivative from one trig evaluation; the named first-order evaluators read it.
 The scaling derivatives d/dalpha and d/dbeta are evaluated by complex-step
@@ -105,19 +105,14 @@ def _clip_arg(w):
     return safe_re, mask
 
 
-def _trig_parts(alpha, beta, x1, x2, t, x):
+def _quotient_parts(alpha, beta, x1, x2, t, x):
+    """Trig parts plus the shared quotient denominator and breather numerator."""
     y1, y2 = _phases(alpha, beta, x1, x2, t, x)
     w2, clipped = _clip_arg(beta * y2)
     S = np.sin(alpha * y1)
     C = np.cos(alpha * y1)
     ch = np.cosh(w2)
     sh = np.sinh(w2)
-    return S, C, ch, sh, clipped
-
-
-def _quotient_parts(alpha, beta, x1, x2, t, x):
-    """Trig parts plus the shared quotient denominator and breather numerator."""
-    S, C, ch, sh, clipped = _trig_parts(alpha, beta, x1, x2, t, x)
     den = alpha * alpha * ch * ch + beta * beta * S * S
     num = alpha * C * ch - beta * S * sh
     return S, C, ch, sh, clipped, den, num
@@ -146,12 +141,6 @@ def breather_values(alpha, beta, x1, x2, t, x):
 
 def breather(p: BreatherParams, t, x):
     return breather_values(p.alpha, p.beta, p.x1, p.x2, t, x)
-
-
-def breather_primitive(p: BreatherParams, t, x):
-    """Arctan primitive: 2*sqrt(2)*arctan((beta/alpha) sin(a y1)/cosh(b y2))."""
-    S, _, ch, _, _ = _trig_parts(p.alpha, p.beta, p.x1, p.x2, t, x)
-    return 2.0 * _SQRT2 * np.arctan((p.beta / p.alpha) * S / ch)
 
 
 class BreatherJet(NamedTuple):
@@ -198,10 +187,6 @@ def breather_jet(p: BreatherParams, t, x) -> BreatherJet:
             2.0 * _SQRT2 * a * b * (a * delta * C * ch - b * gamma * S * sh) / den, clipped
         ),
     )
-
-
-def breather_primitive_t(p: BreatherParams, t, x):
-    return breather_jet(p, t, x).primitive_t
 
 
 def breather_dx1(p: BreatherParams, t, x):
@@ -312,13 +297,3 @@ def soliton(s: SolitonParams, t, x):
     w, clipped = _clip_arg(rc * (np.asarray(x, dtype=float) - s.c * t - s.x0))
     out = math.sqrt(2.0 * s.c) / np.cosh(w)
     return np.where(clipped, 0.0, out)
-
-
-def shift_to_spacetime(p: BreatherParams) -> tuple[float, float]:
-    """Map shifts (x1, x2) to the equivalent (t0, x0) with
-    B(t, x; x1, x2) = B(t - t0, x - x0; 0, 0)."""
-    s = 2.0 * (p.alpha**2 + p.beta**2)
-    t0 = (p.x1 - p.x2) / s
-    x0 = (p.delta * p.x2 - p.gamma * p.x1) / s
-    return t0, x0
-

@@ -5,6 +5,8 @@ Derivatives are Fourier multipliers (i k)^order acting through rfft/irfft.
 The unpaired Nyquist mode is annihilated for every order, so the discrete
 calculus is closed under composition (D^a D^b = D^(a+b)) and summation by
 parts is exact; resolved fields carry machine-zero Nyquist content anyway.
+A grid builds its nodes, wavenumbers and multipliers once, on first use, and
+hands out read-only arrays; equality and hashing stay those of its fields.
 
 Quadrature is the trapezoid rule, which is spectrally accurate for periodic
 integrands. Fields whose real-line integrals are approximated on the
@@ -14,7 +16,8 @@ truncated domain should have negligible boundary values.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -41,20 +44,37 @@ class PeriodicGrid:
     def spacing(self) -> float:
         return 2.0 * self.half_length / self.n_points
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return -self.half_length + self.spacing * np.arange(self.n_points)
+        return _read_only(-self.half_length + self.spacing * np.arange(self.n_points))
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         """rfft wavenumbers k_j = j*pi/L, j = 0..N/2."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
+        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing))
+
+    @cached_property
+    def _multipliers(self) -> dict[int, np.ndarray]:
+        return {}
 
     def multiplier(self, order: int) -> np.ndarray:
-        """(i k)^order with the Nyquist bin zeroed."""
-        m = (1j * self.wavenumbers) ** order
-        m[-1] = 0.0
+        """(i k)^order with the Nyquist bin zeroed, built once per order."""
+        m = self._multipliers.get(order)
+        if m is None:
+            m = self._multipliers[order] = _read_only(_zeroed_power(1j * self.wavenumbers, order))
         return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _zeroed_power(ik: np.ndarray, order: int) -> np.ndarray:
+    """ik**order with the unpaired Nyquist bin annihilated."""
+    m = ik**order
+    m[-1] = 0.0
+    return m
 
 
 @dataclass(frozen=True)
@@ -101,17 +121,13 @@ def spectral_derivatives(values, grid: PeriodicGrid, orders, axis: int = -1) -> 
     if values.dtype == np.longdouble:
         k = (_LONG_PI / np.longdouble(grid.half_length)) * np.arange(
             grid.n_points // 2 + 1, dtype=np.longdouble)
-        ik = 1j * k.astype(np.clongdouble)
+        multiplier = partial(_zeroed_power, 1j * k.astype(np.clongdouble))
     else:
-        ik = 1j * grid.wavenumbers
+        multiplier = grid.multiplier
     shape = [1] * values.ndim
     shape[axis] = -1
-    out = []
-    for order in orders:
-        m = ik**order
-        m[-1] = 0.0
-        out.append(np.fft.irfft(fh * m.reshape(shape), n=grid.n_points, axis=axis))
-    return out
+    return [np.fft.irfft(fh * multiplier(order).reshape(shape), n=grid.n_points, axis=axis)
+            for order in orders]
 
 
 def derivative(f: GridField, order: int) -> GridField:
@@ -141,10 +157,8 @@ def cumulative_quadrature(f: GridField) -> GridField:
     """
     fh = np.fft.rfft(f.values)
     mean = fh[0].real / f.grid.n_points
-    k = f.grid.wavenumbers
-    anti = np.zeros_like(fh)
-    anti[1:] = fh[1:] / (1j * k[1:])
-    anti[-1] = 0.0
+    anti = np.zeros_like(fh)  # the mean and Nyquist bins stay zero
+    anti[1:-1] = fh[1:-1] / f.grid.multiplier(1)[1:-1]
     osc = np.fft.irfft(anti, n=f.grid.n_points)
     ramp = mean * (f.grid.nodes + f.grid.half_length)
     vals = ramp + osc - osc[0]
@@ -183,14 +197,20 @@ def write_binary(f: GridField, path: str | Path) -> None:
 
 
 def read_binary(path: str | Path) -> GridField:
+    """Inverse of write_binary; a corrupt file raises ValueError naming path."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _BINARY_MAGIC:
-        raise ValueError(f"{path}: not a grid-field checkpoint")
-    n, half_length, t = struct.unpack("<qdd", raw[4:28])
-    vals = np.frombuffer(raw[28:], dtype="<f8")
-    if vals.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} values, found {vals.shape[0]}")
-    return GridField(PeriodicGrid(half_length, int(n)), vals.astype(float), time_tag=t)
+    try:
+        if raw[:4] != _BINARY_MAGIC:
+            raise ValueError("not a grid-field checkpoint")
+        if len(raw) < 28 or (len(raw) - 28) % 8:
+            raise ValueError(f"{len(raw)} bytes is not a 28-byte header plus float64 values")
+        n, half_length, t = struct.unpack("<qdd", raw[4:28])
+        vals = np.frombuffer(raw[28:], dtype="<f8")
+        if vals.shape[0] != n:
+            raise ValueError(f"expected {n} values, found {vals.shape[0]}")
+        return GridField(PeriodicGrid(half_length, int(n)), vals.astype(float), time_tag=t)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def quadrature_half_length(beta: float) -> float:

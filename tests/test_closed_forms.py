@@ -21,7 +21,6 @@ ORACLE_T = 0.3
 ORACLE_X = 1.2
 ORACLE_VALUES = {
     "breather": 0.23769641719086080502,
-    "primitive": -0.16800144080650128232,
     "primitive_t": 1.4598386925847310950,
     "dx1": 0.59632899875934348996,
     "dx2": -0.11097857413118846335,
@@ -33,8 +32,7 @@ ORACLE_VALUES = {
 }
 _EVALUATORS = {
     "breather": cf.breather,
-    "primitive": cf.breather_primitive,
-    "primitive_t": cf.breather_primitive_t,
+    "primitive_t": lambda p, t, x: cf.breather_jet(p, t, x).primitive_t,
     "dx1": cf.breather_dx1,
     "dx2": cf.breather_dx2,
     "mass_profile": cf.mass_profile,
@@ -174,24 +172,13 @@ def test_clip_guard_returns_exact_far_field():
         assert np.all(cf.breather(p, 0.3, far) == 0.0)
         assert np.all(cf.breather_dx1(p, 0.3, far) == 0.0)
         assert np.all(cf.breather_dx2(p, 0.3, far) == 0.0)
-        assert np.all(cf.breather_primitive_t(p, 0.3, far) == 0.0)
+        assert np.all(cf.breather_jet(p, 0.3, far).primitive_t == 0.0)
         assert np.all(cf.wronskian_det(p, 0.3, far) == 0.0)
         assert np.all(cf.mass_profile_t(p, 0.3, far) == 0.0)
         prof = cf.mass_profile(p, 0.3, far)
         assert prof[0] == 0.0 and prof[1] == 4.0 * p.beta
         assert np.all(cf.double_pole(p, 0.3, far) == 0.0)
         assert np.all(cf.soliton(cf.SolitonParams(1.0), 0.0, far) == 0.0)
-
-
-def test_shift_equals_spacetime_translation():
-    p = cf.BreatherParams(1.3, 1.1, x1=0.6, x2=-0.2)
-    t0, x0 = cf.shift_to_spacetime(p)
-    base = cf.BreatherParams(p.alpha, p.beta)
-    x = np.linspace(-4.0, 4.0, 61)
-    t = 0.35
-    np.testing.assert_allclose(
-        cf.breather(p, t, x), cf.breather(base, t - t0, x - x0), rtol=0, atol=1e-12
-    )
 
 
 def test_double_pole_oracle_and_limit():

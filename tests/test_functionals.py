@@ -6,6 +6,8 @@ a parameter-family pattern emerged, fit to exact rationals before being
 frozen here.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,34 @@ def test_weinstein_derivatives():
     assert got["denergy_dalpha"] == pytest.approx(8.0 * p.alpha * p.beta, rel=1e-6)
     assert got["denergy_dbeta"] == pytest.approx(
         4.0 * (p.alpha**2 - p.beta**2), rel=1e-6)
+
+
+def test_weinstein_derivatives_sample_each_point_once(monkeypatch):
+    p = cf.BreatherParams(1.5, 1.0, 0.2, 0.1)
+    grid = _grid_for(p, 256)
+    calls = []
+    breather = cf.breather
+
+    def counting(q, t, x):
+        calls.append(q)
+        return breather(q, t, x)
+
+    monkeypatch.setattr(cf, "breather", counting)
+    got = fn.weinstein_derivatives(p, grid, t=0.1)
+    assert len(calls) == 8 and len(set(calls)) == 8
+    monkeypatch.undo()
+
+    # the (M, E) pair takes the same Richardson steps as each scalar alone
+    h = 1e-4
+    for which in ("alpha", "beta"):
+        def at(eps, functional):
+            q = replace(p, **{which: getattr(p, which) + eps})
+            return functional(gr.sample(lambda tt, xx: cf.breather(q, tt, xx), grid, 0.1))
+
+        for name, functional in (("mass", fn.mass), ("energy", fn.energy)):
+            d1 = (at(h, functional) - at(-h, functional)) / (2.0 * h)
+            d2 = (at(0.5 * h, functional) - at(-0.5 * h, functional)) / h
+            assert got[f"d{name}_d{which}"] == (4.0 * d2 - d1) / 3.0
 
 
 IDENTITY_CASES = [

@@ -1,6 +1,7 @@
 """Spectral grid calculus and field serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +32,45 @@ def test_nodes_spacing_wavenumbers():
     # rfft layout: k_j = j*pi/L up to the Nyquist bin
     np.testing.assert_allclose(g.wavenumbers, np.arange(33) * math.pi / 10.0, rtol=1e-15)
     assert g.multiplier(1)[-1] == 0.0
+
+
+def test_grid_tables_built_once_and_read_only():
+    g = gr.PeriodicGrid(10.0, 64)
+    multipliers = [g.multiplier(order) for order in range(5)]
+    assert g.nodes is g.nodes
+    assert g.wavenumbers is g.wavenumbers
+    assert all(g.multiplier(order) is m for order, m in enumerate(multipliers))
+    for table in (g.nodes, g.wavenumbers, *multipliers):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    fresh = gr.PeriodicGrid(10.0, 64)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert g != gr.PeriodicGrid(10.0, 128)
+
+
+def _explicit_multiplier(grid, order):
+    m = (1j * grid.wavenumbers) ** order
+    m[-1] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_multiplier_is_nyquist_zeroed_power(order):
+    g = gr.PeriodicGrid(12.0, 128)
+    assert g.multiplier(order).tobytes() == _explicit_multiplier(g, order).tobytes()
+
+
+def test_spectral_derivatives_apply_the_grid_multipliers():
+    g = gr.PeriodicGrid(12.0, 128)
+    rows = np.stack([_band_field(g, seed).values for seed in (1, 2, 3)])
+    orders = (0, 1, 2, 4)
+    for values, axis in ((rows, -1), (np.ascontiguousarray(rows.T), 0)):
+        fh = np.fft.rfft(values, axis=axis)
+        got = gr.spectral_derivatives(values, g, orders, axis=axis)
+        for order, d in zip(orders, got):
+            m = _explicit_multiplier(g, order)
+            m = m[None, :] if axis == -1 else m[:, None]
+            assert d.tobytes() == np.fft.irfft(fh * m, n=g.n_points, axis=axis).tobytes()
 
 
 def test_derivative_exact_for_trig():
@@ -194,6 +234,16 @@ def test_binary_rejects_corrupt_files(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-16])
     with pytest.raises(ValueError, match="expected"):
         gr.read_binary(truncated)
+    header_cut = tmp_path / "header_cut.bin"
+    header_cut.write_bytes(good.read_bytes()[:14])
+    misaligned = tmp_path / "misaligned.bin"
+    misaligned.write_bytes(good.read_bytes()[:-3])
+    bad_size = tmp_path / "bad_size.bin"
+    bad_size.write_bytes(b"BLGF" + struct.pack("<qdd", 3, 10.0, 0.0) + bytes(24))
+    for path in (bad_magic, truncated, header_cut, misaligned, bad_size):
+        with pytest.raises(ValueError) as info:
+            gr.read_binary(path)
+        assert str(path) in str(info.value)
 
 
 def test_default_grid_half_length():

@@ -1,0 +1,68 @@
+#!/bin/sh
+# Byte-identity check for refactors that must not change results.
+#
+# Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
+#
+# Runs the same eight CLI invocations in each checkout, with one BLAS thread
+# and that checkout's src on PYTHONPATH, each into its own --out directory,
+# then compares the two output trees file by file with cmp (the
+# *_checkpoints/ directories included). Prints the number of files compared
+# and exits 1 on any differing or missing file.
+set -euf
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 PARENT_CHECKOUT CHANGE_CHECKOUT" >&2
+    exit 2
+fi
+
+# One invocation per line; the last is the modulation_dense benchmark call
+# (seed 0).
+INVOCATIONS='verify
+verify --set seed=7
+spectrum
+spectrum --set spectrum.phase_sweep=true
+evolve
+stability
+stability --set integrator.t_end=5.0
+stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
+
+parent_src=$(cd "$1/src" && pwd)
+change_src=$(cd "$2/src" && pwd)
+work=$(mktemp -d)
+cd "$work"
+
+run_all() {  # run_all SRC NAME: outputs go to NAME/<n>/, stdout to NAME.log
+    n=0
+    echo "$INVOCATIONS" | while read -r args; do
+        n=$((n + 1))
+        mkdir -p "$2/$n"
+        # $args is split into words on purpose; globbing is off (set -f)
+        OPENBLAS_NUM_THREADS=1 PYTHONPATH="$1" \
+            python3 -m breatherlab.cli $args --out "$2/$n" >> "$2.log" \
+            || { echo "$2: exit $? from: $args" >&2; exit 1; }
+    done
+}
+
+run_all "$parent_src" parent
+run_all "$change_src" change
+
+status=0
+count=0
+for f in $( (cd parent && find . -type f; cd ../change && find . -type f) | sort -u); do
+    count=$((count + 1))
+    if [ ! -f "parent/$f" ] || [ ! -f "change/$f" ]; then
+        echo "missing: $f" >&2
+        status=1
+    elif ! cmp -s "parent/$f" "change/$f"; then
+        echo "differs: $f" >&2
+        status=1
+    fi
+done
+
+if [ "$status" -eq 0 ]; then
+    echo "all $count files identical"
+    rm -rf "$work"
+else
+    echo "$count files compared; outputs kept in $work" >&2
+fi
+exit "$status"
