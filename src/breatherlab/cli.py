@@ -218,7 +218,7 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     defaults = st.default_stability_config(p)
     cfg = _integrator(config, defaults.frame_speed, defaults.boundary_margin)
     etas = list(stab["eta_sweep"]) or [stab["eta"]]
-    runs = [st.stability_experiment(p, perturbation, eta, cfg) for eta in etas]
+    runs = st.stability_sweep(p, perturbation, etas, cfg)
 
     pass_fail: dict[str, bool] = {}
     outputs: list[str] = []

@@ -36,6 +36,9 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.time = time
 
+    def __reduce__(self):
+        return type(self), (str(self), self.time)
+
 
 class DomainExitError(RuntimeError):
     """The field's energy centroid drifted too close to the boundary."""
@@ -44,6 +47,9 @@ class DomainExitError(RuntimeError):
         super().__init__(message)
         self.time = time
         self.centroid = centroid
+
+    def __reduce__(self):
+        return type(self), (str(self), self.time, self.centroid)
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,9 @@ class IntegratorConfig:
 class EvolutionTrace:
     """Monitored history of one evolution run.
 
-    final is the state at t_end; max_drift is the largest relative excursion
-    of (mass, energy, f) from their initial values.
+    final is the state at the last checkpoint, t_end unless the observer
+    stopped the run; max_drift is the largest relative excursion of (mass,
+    energy, f) from their initial values.
     """
 
     times: np.ndarray
@@ -177,6 +184,8 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
     tagged u0.time_tag + t, passes the blow-up and boundary checks (their
     errors carry the failure time) and then goes to observe, which runs
     under the caller's numpy error state; an exception it raises ends the run.
+    When observe returns a true value the run stops there: the trace's series
+    end at that checkpoint, max_drift covers them, and final is its state.
     """
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial field contains non-finite values")
@@ -216,15 +225,17 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
         return field
 
     field = record(0, u0.values)
-    observe(field)
+    stop = observe(field)
     vhat = np.fft.rfft(u0.values)
     done, stride = 0, int(cfg.monitor_stride)
     for checkpoint in [*range(stride, n_steps, stride), n_steps]:
+        if stop:
+            break
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(checkpoint - done):
                 vhat = stepper.advance(vhat)
             field = record(checkpoint, np.fft.irfft(vhat, n=grid.n_points))
-        observe(field)
+        stop = observe(field)
         done = checkpoint
 
     def drift(series: list[float]) -> float:

@@ -45,6 +45,10 @@ class ClassificationError(RuntimeError):
         super().__init__(f"{message}: {np.array2string(offending, precision=6)}")
         self.offending = offending
 
+    def __reduce__(self):
+        # rebuilt from the formatted text, which __init__ would format again
+        return RuntimeError.__new__, (type(self), str(self)), self.__dict__
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:

@@ -10,6 +10,7 @@ energy-functional expansion that controls that growth.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,9 @@ class ModulationError(RuntimeError):
     def __init__(self, message: str, residuals: tuple[float, float]):
         super().__init__(message)
         self.residuals = residuals
+
+    def __reduce__(self):
+        return type(self), (str(self), self.residuals)
 
 
 @dataclass(frozen=True)
@@ -246,9 +250,9 @@ def stability_experiment(
     converted to lab shifts via x_lab = x_fit - frame_speed*t, which are the
     series the shift-rate bound applies to.  H[u] comes from the trace's
     invariant series; H[B], Q[z], N[z] and |integral z B| from the fitted
-    state.  A modulation failure truncates the series at the failure time,
-    while the evolution runs on to t_end, unless it happens at the first
-    checkpoint, where it is raised.
+    state.  A modulation failure at the first checkpoint is raised; a later
+    one ends the evolution at that checkpoint, sets failure_time to its time
+    and truncates the series to the fitted checkpoints before it.
     """
     h2 = gr.sobolev_norm(perturbation, 2)
     if abs(h2 - 1.0) > 1e-6:
@@ -275,10 +279,8 @@ def stability_experiment(
     guess1, guess2 = p.x1, p.x2
     prev_t = 0.0
 
-    def observe(field: gr.GridField) -> None:
+    def observe(field: gr.GridField) -> bool | None:
         nonlocal ortho_max, failure_time, guess1, guess2, prev_t
-        if failure_time is not None:
-            return
         # u0 is tagged t = 0, so each tag is the elapsed time
         t = field.time_tag
         # warm start: previous fit advected by the known frame drift
@@ -289,7 +291,7 @@ def stability_experiment(
             if not times:
                 raise
             failure_time = t
-            return
+            return True
         times.append(t)
         z_h2s.append(state.z_h2)
         lab1.append(state.x1 - c * t)
@@ -304,6 +306,7 @@ def stability_experiment(
         pairing.append(abs(gr.inner_product(state.z, b)))
         guess1, guess2, prev_t = state.x1, state.x2, t
 
+    # after a failure the trace holds one more checkpoint than the series
     trace = ev.evolve(u0, cfg, observe)
     n = len(times)
     t_arr = np.asarray(times)
@@ -354,6 +357,43 @@ def stability_experiment(
         params=p,
         failure_time=failure_time,
     )
+
+
+def _run_eta(task: tuple) -> StabilityRunReport:
+    # the pool's task: stability_experiment is looked up when the task runs,
+    # so a worker forked from a patched module runs the patched function
+    return stability_experiment(*task)
+
+
+def stability_sweep(
+    p: cf.BreatherParams,
+    perturbation: gr.GridField,
+    etas: list[float],
+    cfg: ev.IntegratorConfig,
+) -> list[StabilityRunReport]:
+    """stability_experiment at each eta; the reports come in listed order.
+
+    The runs share nothing, so with more than one eta and more than one
+    usable core they go to min(len(etas), cores) forked worker processes,
+    and otherwise run here one after the other.  Either way each report is
+    the same computation and comes out bitwise equal.  A run that raises
+    raises here; when several do, the first listed eta's error wins.
+    """
+    tasks = [(p, perturbation, eta, cfg) for eta in etas]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), cores)
+    if workers < 2:
+        return [_run_eta(task) for task in tasks]
+    # imported here: set-up of a single-eta run does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a worker starts with numpy, scipy and this package
+    # already imported instead of importing them again, and the pool forks
+    # every worker before it starts its own thread
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(_run_eta, tasks))
 
 
 def write_stability_csv(run: StabilityRunReport, path) -> None:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, manifests, replay determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -255,6 +256,37 @@ def test_stability_modulation_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert report["runs"][0]["stable_flag"] is False
     rows = (tmp_path / report["runs"][0]["csv"]).read_text().splitlines()
     assert len(rows) == 3  # header and the two fitted checkpoints
+
+
+def test_stability_sweep_worker_failure_exits_two(tmp_path, monkeypatch, capsys):
+    # the second eta's run raises inside its worker; the error must cross the
+    # process boundary and exit 2 as it does in-process, leaving no worker
+    real = st.stability_experiment
+
+    def second_fails(p, perturbation, eta, cfg):
+        if eta == 0.001:
+            raise st.ModulationError("injected failure at eta 0.001", residuals=(1.0, 1.0))
+        return real(p, perturbation, eta, cfg)
+
+    monkeypatch.setattr(st, "stability_experiment", second_fails)
+    argv = ["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
+            "--set", "integrator.t_end=0.01"]
+    errs = []
+    for cores in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        code = main(argv + ["--out", str(tmp_path / f"cores{cores}")])
+        assert code == 2
+        assert multiprocessing.active_children() == []
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "check failed: injected failure at eta 0.001\n"
+
+
+def test_stability_sweep_leaves_no_worker_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = main(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
+                 "--set", "integrator.t_end=0.01", "--out", str(tmp_path)])
+    assert code == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_stability_sweep_and_manifest_replay(tmp_path):

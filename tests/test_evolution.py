@@ -261,6 +261,33 @@ def test_observer_exception_ends_the_run():
     assert calls == [0.0, 0.003]
 
 
+def test_observer_true_return_stops_the_run(monkeypatch):
+    g = gr.PeriodicGrid(30.0, 256)
+    cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.01, monitor_stride=3)
+    u0 = _breather_field(P, g)
+    full = ev.evolve(u0, cfg)
+    steps = []
+    advance = ev._Stepper.advance
+
+    def counting_advance(self, vhat):
+        steps.append(1)
+        return advance(self, vhat)
+
+    monkeypatch.setattr(ev._Stepper, "advance", counting_advance)
+    seen = []
+
+    def observe(field):
+        seen.append(field)
+        return len(seen) == 2
+
+    trace = ev.evolve(u0, cfg, observe)
+    # no step past the stopping checkpoint, and the trace ends there
+    assert len(seen) == 2 and len(steps) == 3
+    np.testing.assert_array_equal(trace.times, full.times[:2])
+    for name in ("mass_series", "energy_series", "f_series", "sup_series"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(full, name)[:2])
+    assert trace.final is seen[-1]
+
 
 @pytest.mark.parametrize("dealias", [True, False])
 def test_flux_matches_explicit_mask(dealias):

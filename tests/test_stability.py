@@ -1,6 +1,10 @@
 """Modulation fitting and perturbed-evolution stability experiments."""
 
-from dataclasses import replace
+import os
+import pickle
+import time
+from concurrent import futures
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from breatherlab import closed_forms as cf
 from breatherlab import evolution as ev
 from breatherlab import functionals as fn
 from breatherlab import grid as gr
+from breatherlab import spectral as sp
 from breatherlab import stability as st
 
 P = cf.BreatherParams(1.5, 1.0)
@@ -233,6 +238,8 @@ def test_modulation_failure_truncates_every_series(monkeypatch):
     run = st.stability_experiment(P, pert, 1e-2, st.default_stability_config(P, t_end=0.03))
     (trace,) = traces
     assert len(calls) == 3
+    # the evolution stops at the failing checkpoint
+    assert trace.times.shape == (3,)
     assert run.failure_time == trace.times[2]
     assert run.shift_rate_sup is None
     np.testing.assert_array_equal(run.times, trace.times[:2])
@@ -241,3 +248,87 @@ def test_modulation_failure_truncates_every_series(monkeypatch):
                    run.sign_branches, audit.h_u, audit.h_b, audit.q_z, audit.n_z,
                    audit.closure_rel, audit.mass_pairing):
         assert series.shape == (2,)
+
+
+def _assert_bitwise_equal(a, b):
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, st.LyapunovAudit):
+            _assert_bitwise_equal(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert repr(x) == repr(y), field.name
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_sweep_pool_matches_in_process_runs(monkeypatch):
+    pert = st.default_perturbations(GRID)["random_band"]
+    cfg = st.default_stability_config(P, t_end=0.03)
+    etas = [1e-2, 1e-3]
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    _cores(monkeypatch, 2)
+    swept = st.stability_sweep(P, pert, etas, cfg)
+    assert [(p["max_workers"], p["mp_context"].get_start_method()) for p in pools] == [(2, "fork")]
+    assert [run.eta for run in swept] == etas
+    for run, eta in zip(swept, etas):
+        _assert_bitwise_equal(run, st.stability_experiment(P, pert, eta, cfg))
+
+
+def test_sweep_raises_the_first_listed_failure(monkeypatch):
+    def failing(p, perturbation, eta, cfg):
+        if eta == 0.01:
+            time.sleep(0.2)  # the second listed eta fails first
+        raise st.ModulationError(f"failed at eta {eta}", residuals=(eta, 2.0 * eta))
+
+    monkeypatch.setattr(st, "stability_experiment", failing)
+    pert = st.default_perturbations(GRID)["sech"]
+    cfg = st.default_stability_config(P, t_end=0.01)
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        with pytest.raises(st.ModulationError, match="failed at eta 0.01$") as info:
+            st.stability_sweep(P, pert, [0.01, 0.001], cfg)
+        assert info.value.residuals == (0.01, 0.02)
+
+
+def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(st, "stability_experiment", lambda p, perturbation, eta, cfg: eta)
+    pert = st.default_perturbations(GRID)["sech"]
+    cfg = st.default_stability_config(P, t_end=0.01)
+    _cores(monkeypatch, 2)
+    assert st.stability_sweep(P, pert, [0.01], cfg) == [0.01]
+    _cores(monkeypatch, 1)
+    assert st.stability_sweep(P, pert, [0.01, 0.001], cfg) == [0.01, 0.001]
+
+
+@pytest.mark.parametrize("exc", [
+    st.ModulationError("no fit", residuals=(1e-3, -2e-3)),
+    ev.BlowUpError("blow-up detected at t = 0.5", time=0.5),
+    ev.DomainExitError("centroid 25.0 near the boundary", time=0.25, centroid=25.0),
+    sp.AssemblyError("assembled matrix disagrees"),
+    sp.ClassificationError("expected one negative eigenvalue", np.array([-1.5, -0.25])),
+], ids=lambda exc: type(exc).__name__)
+def test_scientific_errors_survive_pickling(exc):
+    # a worker's error reaches the parent pickled; the CLI prints str(exc)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert back.__dict__.keys() == exc.__dict__.keys()
+    for name, value in exc.__dict__.items():
+        np.testing.assert_array_equal(getattr(back, name), value)

@@ -6,8 +6,9 @@
 # Runs the same eight CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory,
 # then compares the two output trees file by file with cmp (the
-# *_checkpoints/ directories included). Prints the number of files compared
-# and exits 1 on any differing or missing file.
+# *_checkpoints/ directories included) and the two stdout logs, each side's
+# --out paths replaced by OUT. Prints the number of files compared and exits
+# 1 on any differing or missing file or differing stdout.
 set -euf
 
 if [ "$#" -ne 2 ]; then
@@ -59,8 +60,16 @@ for f in $( (cd parent && find . -type f; cd ../change && find . -type f) | sort
     fi
 done
 
+# the PASS/FAIL lines and the report/manifest names must match too
+sed "s#: parent/#: OUT/#" parent.log > parent.stdout
+sed "s#: change/#: OUT/#" change.log > change.stdout
+if ! cmp -s parent.stdout change.stdout; then
+    echo "differs: stdout (parent.stdout, change.stdout)" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "all $count files identical"
+    echo "all $count files identical, stdout identical"
     rm -rf "$work"
 else
     echo "$count files compared; outputs kept in $work" >&2
