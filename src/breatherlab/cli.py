@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -155,7 +154,7 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
         n_samples = config["spectrum"]["phase_samples"]
         half_period = np.pi / p.alpha
         shifts = [p.x1 + j * half_period / n_samples for j in range(n_samples)]
-        reports = [sp.classify(sp.assemble(replace(p, x1=x1), eig_grid, t)) for x1 in shifts]
+        reports = sp.phase_sweep(p, eig_grid, t, shifts)
         lam = [r.lambda0_sq for r in reports]
         pass_fail["sweep_lambda0_sq_positive"] = bool(all(v > 0.0 for v in lam))
         report_doc["sweep"] = {

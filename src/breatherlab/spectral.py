@@ -8,7 +8,8 @@ roots of scalar secular equations on one constrained pencil: nu0 a Rayleigh
 minimum, mu0 0.99 times the exact positive-semidefiniteness threshold of the
 compensated form, certified by one more eigensolve, so the advertised
 quadratic-form inequalities hold for every grid field by construction.
-Phase sweeps only classify: eigenvalues without vectors, no coercivity.
+Phase sweeps only classify: eigenvalues without vectors, no coercivity,
+and one build of the grid's differentiation matrices serves every sample.
 
 The Wronskian of the two kernel directions has a closed form whose sign
 structure counts the negative eigenvalues; wronskian_analysis cross-checks
@@ -19,7 +20,7 @@ the monotone root function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +28,8 @@ from scipy.optimize import brentq
 
 from . import closed_forms as cf
 from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
-from .grid import GridField, PeriodicGrid, residual_half_length, spectral_derivatives
+from .grid import (GridField, PeriodicGrid, _read_only, residual_half_length,
+                   spectral_derivatives)
 
 _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
@@ -121,12 +123,20 @@ def continuum_edge(p: cf.BreatherParams) -> float:
     return 4.0 * a2 * b2
 
 
-def _derivative_matrices(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fourier differentiation matrices D1, D2, D4 (multiplier on identity)."""
-    return tuple(spectral_derivatives(np.eye(grid.n_points), grid, (1, 2, 4), axis=0))
+def _derivative_matrices(grid: PeriodicGrid, orders=(1, 2, 4)) -> tuple[np.ndarray, ...]:
+    """Read-only Fourier differentiation matrices D^order (multiplier on identity).
+
+    The identity is symmetric, so differentiating its rows along the
+    contiguous axis and transposing gives bitwise the matrix that the slower
+    strided transforms of its columns would.
+    """
+    rows = spectral_derivatives(np.eye(grid.n_points), grid, orders)
+    return tuple(_read_only(np.ascontiguousarray(m.T)) for m in rows)
 
 
-def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> DiscreteOperator:
+def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0, *,
+             matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+             ) -> DiscreteOperator:
     """Assemble the symmetric matrix of the linearized operator.
 
     matrix = D4 - 2(beta^2-alpha^2) D2 + (alpha^2+beta^2)^2 I
@@ -136,7 +146,8 @@ def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> Discre
     by construction (D1 is antisymmetric); it is symmetrized once more to
     shave roundoff. Requires the grid to resolve the breather (boundary
     samples below 1e-10) and self-checks against apply_operator on a random
-    field before returning.
+    field before returning. matrices, the grid's (D1, D2, D4) from
+    _derivative_matrices, saves building them again.
     """
     b, bx, bxx = coefficient_fields(p, grid, t)
     if max(abs(b[0]), abs(b[-1])) >= _BOUNDARY_TOL:
@@ -144,7 +155,7 @@ def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> Discre
             f"grid does not resolve the breather: boundary value "
             f"{max(abs(b[0]), abs(b[-1])):.3e} >= {_BOUNDARY_TOL:g}"
         )
-    mat = _assemble_from_coefficients(p, grid, b, bx, bxx)
+    mat = _assemble_from_coefficients(p, b, bx, bxx, matrices or _derivative_matrices(grid))
     op = DiscreteOperator(grid, mat, p, t)
 
     rng = np.random.default_rng(_CONSISTENCY_SEED)
@@ -166,14 +177,14 @@ def assemble_flat(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> D
     locating the continuum edge and as a discretization sanity check.
     """
     zeros = np.zeros(grid.n_points)
-    mat = _assemble_from_coefficients(p, grid, zeros, zeros, zeros)
+    mat = _assemble_from_coefficients(p, zeros, zeros, zeros, _derivative_matrices(grid))
     return DiscreteOperator(grid, mat, p, t)
 
 
-def _assemble_from_coefficients(p: cf.BreatherParams, grid: PeriodicGrid, b: np.ndarray,
-                                bx: np.ndarray, bxx: np.ndarray) -> np.ndarray:
+def _assemble_from_coefficients(p: cf.BreatherParams, b: np.ndarray, bx: np.ndarray,
+                                bxx: np.ndarray, matrices: tuple[np.ndarray, ...]) -> np.ndarray:
     a2, b2 = p.alpha**2, p.beta**2
-    d1, d2, d4 = _derivative_matrices(grid)
+    d1, d2, d4 = matrices
     pot = potential(p, b, bx, bxx)
     mat = d4 - 2.0 * (b2 - a2) * d2 + (d1 * (5.0 * b**2)[None, :]) @ d1
     mat[np.diag_indices_from(mat)] += (a2 + b2) ** 2 + pot
@@ -182,7 +193,7 @@ def _assemble_from_coefficients(p: cf.BreatherParams, grid: PeriodicGrid, b: np.
 
 def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
     """Discrete H^2 Gram: I + D1^T D1 + D2^T D2 = I - D2 + D4 (exact algebra)."""
-    d2, d4 = spectral_derivatives(np.eye(grid.n_points), grid, (2, 4), axis=0)
+    d2, d4 = _derivative_matrices(grid, (2, 4))
     g = d4 - d2
     g[np.diag_indices_from(g)] += 1.0
     return 0.5 * (g + g.T)
@@ -334,6 +345,18 @@ def classify(op: DiscreteOperator) -> Classification:
     evals = scipy.linalg.eigh(op.matrix, eigvals_only=True)
     negative_count, _ = _classify(evals, continuum_edge(op.params))
     return Classification(negative_count, float(-evals[0]))
+
+
+def phase_sweep(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
+                shifts: list[float]) -> list[Classification]:
+    """classify(assemble(p with x1 = shift, grid, t)) for each shift, in order.
+
+    The differentiation matrices depend only on the grid, so they are built
+    once for the sweep and dropped with it; each sample still runs the
+    boundary check and the apply_operator self-check of assemble.
+    """
+    matrices = _derivative_matrices(grid)
+    return [classify(assemble(replace(p, x1=x1), grid, t, matrices=matrices)) for x1 in shifts]
 
 
 def root_function(p: cf.BreatherParams, t: float, y2):

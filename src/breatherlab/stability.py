@@ -377,7 +377,9 @@ def stability_sweep(
     usable core they go to min(len(etas), cores) forked worker processes,
     and otherwise run here one after the other.  Either way each report is
     the same computation and comes out bitwise equal.  A run that raises
-    raises here; when several do, the first listed eta's error wins.
+    raises here; when several do, the first listed eta's error wins, and it
+    is raised as soon as every eta listed before it has finished: the
+    workers still running are stopped, not waited for.
     """
     tasks = [(p, perturbation, eta, cfg) for eta in etas]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -393,7 +395,15 @@ def stability_sweep(
     # every worker before it starts its own thread
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(_run_eta, tasks))
+        futures = [pool.submit(_run_eta, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            # the executor has no public way to stop a running task, and
+            # leaving the with block would wait for every one of them
+            for process in list(pool._processes.values()):
+                process.terminate()
+            raise
 
 
 def write_stability_csv(run: StabilityRunReport, path) -> None:

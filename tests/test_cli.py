@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
 
 import breatherlab
 from breatherlab import config as cfgmod
+from breatherlab import spectral as sp
 from breatherlab import stability as st
 from breatherlab.cli import main
 
@@ -139,6 +141,26 @@ def test_spectrum_phase_sweep(tmp_path):
     _, manifest = _read(tmp_path, ".manifest.json")
     assert manifest["pass_fail"]["sweep_lambda0_sq_positive"] is True
 
+
+
+def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, capsys):
+    # the first assembly (the full spectrum) checks out; a sweep sample does not
+    calls = []
+    real = sp.apply_operator
+
+    def wrong_in_sweep(z, p, t):
+        calls.append(p.x1)
+        out = real(z, p, t)
+        return out if len(calls) < 3 else out.with_values(2.0 * out.values)
+
+    monkeypatch.setattr(sp, "apply_operator", wrong_in_sweep)
+    code = main(["spectrum", "--set", "spectrum.phase_sweep=true",
+                 "--set", "spectrum.phase_samples=4", "--out", str(tmp_path)])
+    assert code == 2
+    assert len(calls) == 3
+    assert capsys.readouterr().err.startswith(
+        "check failed: matrix application disagrees with operator action")
+    assert list(tmp_path.iterdir()) == []
 
 def test_spectrum_manifest_replay(tmp_path):
     # one process, so one BLAS thread count: the report must replay byte for
@@ -280,6 +302,28 @@ def test_stability_sweep_worker_failure_exits_two(tmp_path, monkeypatch, capsys)
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == "check failed: injected failure at eta 0.001\n"
 
+
+
+def test_stability_sweep_failure_stops_the_other_worker(tmp_path, monkeypatch, capsys):
+    # the first eta fails at once; the second, a run of about two seconds,
+    # is stopped rather than waited for
+    real = st.stability_experiment
+
+    def first_fails(p, perturbation, eta, cfg):
+        if eta == 0.01:
+            raise st.ModulationError("injected failure at eta 0.01", residuals=(1.0, 1.0))
+        return real(p, perturbation, eta, cfg)
+
+    monkeypatch.setattr(st, "stability_experiment", first_fails)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    start = time.perf_counter()
+    code = main(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
+                 "--set", "integrator.t_end=1.0", "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == "check failed: injected failure at eta 0.01\n"
+    assert multiprocessing.active_children() == []
+    assert elapsed < 0.5
 
 def test_stability_sweep_leaves_no_worker_running(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -300,3 +300,62 @@ def test_classify_rejects_flat_operator():
     with pytest.raises(sp.ClassificationError) as exc:
         sp.classify(sp.assemble_flat(P, GRID))
     assert isinstance(exc.value.offending, np.ndarray)
+
+
+def _sweep_shifts(p, n_samples):
+    # the CLI's phase sweep: n_samples shifts of x1 over half a period
+    return [p.x1 + j * (np.pi / p.alpha) / n_samples for j in range(n_samples)]
+
+
+@pytest.mark.parametrize("n_samples", [8, 3])
+def test_phase_sweep_is_bitwise_the_per_sample_classification(n_samples):
+    shifts = _sweep_shifts(P, n_samples)
+    swept = sp.phase_sweep(P, GRID, 0.0, shifts)
+    alone = [sp.classify(sp.assemble(replace(P, x1=s), GRID, 0.0)) for s in shifts]
+    assert [(c.negative_count, c.lambda0_sq.hex()) for c in swept] == \
+        [(c.negative_count, c.lambda0_sq.hex()) for c in alone]
+
+
+@pytest.mark.parametrize("n", [16, 64, 512, 1024])
+def test_derivative_matrices_equal_the_column_build(n):
+    grid = gr.default_grid(1.0, n)
+    columns = gr.spectral_derivatives(np.eye(n), grid, (1, 2, 4), axis=0)
+    for built, reference in zip(sp._derivative_matrices(grid), columns, strict=True):
+        assert built.flags.c_contiguous
+        assert built.tobytes() == reference.tobytes()
+
+
+def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch):
+    seen = []
+    real = sp.assemble
+
+    def spy(p, grid, t=0.0, *, matrices=None):
+        seen.append(matrices)
+        return real(p, grid, t, matrices=matrices)
+
+    monkeypatch.setattr(sp, "assemble", spy)
+    sp.phase_sweep(P, GRID, 0.0, _sweep_shifts(P, 3))
+    assert len(seen) == 3 and all(m is seen[0] for m in seen)
+    for m in seen[0]:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_phase_sweep_checks_every_sample(monkeypatch):
+    calls = []
+    real = sp.apply_operator
+
+    def wrong_after_two(z, p, t=0.0):
+        calls.append(p.x1)
+        out = real(z, p, t)
+        return out if len(calls) < 3 else out.with_values(2.0 * out.values)
+
+    monkeypatch.setattr(sp, "apply_operator", wrong_after_two)
+    shifts = _sweep_shifts(P, 4)
+    with pytest.raises(sp.AssemblyError):
+        sp.phase_sweep(P, GRID, 0.0, shifts)
+    assert calls == shifts[:3]
+    # the boundary check too: this grid cuts the breather's tails
+    with pytest.raises(ValueError, match="does not resolve"):
+        sp.phase_sweep(P, gr.PeriodicGrid(5.0, 128), 0.0, shifts)

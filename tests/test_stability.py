@@ -1,7 +1,9 @@
 """Modulation fitting and perturbed-evolution stability experiments."""
 
+import multiprocessing
 import os
 import pickle
+import signal
 import time
 from concurrent import futures
 from dataclasses import fields, replace
@@ -300,6 +302,23 @@ def test_sweep_raises_the_first_listed_failure(monkeypatch):
             st.stability_sweep(P, pert, [0.01, 0.001], cfg)
         assert info.value.residuals == (0.01, 0.02)
 
+
+
+def test_sweep_raises_when_a_worker_is_killed(monkeypatch):
+    parent = os.getpid()
+
+    def killed(p, perturbation, eta, cfg):
+        if os.getpid() == parent:
+            raise AssertionError("the run was not sent to a worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(st, "stability_experiment", killed)
+    _cores(monkeypatch, 2)
+    pert = st.default_perturbations(GRID)["sech"]
+    cfg = st.default_stability_config(P, t_end=0.01)
+    with pytest.raises(futures.process.BrokenProcessPool):
+        st.stability_sweep(P, pert, [0.01, 0.001], cfg)
+    assert multiprocessing.active_children() == []
 
 def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
     class NoPool:

@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same eight CLI invocations in each checkout, with one BLAS thread
+# Runs the same nine CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory,
 # then compares the two output trees file by file with cmp (the
 # *_checkpoints/ directories included) and the two stdout logs, each side's
@@ -22,6 +22,7 @@ INVOCATIONS='verify
 verify --set seed=7
 spectrum
 spectrum --set spectrum.phase_sweep=true
+spectrum --set spectrum.phase_sweep=true --set spectrum.phase_samples=3 --set spectrum.n_points=1024
 evolve
 stability
 stability --set integrator.t_end=5.0
