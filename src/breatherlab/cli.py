@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -310,6 +311,10 @@ def main(argv=None) -> int:
     except (sp.AssemblyError, sp.ClassificationError, st.ModulationError,
             ev.BlowUpError, ev.DomainExitError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        return 2
+    except BrokenExecutor as exc:
+        # a sweep worker died (killed by a signal, say): its run is lost
+        print(f"check failed: a worker process was lost: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

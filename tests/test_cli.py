@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -324,6 +325,38 @@ def test_stability_sweep_failure_stops_the_other_worker(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "check failed: injected failure at eta 0.01\n"
     assert multiprocessing.active_children() == []
     assert elapsed < 0.5
+
+def test_stability_sweep_killed_worker_exits_two(tmp_path, monkeypatch, capsys):
+    # a worker killed by a signal (the OOM killer, say) is a failed check
+    # reported on one line, not a traceback with the config-error code
+    parent = os.getpid()
+
+    def killed(p, perturbation, eta, cfg):
+        if os.getpid() == parent:
+            raise AssertionError("the run was not sent to a worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(st, "stability_experiment", killed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = main(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
+                 "--set", "integrator.t_end=0.01", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("check failed: a worker process was lost: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, breatherlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(breatherlab.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
 
 def test_stability_sweep_leaves_no_worker_running(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,6 +1,7 @@
 """Discrete linearized operator: assembly, classification, coercivity, roots."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -359,3 +360,67 @@ def test_phase_sweep_checks_every_sample(monkeypatch):
     # the boundary check too: this grid cuts the breather's tails
     with pytest.raises(ValueError, match="does not resolve"):
         sp.phase_sweep(P, gr.PeriodicGrid(5.0, 128), 0.0, shifts)
+
+
+def _solve(solver, f, a, b):
+    """The root, or the type of the exception the solver raised."""
+    try:
+        return solver(f, a, b)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _secular_corpus(seed, n_pencils):
+    """(f, a, b): phi and psi of _coercivity_from_parts on random pencils
+    with lam_0 < 0 < lam_1 and weights from 1e-8 to 1, on its brackets."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n_pencils):
+        m = int(rng.integers(3, 40))
+        lam = np.sort(np.concatenate([[-rng.uniform(1e-2, 10.0)], rng.uniform(1e-2, 100.0, m - 1)]))
+        w = 10.0 ** rng.uniform(-8.0, 0.0, m)
+        hi = lam[1] * (1.0 - 1e-12)
+        cases.append((lambda mu, lam=lam, w=w: mu + float(np.sum(w / (lam - mu))), 0.0, hi))
+        cases.append((lambda nu, lam=lam, w=w: float(np.sum(w / (lam - nu))),
+                      lam[0] * (1.0 - 1e-12), hi))
+    return cases
+
+
+def _root_function_corpus(seed, n_params):
+    """(f, a, b): root_function on its default_scan_range and on the sign
+    change that wronskian_analysis brackets in it."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n_params):
+        p = cf.BreatherParams(*rng.uniform(0.3, 3.0, 2), *rng.uniform(-3.0, 3.0, 2))
+        t = float(rng.uniform(-2.0, 2.0))
+        f = lambda y, p=p, t=t: float(sp.root_function(p, t, y))
+        lo, hi = sp.default_scan_range(p)
+        ys = np.linspace(lo, hi, 2048)
+        flip = np.nonzero(np.diff(np.sign(sp.root_function(p, t, ys))))[0][0]
+        cases += [(f, lo, hi), (f, ys[flip], ys[flip + 1])]
+    return cases
+
+
+def test_brentq_is_bitwise_scipy_brentq():
+    from scipy.optimize import brentq
+
+    cases = _secular_corpus(20240, 300) + _root_function_corpus(20241, 100)
+    cases += [
+        (lambda x: x - 1.0, 1.0, 3.0),                     # root at a
+        (lambda x: x - 3.0, 1.0, 3.0),                     # root at b
+        (lambda x: x * x + 1.0, -1.0, 1.0),                # same sign
+        (lambda x: -0.0 if x < 0.0 else 1.0, -1.0, 1.0),   # -0.0 at a
+        (lambda x: math.nan if 0.3 < x < 0.7 else x**3 - 0.2, 0.0, 1.0),  # NaN inside
+        (lambda x: math.nan, 0.0, 1.0),                    # NaN at a
+        # a step: converged in the 100th iteration, out of iterations in the 101st
+        (lambda x: 1.0 if x > 0.3 else -1.0, -2.0**59, 2.0**59),
+        (lambda x: 1.0 if x > 0.3 else -1.0, -2.0**60, 2.0**60),
+        (lambda x: math.tanh(40.0 * (x - 0.3)) + 1e-3 * x, -10.0, 10.0),
+    ]
+    mismatches = [(a, b) for f, a, b in cases
+                  if _solve(sp._brentq, f, a, b) != _solve(brentq, f, a, b)]
+    assert mismatches == []
+    outcomes = [_solve(sp._brentq, f, a, b) for f, a, b in cases[-9:]]
+    assert outcomes[:4] == [1.0, 3.0, ValueError, -1.0]
+    assert outcomes[4:8] == [ValueError, ValueError, pytest.approx(0.3), RuntimeError]
