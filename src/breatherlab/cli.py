@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -120,7 +121,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
 
     # energy-functional expansion at a seeded H^2-norm-0.1 perturbation
     z = gr.GridField(quad_grid, st.band_limited_values(quad_grid, config["seed"]))
-    z = z.with_values(0.1 * z.values / gr.sobolev_norm(z, 2))
+    z = z.with_values(0.1 * z.values / gr.h2_norm(z))
     u = b.with_values(b.values + z.values)
     h_u = fn.h_value(u, p)
     zx, zxx = gr.spectral_derivatives(z.values, quad_grid, (1, 2))
@@ -149,7 +150,7 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
         "lambda0_sq_positive": srep.lambda0_sq > 0.0,
         "wronskian_closed_form": wrep.closed_form_max_err < 1e-8,
     }
-    report_doc = {"spectrum": srep.to_dict(), "wronskian": wrep.to_dict(), "sweep": None}
+    report_doc = {"spectrum": asdict(srep), "wronskian": asdict(wrep), "sweep": None}
 
     if config["spectrum"]["phase_sweep"]:
         n_samples = config["spectrum"]["phase_samples"]

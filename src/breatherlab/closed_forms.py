@@ -14,7 +14,7 @@ Everything in this module is an explicit formula in (alpha, beta, x1, x2, t, x):
 the field itself, the shift derivatives dx1/dx2, the time derivative of the
 arctan primitive, the half cumulative mass integral, and the soliton.
 breather_jet returns B, both shift derivatives and the primitive's time
-derivative from one trig evaluation; the named first-order evaluators read it.
+derivative from one trig evaluation.
 The scaling derivatives d/dalpha and d/dbeta are evaluated by complex-step
 differentiation of the same formulas (the expressions are analytic in both
 parameters), which is exact to roundoff and avoids the subtractive cancellation
@@ -28,7 +28,6 @@ in float64 while the discarded magnitudes sit below 1e-130.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -189,16 +188,6 @@ def breather_jet(p: BreatherParams, t, x) -> BreatherJet:
     )
 
 
-def breather_dx1(p: BreatherParams, t, x):
-    """Derivative with respect to the first shift (equivalently the y1 phase)."""
-    return breather_jet(p, t, x).dx1
-
-
-def breather_dx2(p: BreatherParams, t, x):
-    """Derivative with respect to the second shift (the y2 phase)."""
-    return breather_jet(p, t, x).dx2
-
-
 def mass_profile(p: BreatherParams, t, x):
     """Half cumulative mass 0.5*int_{-inf}^x B^2, in closed form.
 
@@ -268,27 +257,12 @@ def scaling_derivative(p: BreatherParams, t, x, which: str):
 
 def b0_direction(p: BreatherParams, t, x):
     """Normalized mix of the scaling derivatives that the linearized operator
-    maps to -B: (alpha*dbeta + beta*dalpha) / (8*alpha*beta*(alpha^2+beta^2))."""
+    maps to -B: (alpha*dbeta + beta*dalpha) / (8*alpha*beta*(alpha^2+beta^2)).
+
+    No command evaluates it: it is the closed form that guarantee c06 checks."""
     a, b = p.alpha, p.beta
     mix = a * scaling_derivative(p, t, x, "beta") + b * scaling_derivative(p, t, x, "alpha")
     return mix / (8.0 * a * b * (a * a + b * b))
-
-
-def double_pole(p: BreatherParams, t, x):
-    """alpha -> 0 limit of the family at fixed beta (algebraic-in-y1 envelope).
-
-    Uses p.beta and the shifts; p.alpha is ignored. Phases carry the limiting
-    velocities delta -> -3 beta^2, gamma -> -beta^2.
-    """
-    b = p.beta
-    y1 = x - 3.0 * b * b * t + p.x1
-    y2 = x - b * b * t + p.x2
-    w2, clipped = _clip_arg(b * y2)
-    sech = 1.0 / np.cosh(w2)
-    th = np.tanh(w2)
-    u = b * y1 * sech
-    out = 2.0 * _SQRT2 * b * sech * (1.0 - b * y1 * th) / (1.0 + u * u)
-    return _zero_clipped(out, clipped)
 
 
 def soliton(s: SolitonParams, t, x):

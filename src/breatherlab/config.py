@@ -104,7 +104,7 @@ def _coerce(value, default, path: tuple):
         if path in _NULLABLE:
             return None
         raise ConfigError(f"{joined} may not be null")
-    if isinstance(default, bool) or (default is None and isinstance(value, bool)):
+    if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{joined} must be a boolean")
         return value
@@ -189,6 +189,11 @@ def validate_config(config: dict) -> None:
         raise ConfigError("verify.gamma_scale must be positive")
     if config["spectrum"]["phase_samples"] < 1:
         raise ConfigError("spectrum.phase_samples must be >= 1")
+    for path in (("evolve", "drift_tol"), ("evolve", "steady_tol"),
+                 ("stability", "a0_threshold"), ("stability", "closure_tol"),
+                 ("stability", "h_drift_tol")):
+        if not config[path[0]][path[1]] > 0.0:
+            raise ConfigError(f"{'.'.join(path)} must be positive")
     if config["evolve"]["initial"] not in ("breather", "soliton"):
         raise ConfigError("evolve.initial must be 'breather' or 'soliton'")
     if not config["evolve"]["soliton_c"] > 0.0:

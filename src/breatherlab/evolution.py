@@ -171,11 +171,6 @@ def energy_centroid(u: gr.GridField) -> float:
     return float(np.sum(u.grid.nodes * weight) / total)
 
 
-def reflect(u: gr.GridField) -> gr.GridField:
-    """Spatial reflection x -> -x on the periodic grid."""
-    return u.with_values(np.roll(u.values[::-1], 1))
-
-
 def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) -> EvolutionTrace:
     """Step u0 to t_end, monitoring invariants every monitor_stride steps.
 

@@ -1,11 +1,12 @@
 """Conserved functionals, the linearized energy operator, and identity residuals.
 
-Functionals of a grid field u:
+Functionals of a grid field u; invariants returns (M, E, F) from one pass,
+h_value returns H:
 
-    mass      M[u] = 1/2 int u^2
-    energy    E[u] = 1/2 int u_x^2 - 1/4 int u^4
-    f_value   F[u] = 1/2 int u_xx^2 - 5/2 int u^2 u_x^2 + 1/4 int u^6
-    h_value   H[u] = F[u] + 2(beta^2-alpha^2) E[u] + (alpha^2+beta^2)^2 M[u]
+    M[u] = 1/2 int u^2
+    E[u] = 1/2 int u_x^2 - 1/4 int u^4
+    F[u] = 1/2 int u_xx^2 - 5/2 int u^2 u_x^2 + 1/4 int u^6
+    H[u] = F[u] + 2(beta^2-alpha^2) E[u] + (alpha^2+beta^2)^2 M[u]
 
 H is the Lyapunov functional whose expansion around the breather is
 H[B+z] - H[B] = 1/2 Q[z] + N[z]: Q the quadratic form of the fourth-order
@@ -31,8 +32,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import closed_forms as cf
-from .grid import (GridField, PeriodicGrid, cumulative_quadrature, derivative, integrate,
-                   sample, spectral_derivatives)
+from .grid import (GridField, PeriodicGrid, cumulative_quadrature, integrate, sample,
+                   spectral_derivatives)
 
 
 def mass(u: GridField) -> float:
@@ -49,14 +50,6 @@ def invariants(u: GridField) -> tuple[float, float, float]:
     e = integrate(0.5 * ux2 - 0.25 * u4, u.grid)
     f = integrate(0.5 * uxx**2 - 2.5 * u2 * ux2 + 0.25 * (u4 * u2), u.grid)
     return mass(u), e, f
-
-
-def energy(u: GridField) -> float:
-    return invariants(u)[1]
-
-
-def f_value(u: GridField) -> float:
-    return invariants(u)[2]
 
 
 def h_from_parts(p: cf.BreatherParams, m, e, f):
@@ -110,8 +103,9 @@ def apply_operator_direction(direction, p: cf.BreatherParams, grid: PeriodicGrid
                              t: float) -> GridField:
     """Operator applied to a closed-form direction, in extended precision.
 
-    direction is an evaluator (p, t, x) -> values such as cf.breather_dx1,
-    cf.breather_dx2 or cf.b0_direction.
+    direction is an evaluator (p, t, x) -> values such as cf.b0_direction or
+    a shift derivative read off cf.breather_jet. No command calls this: it is
+    the extended-precision reference of guarantees c04 and c06.
 
     Sampling, differentiation and coefficient evaluation all run in
     longdouble, so kernel residuals (L B1, L B2) and inverse checks
@@ -133,7 +127,7 @@ def expansion_terms(z: GridField, zx: np.ndarray, zxx: np.ndarray, jet: cf.Breat
     Q[z] = int z_xx^2 + 2(beta^2-alpha^2) int z_x^2 + (alpha^2+beta^2)^2 int z^2
            - 5 int B^2 z_x^2 + 5 int B_x^2 z^2 + 10 int B B_xx z^2
            + 15/2 int B^4 z^2 - 6(beta^2-alpha^2) int B^2 z^2
-    agrees with quadrature(z * L z) to roundoff (summation by parts is
+    agrees with integrate(z * L z) to roundoff (summation by parts is
     exact). N[z] is the nine-term cubic-and-higher remainder. Powers above
     2 are products of shared squares.
     """
@@ -164,21 +158,6 @@ def expansion_terms(z: GridField, zx: np.ndarray, zxx: np.ndarray, jet: cf.Breat
         + 0.25 * (z4 * z2)
     )
     return integrate(q_integrand, z.grid), integrate(n_integrand, z.grid)
-
-
-def _expansion_at(z: GridField, p: cf.BreatherParams, t: float) -> tuple[float, float]:
-    zx, zxx = spectral_derivatives(z.values, z.grid, (1, 2))
-    return expansion_terms(z, zx, zxx, cf.breather_jet(p, t, z.grid.nodes), p)
-
-
-def quadratic_form(z: GridField, p: cf.BreatherParams, t: float) -> float:
-    """Quadratic form Q[z] of the linearized operator (see expansion_terms)."""
-    return _expansion_at(z, p, t)[0]
-
-
-def remainder(z: GridField, p: cf.BreatherParams, t: float) -> float:
-    """Nine-term cubic-and-higher remainder N[z] of the H expansion."""
-    return _expansion_at(z, p, t)[1]
 
 
 def stationary_residual(
@@ -271,7 +250,7 @@ def identity_residuals(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
 def soliton_ode_residual(s: cf.SolitonParams, grid: PeriodicGrid, t: float = 0.0) -> GridField:
     """Q'' - c Q + Q^3 with spectral Q'' of the sampled soliton."""
     q = sample(lambda tt, xx: cf.soliton(s, tt, xx), grid, t)
-    res = derivative(q, 2).values - s.c * q.values + q.values**3
+    res = spectral_derivatives(q.values, grid, (2,))[0] - s.c * q.values + q.values**3
     return GridField(grid, res, time_tag=t)
 
 

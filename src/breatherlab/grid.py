@@ -107,8 +107,9 @@ def sample(evaluator, grid: PeriodicGrid, t: float = 0.0) -> GridField:
     return GridField(grid, vals, time_tag=t)
 
 
-def spectral_derivatives(values, grid: PeriodicGrid, orders, axis: int = -1) -> list[np.ndarray]:
-    """(ik)^order applied along axis for each order, from one forward transform.
+def spectral_derivatives(values, grid: PeriodicGrid, orders) -> list[np.ndarray]:
+    """(ik)^order applied along the last axis for each order, from one forward
+    transform.
 
     The dtype of values is kept. longdouble input is differentiated in 80-bit
     precision with k_j = j*pi/L, which matters for fourth derivatives: in
@@ -117,34 +118,19 @@ def spectral_derivatives(values, grid: PeriodicGrid, orders, axis: int = -1) -> 
     tails. Every order, the zeroth included, annihilates the Nyquist bin.
     """
     values = np.asarray(values)
-    fh = np.fft.rfft(values, axis=axis)
+    fh = np.fft.rfft(values)
     if values.dtype == np.longdouble:
         k = (_LONG_PI / np.longdouble(grid.half_length)) * np.arange(
             grid.n_points // 2 + 1, dtype=np.longdouble)
         multiplier = partial(_zeroed_power, 1j * k.astype(np.clongdouble))
     else:
         multiplier = grid.multiplier
-    shape = [1] * values.ndim
-    shape[axis] = -1
-    return [np.fft.irfft(fh * multiplier(order).reshape(shape), n=grid.n_points, axis=axis)
-            for order in orders]
-
-
-def derivative(f: GridField, order: int) -> GridField:
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order == 0:
-        return f
-    return f.with_values(spectral_derivatives(f.values, f.grid, (order,))[0])
-
-
-def quadrature(f: GridField) -> float:
-    """Trapezoid rule; exact Parseval pairing for periodic integrands."""
-    return integrate(f.values, f.grid)
+    return [np.fft.irfft(fh * multiplier(order), n=grid.n_points) for order in orders]
 
 
 def integrate(values: np.ndarray, grid: PeriodicGrid) -> float:
-    """quadrature of raw samples, for integrands that need no GridField."""
+    """Trapezoid rule on raw samples; exact Parseval pairing for periodic
+    integrands."""
     return float(grid.spacing * np.sum(values))
 
 
@@ -165,17 +151,15 @@ def cumulative_quadrature(f: GridField) -> GridField:
     return f.with_values(vals)
 
 
-def sobolev_norm(f: GridField, order: int) -> float:
-    """L2-based Sobolev norm: sqrt(sum_{j<=order} int (d^j f)^2)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    derivatives = spectral_derivatives(f.values, f.grid, range(1, order + 1))
+def h2_norm(f: GridField) -> float:
+    """H^2 norm: sqrt(int f^2 + int f_x^2 + int f_xx^2)."""
+    derivatives = spectral_derivatives(f.values, f.grid, (1, 2))
     return sobolev_from_derivatives(f.values, derivatives, f.grid)
 
 
 def sobolev_from_derivatives(values: np.ndarray, derivatives, grid: PeriodicGrid) -> float:
     """sqrt(int f^2 + sum_j int d_j^2) for samples of f and of derivatives d_j
-    already at hand, summed in the order sobolev_norm uses."""
+    already at hand, summed in the order h2_norm uses."""
     total = integrate(values**2, grid)
     for dj in derivatives:
         total += integrate(dj**2, grid)
@@ -197,7 +181,11 @@ def write_binary(f: GridField, path: str | Path) -> None:
 
 
 def read_binary(path: str | Path) -> GridField:
-    """Inverse of write_binary; a corrupt file raises ValueError naming path."""
+    """Inverse of write_binary; a corrupt file raises ValueError naming path.
+
+    The package itself never reads a checkpoint back: this is the reader of
+    the *_checkpoints/*.field files that the evolve command writes.
+    """
     raw = Path(path).read_bytes()
     try:
         if raw[:4] != _BINARY_MAGIC:
@@ -222,7 +210,3 @@ def residual_half_length(beta: float) -> float:
     """44/min(beta, 1): the wider box sup-norm residual checks need, so the
     breather tails sit below the residual floor at the boundary."""
     return 44.0 / min(beta, 1.0)
-
-
-def default_grid(beta: float, n_points: int = 1024) -> PeriodicGrid:
-    return PeriodicGrid(quadrature_half_length(beta), n_points)

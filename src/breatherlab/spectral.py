@@ -39,6 +39,7 @@ from .grid import (GridField, PeriodicGrid, _read_only, residual_half_length,
 _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
 _BOUNDARY_TOL = 1e-10
+_ROOT_SCAN_SAMPLES = 2048
 
 # scipy.optimize.brentq's defaults, which _brentq reproduces step for step
 _BRENT_XTOL = 2e-12
@@ -92,31 +93,12 @@ class SpectrumReport:
     nu0_estimate: float
     mu0_estimate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "negative_count": self.negative_count,
-            "lambda0_sq": self.lambda0_sq,
-            "kernel_defect": [self.kernel_defect[0], self.kernel_defect[1]],
-            "kernel_angle": self.kernel_angle,
-            "continuum_edge": self.continuum_edge,
-            "nu0_estimate": self.nu0_estimate,
-            "mu0_estimate": self.mu0_estimate,
-        }
-
 
 @dataclass(frozen=True)
 class WronskianReport:
     root_count: int
     root_location: float
     closed_form_max_err: float
-
-    def to_dict(self) -> dict:
-        return {
-            "root_count": self.root_count,
-            "root_location": self.root_location,
-            "closed_form_max_err": self.closed_form_max_err,
-        }
 
 
 def continuum_edge(p: cf.BreatherParams) -> float:
@@ -178,17 +160,6 @@ def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0, *,
             f"matrix application disagrees with operator action: rel err {rel:.3e}"
         )
     return op
-
-
-def assemble_flat(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> DiscreteOperator:
-    """Constant-coefficient part of the operator (breather terms switched off).
-
-    Its spectrum is exactly the symbol evaluated on the grid modes; useful for
-    locating the continuum edge and as a discretization sanity check.
-    """
-    zeros = np.zeros(grid.n_points)
-    mat = _assemble_from_coefficients(p, zeros, zeros, zeros, _derivative_matrices(grid))
-    return DiscreteOperator(grid, mat, p, t)
 
 
 def _assemble_from_coefficients(p: cf.BreatherParams, b: np.ndarray, bx: np.ndarray,
@@ -262,14 +233,6 @@ def spectrum(op: DiscreteOperator) -> SpectrumReport:
         nu0_estimate=nu0,
         mu0_estimate=mu0,
     )
-
-
-def negative_eigenvector(op: DiscreteOperator) -> GridField:
-    """L2-normalized eigenvector of the unique negative eigenvalue."""
-    evals, evecs = eigensystem(op)
-    edge = continuum_edge(op.params)
-    _classify(evals, edge)
-    return GridField(op.grid, evecs[:, 0], time_tag=op.time_tag)
 
 
 def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span: np.ndarray,
@@ -453,19 +416,16 @@ def default_scan_range(p: cf.BreatherParams) -> tuple[float, float]:
     return (-r, r)
 
 
-def wronskian_analysis(p: cf.BreatherParams, t: float,
-                       x_range: tuple[float, float] | None = None,
-                       n_samples: int = 2048) -> WronskianReport:
+def wronskian_analysis(p: cf.BreatherParams, t: float) -> WronskianReport:
     """Count sign changes of the root function and validate the closed form.
 
     The closed-form determinant is compared against spectral x-derivatives of
     the sampled kernel directions on a grid wide enough for the tails, by the
     functionals.wronskian_residual check the verify suite also runs; the
-    root scan runs on [x_range] (default: the certified bracket).
+    root scan samples the certified bracket of default_scan_range.
     """
-    if x_range is None:
-        x_range = default_scan_range(p)
-    ys = np.linspace(x_range[0], x_range[1], n_samples)
+    lo, hi = default_scan_range(p)
+    ys = np.linspace(lo, hi, _ROOT_SCAN_SAMPLES)
     vals = root_function(p, t, ys)
     signs = np.sign(vals)
     nonzero = signs[signs != 0.0]

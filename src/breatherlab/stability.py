@@ -220,7 +220,7 @@ def default_perturbations(grid: gr.PeriodicGrid, seed: int = _BAND_SEED) -> dict
     out = {}
     for name, vals in shapes.items():
         field = gr.GridField(grid, vals)
-        out[name] = field.with_values(vals / gr.sobolev_norm(field, 2))
+        out[name] = field.with_values(vals / gr.h2_norm(field))
     return out
 
 
@@ -254,7 +254,7 @@ def stability_experiment(
     one ends the evolution at that checkpoint, sets failure_time to its time
     and truncates the series to the fitted checkpoints before it.
     """
-    h2 = gr.sobolev_norm(perturbation, 2)
+    h2 = gr.h2_norm(perturbation)
     if abs(h2 - 1.0) > 1e-6:
         raise ValueError(f"perturbation must be unit H^2, got {h2}")
     if not 0.0 <= eta <= 0.05:

@@ -215,6 +215,14 @@ def test_evolve_impossible_tolerance_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("override", ["integrator.frame_speed=true", "evolve.drift_tol=-1"])
+def test_evolve_invalid_number_exits_one_before_running(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    assert main(["evolve", "--set", override, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_unstable_dt_exits_one(tmp_path, capsys):
     code = main(["evolve", "--set", "integrator.dt=0.01",
                  "--set", "integrator.t_end=0.1", "--out", str(tmp_path)])

@@ -33,15 +33,12 @@ ORACLE_VALUES = {
 _EVALUATORS = {
     "breather": cf.breather,
     "primitive_t": lambda p, t, x: cf.breather_jet(p, t, x).primitive_t,
-    "dx1": cf.breather_dx1,
-    "dx2": cf.breather_dx2,
+    "dx1": lambda p, t, x: cf.breather_jet(p, t, x).dx1,
+    "dx2": lambda p, t, x: cf.breather_jet(p, t, x).dx2,
     "mass_profile": cf.mass_profile,
     "mass_profile_t": cf.mass_profile_t,
     "wronskian": cf.wronskian_det,
 }
-
-DOUBLE_POLE_PARAMS = cf.BreatherParams(alpha=1.0, beta=0.8, x1=0.3, x2=-0.2)
-DOUBLE_POLE_VALUE = 2.2269999935708915457  # at t=0.5, x=0.7
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_VALUES))
@@ -129,8 +126,9 @@ def test_shift_derivatives_match_finite_difference():
     x = np.array([-1.5, 0.2, 0.9, 2.4])
     fd1 = _richardson(lambda e: cf.breather(replace(p, x1=p.x1 + e, x2=p.x2), 0.25, x), 1e-3)
     fd2 = _richardson(lambda e: cf.breather(replace(p, x1=p.x1, x2=p.x2 + e), 0.25, x), 1e-3)
-    np.testing.assert_allclose(cf.breather_dx1(p, 0.25, x), fd1, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(cf.breather_dx2(p, 0.25, x), fd2, rtol=0, atol=1e-9)
+    jet = cf.breather_jet(p, 0.25, x)
+    np.testing.assert_allclose(jet.dx1, fd1, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(jet.dx2, fd2, rtol=0, atol=1e-9)
 
 
 def test_space_and_time_derivatives_match_finite_difference():
@@ -170,25 +168,14 @@ def test_clip_guard_returns_exact_far_field():
     far = np.array([-1000.0, 1000.0])
     with np.errstate(over="raise", invalid="raise"):  # guard must prevent overflow
         assert np.all(cf.breather(p, 0.3, far) == 0.0)
-        assert np.all(cf.breather_dx1(p, 0.3, far) == 0.0)
-        assert np.all(cf.breather_dx2(p, 0.3, far) == 0.0)
-        assert np.all(cf.breather_jet(p, 0.3, far).primitive_t == 0.0)
+        jet = cf.breather_jet(p, 0.3, far)
+        assert np.all(jet.dx1 == 0.0) and np.all(jet.dx2 == 0.0)
+        assert np.all(jet.primitive_t == 0.0)
         assert np.all(cf.wronskian_det(p, 0.3, far) == 0.0)
         assert np.all(cf.mass_profile_t(p, 0.3, far) == 0.0)
         prof = cf.mass_profile(p, 0.3, far)
         assert prof[0] == 0.0 and prof[1] == 4.0 * p.beta
-        assert np.all(cf.double_pole(p, 0.3, far) == 0.0)
         assert np.all(cf.soliton(cf.SolitonParams(1.0), 0.0, far) == 0.0)
-
-
-def test_double_pole_oracle_and_limit():
-    got = float(cf.double_pole(DOUBLE_POLE_PARAMS, 0.5, 0.7))
-    assert abs(got - DOUBLE_POLE_VALUE) < 1e-12 * DOUBLE_POLE_VALUE
-    # alpha -> 0 limit of the two-parameter family at fixed beta
-    x = np.linspace(-3.0, 3.0, 41)
-    small = cf.breather_values(1e-4, 0.8, 0.3, -0.2, 0.5, x)
-    np.testing.assert_allclose(small, cf.double_pole(DOUBLE_POLE_PARAMS, 0.5, x),
-                               rtol=0, atol=1e-6)
 
 
 def test_soliton_values():

@@ -80,6 +80,10 @@ def test_apply_overrides_rejects_malformed():
     ("evolve.initial=[1]", "must be a string"),
     ("stability.eta_sweep=0.01", "must be a list"),
     ("x1=NaN", "must be finite"),
+    # null means "derive at run time"; otherwise these keys are numbers
+    ("grid.half_length=true", "must be a number"),
+    ("integrator.frame_speed=true", "must be a number"),
+    ("integrator.boundary_margin=true", "must be a number"),
 ])
 def test_coercion_rejects_wrong_types(assignment, message):
     with pytest.raises(cfg.ConfigError, match=message):
@@ -113,6 +117,12 @@ def test_nullable_paths_accept_null():
     ("stability.eta_sweep=[0.0]", "eta_sweep"),
     ("stability.eta_sweep=[0.06]", "eta_sweep"),
     ("stability.perturbation=spike", "perturbation"),
+    ("evolve.drift_tol=0", "drift_tol must be positive"),
+    ("evolve.drift_tol=-1", "drift_tol must be positive"),
+    ("evolve.steady_tol=-1e-6", "steady_tol must be positive"),
+    ("stability.a0_threshold=0", "a0_threshold must be positive"),
+    ("stability.closure_tol=-1", "closure_tol must be positive"),
+    ("stability.h_drift_tol=0", "h_drift_tol must be positive"),
 ])
 def test_validate_config_rejections(assignment, message):
     c = cfg.apply_overrides(cfg.default_config(), [assignment])

@@ -18,6 +18,11 @@ def _soliton_field(s, grid, t=0.0):
     return gr.sample(lambda tt, x: cf.soliton(s, tt, x), grid, t)
 
 
+def _reflect(values):
+    # x -> -x on the periodic grid: node j goes to node -j mod N
+    return np.roll(values[::-1], 1)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"dt": 0.0, "t_end": 1.0},
     {"dt": -1e-3, "t_end": 1.0},
@@ -99,9 +104,8 @@ def test_time_reversal_closure():
     u0 = _soliton_field(cf.SolitonParams(1.0), g)
     cfg = ev.IntegratorConfig(dt=2e-4, t_end=0.2, monitor_stride=1000)
     forward = ev.evolve(u0, cfg).final
-    back = ev.evolve(ev.reflect(forward), cfg).final
-    closed = ev.reflect(back)
-    assert np.max(np.abs(closed.values - u0.values)) <= 1e-9
+    back = ev.evolve(forward.with_values(_reflect(forward.values)), cfg).final
+    assert np.max(np.abs(_reflect(back.values) - u0.values)) <= 1e-9
 
 
 def test_fourth_order_self_convergence():
@@ -173,18 +177,11 @@ def test_energy_centroid():
     assert ev.energy_centroid(gr.GridField(g, np.zeros(512))) == 0.0
 
 
-def test_reflect_is_involution():
-    g = gr.PeriodicGrid(30.0, 256)
-    rng = np.random.default_rng(5)
-    u = gr.GridField(g, rng.standard_normal(256))
-    np.testing.assert_array_equal(ev.reflect(ev.reflect(u)).values, u.values)
-
-
 def test_reflect_flips_breather_shifts():
     g = gr.PeriodicGrid(30.0, 512)
     p = cf.BreatherParams(1.5, 1.0, 0.4, -0.7)
     q = cf.BreatherParams(1.5, 1.0, -0.4, 0.7)
-    got = ev.reflect(_breather_field(p, g)).values
+    got = _reflect(_breather_field(p, g).values)
     np.testing.assert_allclose(got, _breather_field(q, g).values, rtol=0, atol=1e-12)
 
 

@@ -64,33 +64,29 @@ def test_spectral_derivatives_apply_the_grid_multipliers():
     g = gr.PeriodicGrid(12.0, 128)
     rows = np.stack([_band_field(g, seed).values for seed in (1, 2, 3)])
     orders = (0, 1, 2, 4)
-    for values, axis in ((rows, -1), (np.ascontiguousarray(rows.T), 0)):
-        fh = np.fft.rfft(values, axis=axis)
-        got = gr.spectral_derivatives(values, g, orders, axis=axis)
-        for order, d in zip(orders, got):
-            m = _explicit_multiplier(g, order)
-            m = m[None, :] if axis == -1 else m[:, None]
-            assert d.tobytes() == np.fft.irfft(fh * m, n=g.n_points, axis=axis).tobytes()
+    fh = np.fft.rfft(rows)
+    for order, d in zip(orders, gr.spectral_derivatives(rows, g, orders)):
+        m = _explicit_multiplier(g, order)
+        assert d.tobytes() == np.fft.irfft(fh * m[None, :], n=g.n_points).tobytes()
 
 
 def test_derivative_exact_for_trig():
     g = gr.PeriodicGrid(15.0, 128)
     k1, k2 = 3 * math.pi / 15.0, 7 * math.pi / 15.0
     f = gr.GridField(g, np.sin(k1 * g.nodes) + 0.5 * np.cos(k2 * g.nodes))
+    d1, d2 = gr.spectral_derivatives(f.values, g, (1, 2))
     exact = k1 * np.cos(k1 * g.nodes) - 0.5 * k2 * np.sin(k2 * g.nodes)
-    np.testing.assert_allclose(gr.derivative(f, 1).values, exact, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d1, exact, rtol=0, atol=1e-12)
     exact2 = -k1**2 * np.sin(k1 * g.nodes) - 0.5 * k2**2 * np.cos(k2 * g.nodes)
-    np.testing.assert_allclose(gr.derivative(f, 2).values, exact2, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(d2, exact2, rtol=0, atol=1e-11)
 
 
 def test_derivative_composition_closed():
     g = gr.PeriodicGrid(12.0, 256)
     f = _band_field(g, 7)
-    twice = gr.derivative(gr.derivative(f, 1), 1).values
-    np.testing.assert_allclose(twice, gr.derivative(f, 2).values, rtol=0, atol=1e-12)
-    assert gr.derivative(f, 0) is f
-    with pytest.raises(ValueError):
-        gr.derivative(f, -1)
+    once, second = gr.spectral_derivatives(f.values, g, (1, 2))
+    (twice,) = gr.spectral_derivatives(once, g, (1,))
+    np.testing.assert_allclose(twice, second, rtol=0, atol=1e-12)
 
 
 def test_spectral_derivatives_one_call_matches_separate_derivatives():
@@ -98,7 +94,7 @@ def test_spectral_derivatives_one_call_matches_separate_derivatives():
     f = _band_field(g, 11, kmax=4.0)
     d1, d2, d4 = gr.spectral_derivatives(f.values, g, (1, 2, 4))
     for order, got in ((1, d1), (2, d2), (4, d4)):
-        assert got.tobytes() == gr.derivative(f, order).values.tobytes()
+        assert got.tobytes() == gr.spectral_derivatives(f.values, g, (order,))[0].tobytes()
 
 
 def test_spectral_derivatives_keep_longdouble():
@@ -114,33 +110,38 @@ def test_spectral_derivatives_keep_longdouble():
 
 
 def test_spectral_derivatives_matrix_along_axis_zero():
+    # the dense D^order, built by transforming the identity's columns, agrees
+    # with the matrix-free derivative
     g = gr.PeriodicGrid(12.0, 64)
-    mats = gr.spectral_derivatives(np.eye(g.n_points), g, (1, 2, 4), axis=0)
+    fh = np.fft.rfft(np.eye(g.n_points), axis=0)
     f = _band_field(g, 13, kmax=4.0).values
-    for mat, direct in zip(mats, gr.spectral_derivatives(f, g, (1, 2, 4))):
+    for order, direct in zip((1, 2, 4), gr.spectral_derivatives(f, g, (1, 2, 4))):
+        mat = np.fft.irfft(fh * g.multiplier(order)[:, None], n=g.n_points, axis=0)
         assert np.linalg.norm(mat @ f - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_nyquist_mode_annihilated():
     g = gr.PeriodicGrid(8.0, 32)
-    f = gr.GridField(g, (-1.0) ** np.arange(32) * 1.0)
-    assert np.max(np.abs(gr.derivative(f, 1).values)) < 1e-14
+    (d1,) = gr.spectral_derivatives((-1.0) ** np.arange(32) * 1.0, g, (1,))
+    assert np.max(np.abs(d1)) < 1e-14
 
 
 def test_summation_by_parts_exact():
     g = gr.PeriodicGrid(20.0, 256)
     f, h = _band_field(g, 1), _band_field(g, 2)
-    lhs = gr.inner_product(gr.derivative(f, 1), h)
-    rhs = -gr.inner_product(f, gr.derivative(h, 1))
+    (fx,) = gr.spectral_derivatives(f.values, g, (1,))
+    (hx,) = gr.spectral_derivatives(h.values, g, (1,))
+    lhs = gr.inner_product(f.with_values(fx), h)
+    rhs = -gr.inner_product(f, h.with_values(hx))
     assert lhs == pytest.approx(rhs, abs=1e-13 * max(1.0, abs(lhs)))
 
 
 def test_quadrature_localized_integrand():
     g = gr.PeriodicGrid(30.0, 512)
-    f = gr.GridField(g, 1.0 / np.cosh(g.nodes) ** 2)
-    assert gr.quadrature(f) == pytest.approx(2.0, rel=1e-14)
+    assert gr.integrate(1.0 / np.cosh(g.nodes) ** 2, g) == pytest.approx(2.0, rel=1e-14)
     # derivatives integrate to zero on the periodic domain
-    assert abs(gr.quadrature(gr.derivative(_band_field(g, 3), 1))) < 1e-13
+    (d1,) = gr.spectral_derivatives(_band_field(g, 3).values, g, (1,))
+    assert abs(gr.integrate(d1, g)) < 1e-13
 
 
 def test_cumulative_quadrature_trig_and_mean():
@@ -156,7 +157,8 @@ def test_cumulative_quadrature_trig_and_mean():
 def test_cumulative_quadrature_inverts_derivative():
     g = gr.PeriodicGrid(25.0, 256)
     f = _band_field(g, 11)
-    back = gr.cumulative_quadrature(gr.derivative(f, 1)).values
+    (fx,) = gr.spectral_derivatives(f.values, g, (1,))
+    back = gr.cumulative_quadrature(f.with_values(fx)).values
     np.testing.assert_allclose(back, f.values - f.values[0], rtol=0, atol=1e-12)
 
 
@@ -165,11 +167,7 @@ def test_sobolev_norm_closed_form():
     k = 3 * math.pi / 10.0
     f = gr.GridField(g, np.sin(k * g.nodes))
     base = 10.0  # int sin^2 over one period of length 20
-    assert gr.sobolev_norm(f, 0) == pytest.approx(math.sqrt(base), rel=1e-13)
-    assert gr.sobolev_norm(f, 1) == pytest.approx(math.sqrt(base * (1 + k**2)), rel=1e-13)
-    assert gr.sobolev_norm(f, 2) == pytest.approx(math.sqrt(base * (1 + k**2 + k**4)), rel=1e-13)
-    with pytest.raises(ValueError):
-        gr.sobolev_norm(f, 3)
+    assert gr.h2_norm(f) == pytest.approx(math.sqrt(base * (1 + k**2 + k**4)), rel=1e-13)
 
 
 def test_inner_product_requires_same_grid():
@@ -246,9 +244,8 @@ def test_binary_rejects_corrupt_files(tmp_path):
         assert str(path) in str(info.value)
 
 
-def test_default_grid_half_length():
-    assert gr.default_grid(2.0).half_length == pytest.approx(30.0)
-    assert gr.default_grid(0.5).half_length == pytest.approx(60.0)
-    assert gr.default_grid(1.0, 512).n_points == 512
+def test_half_length_rules():
+    assert gr.quadrature_half_length(2.0) == 30.0
+    assert gr.quadrature_half_length(0.5) == 60.0
     assert gr.residual_half_length(2.0) == 44.0
     assert gr.residual_half_length(0.5) == 88.0

@@ -2,19 +2,26 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from breatherlab import closed_forms as cf
+from breatherlab import config as cfgmod
 from breatherlab import functionals as fn
 from breatherlab import grid as gr
 from breatherlab import spectral as sp
 
 P = cf.BreatherParams(1.5, 1.0)
-GRID = gr.default_grid(1.0, 512)
+
+
+def _grid(n):
+    return gr.PeriodicGrid(gr.quadrature_half_length(P.beta), n)
+
+
+GRID = _grid(512)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +41,20 @@ def _band_field(grid, seed, kmax=2.5):
     coeff[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
     vals = np.fft.irfft(coeff, n=grid.n_points)
     return gr.GridField(grid, vals / np.max(np.abs(vals)))
+
+
+def _flat(p, grid):
+    """The operator's constant-coefficient part: every breather term off."""
+    zeros = np.zeros(grid.n_points)
+    mat = sp._assemble_from_coefficients(p, zeros, zeros, zeros, sp._derivative_matrices(grid))
+    return sp.DiscreteOperator(grid, mat, p, 0.0)
+
+
+def _column_derivatives(grid, orders):
+    """D^order built column by column: np.fft along axis 0 of the identity."""
+    fh = np.fft.rfft(np.eye(grid.n_points), axis=0)
+    return [np.fft.irfft(fh * grid.multiplier(order)[:, None], n=grid.n_points, axis=0)
+            for order in orders]
 
 
 def test_matrix_is_exactly_symmetric(op):
@@ -66,7 +87,7 @@ def test_assemble_rejects_unresolved_grid():
 def test_flat_spectrum_is_the_symbol():
     p = cf.BreatherParams(1.2, 0.8)
     g = gr.PeriodicGrid(20.0, 64)
-    evals, _ = sp.eigensystem(sp.assemble_flat(p, g))
+    evals, _ = sp.eigensystem(_flat(p, g))
     k = g.wavenumbers
     sym = k**4 + 2.0 * (p.beta**2 - p.alpha**2) * k**2 + (p.alpha**2 + p.beta**2) ** 2
     # interior modes come in cos/sin pairs; the Nyquist multiplier is zeroed,
@@ -98,12 +119,12 @@ def test_classification(report):
 
 
 def test_report_serializes(report):
-    doc = json.dumps(report.to_dict())
+    doc = cfgmod.canonical_json(asdict(report))
     assert json.loads(doc)["negative_count"] == 1
 
 
 def test_lambda0_sq_stable_under_refinement(report):
-    fine = sp.spectrum(sp.assemble(P, gr.default_grid(1.0, 1024), t=0.0))
+    fine = sp.spectrum(sp.assemble(P, _grid(1024), t=0.0))
     rel = abs(fine.lambda0_sq - report.lambda0_sq) / fine.lambda0_sq
     assert rel <= 2e-6
 
@@ -127,14 +148,16 @@ def test_equal_parameters_classify():
 
 def test_flat_operator_fails_classification():
     with pytest.raises(sp.ClassificationError) as exc:
-        sp.spectrum(sp.assemble_flat(P, GRID))
+        sp.spectrum(_flat(P, GRID))
     assert isinstance(exc.value.offending, np.ndarray)
 
 
 def test_negative_eigenvector(op, report):
-    v = sp.negative_eigenvector(op)
+    v = gr.GridField(GRID, sp.eigensystem(op)[1][:, 0])
     assert gr.inner_product(v, v) == pytest.approx(1.0, rel=1e-12)
-    assert fn.quadratic_form(v, P, t=0.0) == pytest.approx(-report.lambda0_sq, rel=1e-10)
+    vx, vxx = gr.spectral_derivatives(v.values, GRID, (1, 2))
+    q, _ = fn.expansion_terms(v, vx, vxx, cf.breather_jet(P, 0.0, GRID.nodes), P)
+    assert q == pytest.approx(-report.lambda0_sq, rel=1e-10)
 
 
 def test_coercivity_bounds_hold_on_samples(op, report):
@@ -142,9 +165,9 @@ def test_coercivity_bounds_hold_on_samples(op, report):
     # advertised inequalities with the reported constants
     x = GRID.nodes
     b = cf.breather(P, 0.0, x)
-    b1 = cf.breather_dx1(P, 0.0, x)
-    b2 = cf.breather_dx2(P, 0.0, x)
-    vneg = sp.negative_eigenvector(op).values
+    jet = cf.breather_jet(P, 0.0, x)
+    b1, b2 = jet.dx1, jet.dx2
+    vneg = sp.eigensystem(op)[1][:, 0]
     h = GRID.spacing
     rng = np.random.default_rng(99)
     nu0, mu0 = report.nu0_estimate, report.mu0_estimate
@@ -153,7 +176,7 @@ def test_coercivity_bounds_hold_on_samples(op, report):
         for w in (b1, b2, vneg):
             z = z - (z @ w) / (w @ w) * w
         f = gr.GridField(GRID, z)
-        f = f.with_values(f.values / gr.sobolev_norm(f, 2))
+        f = f.with_values(f.values / gr.h2_norm(f))
         q = gr.inner_product(f, gr.GridField(GRID, op.matrix @ f.values))
         assert q - nu0 >= -1e-8
 
@@ -161,7 +184,7 @@ def test_coercivity_bounds_hold_on_samples(op, report):
         for w in (b1, b2):
             z2 = z2 - (z2 @ w) / (w @ w) * w
         f2 = gr.GridField(GRID, z2)
-        f2 = f2.with_values(f2.values / gr.sobolev_norm(f2, 2))
+        f2 = f2.with_values(f2.values / gr.h2_norm(f2))
         q2 = gr.inner_product(f2, gr.GridField(GRID, op.matrix @ f2.values))
         pairing = h * (f2.values @ b)
         assert q2 - mu0 + pairing**2 / mu0 >= -1e-8
@@ -193,16 +216,16 @@ def test_wronskian_analysis_asymmetric():
     assert rep.root_count == 1
     assert abs(sp.root_function(p, 0.2, rep.root_location)) <= 1e-9
     assert rep.closed_form_max_err <= 1e-8
-    assert json.dumps(rep.to_dict())
+    assert json.loads(cfgmod.canonical_json(asdict(rep)))["root_count"] == 1
 
 
 def _compensated_minimum(op, mu):
     """Smallest eigenvalue of Q - mu G + (h/mu) b b^T on the complement of
     B1, B2, built independently of the secular solve."""
     x = GRID.nodes
-    z2 = np.linalg.svd(np.column_stack([cf.breather_dx1(P, 0.0, x),
-                                        cf.breather_dx2(P, 0.0, x)]))[0][:, 2:]
-    d2, d4 = gr.spectral_derivatives(np.eye(GRID.n_points), GRID, (2, 4), axis=0)
+    jet = cf.breather_jet(P, 0.0, x)
+    z2 = np.linalg.svd(np.column_stack([jet.dx1, jet.dx2]))[0][:, 2:]
+    d2, d4 = _column_derivatives(GRID, (2, 4))
     gram = np.eye(GRID.n_points) - d2 + d4
     bred = z2.T @ cf.breather(P, 0.0, x)
     m = z2.T @ (op.matrix - mu * gram) @ z2 + (GRID.spacing / mu) * np.outer(bred, bred)
@@ -233,7 +256,7 @@ def _projected_pencil(op, constraints):
     rows, G the H^2 Gram matrix I - D2 + D4."""
     z = scipy.linalg.null_space(constraints)
     n = op.grid.n_points
-    d2, d4 = gr.spectral_derivatives(np.eye(n), op.grid, (2, 4), axis=0)
+    d2, d4 = _column_derivatives(op.grid, (2, 4))
     gram = np.eye(n) - d2 + d4
     return z, z.T @ op.matrix @ z, z.T @ (0.5 * (gram + gram.T)) @ z
 
@@ -250,14 +273,14 @@ def _nu0_reference(op, b_neg):
 def test_nu0_is_the_constrained_minimum_n256(x1):
     # at N=256 the full spectrum does not classify (one kernel eigenvalue
     # falls below the kernel window), but the constrained pencil is well posed
-    op = sp.assemble(replace(P, x1=x1, x2=0.0), gr.default_grid(1.0, 256))
+    op = sp.assemble(replace(P, x1=x1, x2=0.0), _grid(256))
     b_neg = sp.eigensystem(op)[1][:, 0]
     nu0, _ = _coercivity(op, b_neg)
     assert nu0 == pytest.approx(_nu0_reference(op, b_neg), rel=1e-10)
 
 
 def test_nu0_is_the_constrained_minimum_n512(op, report):
-    b_neg = sp.negative_eigenvector(op).values
+    b_neg = sp.eigensystem(op)[1][:, 0]
     assert report.nu0_estimate == pytest.approx(_nu0_reference(op, b_neg), rel=1e-10)
 
 
@@ -272,7 +295,7 @@ def test_nu0_rejects_negative_vector_outside_pencil_direction(op):
 
 
 def test_coercivity_rejects_flat_operator():
-    flat = sp.assemble_flat(P, GRID)
+    flat = _flat(P, GRID)
     with pytest.raises(sp.ClassificationError, match="exactly one negative"):
         _coercivity(flat)
 
@@ -281,7 +304,7 @@ def test_coercivity_rejects_form_not_positive_for_tiny_mu():
     # one negative direction, a grid mode that B does not see: no
     # compensation by (int z B)^2 can lift it
     v = np.cos(GRID.wavenumbers[40] * GRID.nodes)
-    flat = sp.assemble_flat(P, GRID)
+    flat = _flat(P, GRID)
     shift = 2.0 * (v @ flat.matrix @ v) / (v @ v) ** 2
     op = sp.DiscreteOperator(GRID, flat.matrix - shift * np.outer(v, v), P, 0.0)
     with pytest.raises(sp.ClassificationError, match="tiny mu"):
@@ -299,7 +322,7 @@ def test_sweep_spectra_matches_spectrum():
 
 def test_classify_rejects_flat_operator():
     with pytest.raises(sp.ClassificationError) as exc:
-        sp.classify(sp.assemble_flat(P, GRID))
+        sp.classify(_flat(P, GRID))
     assert isinstance(exc.value.offending, np.ndarray)
 
 
@@ -319,8 +342,8 @@ def test_phase_sweep_is_bitwise_the_per_sample_classification(n_samples):
 
 @pytest.mark.parametrize("n", [16, 64, 512, 1024])
 def test_derivative_matrices_equal_the_column_build(n):
-    grid = gr.default_grid(1.0, n)
-    columns = gr.spectral_derivatives(np.eye(n), grid, (1, 2, 4), axis=0)
+    grid = _grid(n)
+    columns = _column_derivatives(grid, (1, 2, 4))
     for built, reference in zip(sp._derivative_matrices(grid), columns, strict=True):
         assert built.flags.c_contiguous
         assert built.tobytes() == reference.tobytes()

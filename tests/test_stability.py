@@ -19,8 +19,8 @@ from breatherlab import spectral as sp
 from breatherlab import stability as st
 
 P = cf.BreatherParams(1.5, 1.0)
-GRID = gr.default_grid(1.0, 2048)
-FIT_GRID = gr.default_grid(1.0, 1024)
+GRID = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 2048)
+FIT_GRID = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 1024)
 
 
 def _breather_field(p, grid, t=0.0):
@@ -35,7 +35,7 @@ def _assert_jet_at_fit(state, t):
     zx, zxx = gr.spectral_derivatives(state.z.values, FIT_GRID, (1, 2))
     np.testing.assert_array_equal(state.z_x, zx)
     np.testing.assert_array_equal(state.z_xx, zxx)
-    assert state.z_h2 == gr.sobolev_norm(state.z, 2)
+    assert state.z_h2 == gr.h2_norm(state.z)
 
 
 def test_modulate_recovers_shifts():
@@ -67,7 +67,8 @@ def test_modulate_resolves_half_period_branch():
 def test_modulate_leaves_orthogonal_remainder_alone():
     x = FIT_GRID.nodes
     w = np.cos(0.7 * x) / np.cosh(0.5 * x)
-    for direction in (cf.breather_dx1(P, 0.0, x), cf.breather_dx2(P, 0.0, x)):
+    jet = cf.breather_jet(P, 0.0, x)
+    for direction in (jet.dx1, jet.dx2):
         w = w - (w @ direction) / (direction @ direction) * direction
     b = _breather_field(P, FIT_GRID)
     u = b.with_values(b.values + 1e-3 * w)
@@ -100,7 +101,7 @@ def test_default_perturbations_are_unit_h2():
     perts = st.default_perturbations(GRID)
     assert set(perts) == {"sech", "sech_cos", "random_band"}
     for field in perts.values():
-        assert gr.sobolev_norm(field, 2) == pytest.approx(1.0, abs=1e-12)
+        assert gr.h2_norm(field) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_default_perturbations_seeding():
@@ -192,8 +193,9 @@ def test_audit_matches_independent_recomputation(short_run):
         z = field.with_values(field.values - b.values)
         assert fn.h_value(field, P) == run.audit.h_u[i]
         assert fn.h_value(b, P) == run.audit.h_b[i]
-        assert fn.quadratic_form(z, p_fit, t) == run.audit.q_z[i]
-        assert fn.remainder(z, p_fit, t) == run.audit.n_z[i]
+        zx, zxx = gr.spectral_derivatives(z.values, GRID, (1, 2))
+        jet = cf.breather_jet(p_fit, t, GRID.nodes)
+        assert fn.expansion_terms(z, zx, zxx, jet, p_fit) == (run.audit.q_z[i], run.audit.n_z[i])
         assert abs(gr.inner_product(z, b)) == run.audit.mass_pairing[i]
 
 
