@@ -1,10 +1,13 @@
 """Dense spectral analysis of the linearized operator.
 
 The operator is discretized as a real symmetric N x N matrix built from
-Fourier differentiation matrices, eigendecomposed in full, and its spectrum
-classified into the unique negative eigenvalue, the two-dimensional kernel,
-and the rest sitting above the continuum edge. Both coercivity constants are
-roots of scalar secular equations on one constrained pencil: nu0 a Rayleigh
+Fourier differentiation matrices. Its eigenvalues, computed without vectors,
+are classified into the unique negative eigenvalue, the two-dimensional
+kernel, and the rest sitting above the continuum edge; only the three
+lowest eigenvectors, the negative and the two kernel directions, are
+computed. Both coercivity constants are roots of scalar secular equations
+on one pencil constrained to the complement of the kernel directions
+B1, B2, whose basis two Householder reflectors give: nu0 a Rayleigh
 minimum, mu0 0.99 times the exact positive-semidefiniteness threshold of the
 compensated form, certified by one more eigensolve, so the advertised
 quadratic-form inequalities hold for every grid field by construction.
@@ -180,9 +183,19 @@ def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
+def eigenvalues(op: DiscreteOperator) -> np.ndarray:
+    """All eigenvalues, ascending, without vectors: the one call that both
+    classify and spectrum make, so both report bitwise the same lambda0^2."""
+    return scipy.linalg.eigh(op.matrix, eigvals_only=True)
+
+
 def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition; eigenvectors are L2-normalized."""
-    evals, evecs = scipy.linalg.eigh(op.matrix)
+    """The three lowest eigenpairs, ascending; eigenvectors are L2-normalized.
+
+    A spectrum that classifies has exactly one negative and two kernel
+    eigenvalues, so these are its negative and kernel directions.
+    """
+    evals, evecs = scipy.linalg.eigh(op.matrix, subset_by_index=(0, 2))
     return evals, evecs / math.sqrt(op.grid.spacing)
 
 
@@ -215,10 +228,12 @@ def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
 
 
 def spectrum(op: DiscreteOperator) -> SpectrumReport:
-    """Eigendecompose, classify, and attach coercivity constants."""
-    evals, evecs = eigensystem(op)
+    """Classify the eigenvalues, then attach the kernel comparison and the
+    coercivity constants from the three lowest eigenvectors."""
+    evals = eigenvalues(op)
     edge = continuum_edge(op.params)
     _, ker_idx = _classify(evals, edge)
+    _, evecs = eigensystem(op)
     jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
     kernel_span = np.column_stack([jet.dx1, jet.dx2])
     angles = scipy.linalg.subspace_angles(evecs[:, ker_idx], kernel_span)
@@ -257,15 +272,17 @@ def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span:
     form is semidefinite exactly when phi(mu) = mu + h sum_i c_i^2 /
     (lam_i - mu) <= 0: mu* is the root in (0, lam_1). One eigensolve at mu0
     certifies the form for arbitrary fields, not just sampled ones.
+
+    The complement's basis is the last N-2 columns of Q = H_1 H_2, the two
+    Householder reflectors of the QR factorization of [B1 B2], so both
+    matrices of the pencil come from O(N^2) rank-two updates.
     """
     h = op.grid.spacing
-    gram = _gram_matrix(op.grid)
-    z2 = scipy.linalg.null_space(kernel_span.T)
-    lred = z2.T @ op.matrix @ z2
-    gred = z2.T @ gram @ z2
-    bred = z2.T @ b
-    neg_red = z2.T @ b_neg
-    del z2, gram
+    reflectors = _complement_reflectors(kernel_span)
+    lred = _reflect_both_sides(op.matrix, reflectors)[2:, 2:]
+    gred = _reflect_both_sides(_gram_matrix(op.grid), reflectors)[2:, 2:]
+    bred = _reflect(b, reflectors)[2:]
+    neg_red = _reflect(b_neg, reflectors)[2:]
 
     lam, w = scipy.linalg.eigh(lred, gred)
     c2 = h * (w.T @ bred) ** 2
@@ -304,6 +321,36 @@ def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span:
         raise ClassificationError(
             f"compensated quadratic form is not positive at mu0 = {mu0:.6g}", certificate)
     return float(nu0), float(mu0)
+
+
+def _complement_reflectors(kernel_span: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Householder pairs (v_j, tau_j), H_j = I - tau_j v_j v_j^T, with
+    H_2 H_1 kernel_span = [R; 0] (Golub and Van Loan, Matrix Computations,
+    4th ed., 5.1-5.2). The rows 2: of H_2 H_1 are thus an orthonormal basis
+    of the L2-complement of the columns of kernel_span."""
+    (packed, taus), _ = scipy.linalg.qr(kernel_span, mode="raw")
+    vs = np.tril(packed, -1).T.copy()  # v_j below the diagonal, v_j[j] = 1
+    np.fill_diagonal(vs, 1.0)
+    return list(zip(vs, taus))
+
+
+def _reflect(x: np.ndarray, reflectors: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """H_2 H_1 x for a vector, or for each column of a matrix."""
+    for v, tau in reflectors:
+        x = x - np.multiply.outer(v, tau * (v @ x))
+    return x
+
+
+def _reflect_both_sides(a: np.ndarray, reflectors: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """H_2 H_1 a H_1 H_2 for a symmetric a, one symmetric rank-two update
+    per reflector: H a H = a - (v p^T + p v^T), w = tau a v,
+    p = w - (tau/2)(v^T w) v. The update is summed before it is subtracted,
+    so an exactly symmetric a stays exactly symmetric."""
+    for v, tau in reflectors:
+        w = tau * (a @ v)
+        p = w - (0.5 * tau * (v @ w)) * v
+        a = a - (np.outer(v, p) + np.outer(p, v))
+    return a
 
 
 def _brentq(f, a: float, b: float) -> float:
@@ -380,7 +427,7 @@ class Classification:
 def classify(op: DiscreteOperator) -> Classification:
     """Eigenvalues only (no vectors, no coercivity), classified; raises
     ClassificationError when the negative/kernel/continuum split is wrong."""
-    evals = scipy.linalg.eigh(op.matrix, eigvals_only=True)
+    evals = eigenvalues(op)
     negative_count, _ = _classify(evals, continuum_edge(op.params))
     return Classification(negative_count, float(-evals[0]))
 

@@ -139,6 +139,9 @@ def test_spectrum_phase_sweep(tmp_path):
     _, report = _read(tmp_path, ".report.json")
     assert len(report["sweep"]["lambda0_sq"]) == 4
     assert all(v > 0.0 for v in report["sweep"]["lambda0_sq"])
+    # the first sample is the unshifted operator: the same eigenvalue call
+    # gives bitwise the spectrum's lambda0^2
+    assert report["sweep"]["lambda0_sq"][0] == report["spectrum"]["lambda0_sq"]
     _, manifest = _read(tmp_path, ".manifest.json")
     assert manifest["pass_fail"]["sweep_lambda0_sq_positive"] is True
 

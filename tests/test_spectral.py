@@ -50,6 +50,11 @@ def _flat(p, grid):
     return sp.DiscreteOperator(grid, mat, p, 0.0)
 
 
+def _l2_norm(grid, values):
+    f = gr.GridField(grid, values)
+    return math.sqrt(gr.inner_product(f, f))
+
+
 def _column_derivatives(grid, orders):
     """D^order built column by column: np.fft along axis 0 of the identity."""
     fh = np.fft.rfft(np.eye(grid.n_points), axis=0)
@@ -87,7 +92,7 @@ def test_assemble_rejects_unresolved_grid():
 def test_flat_spectrum_is_the_symbol():
     p = cf.BreatherParams(1.2, 0.8)
     g = gr.PeriodicGrid(20.0, 64)
-    evals, _ = sp.eigensystem(_flat(p, g))
+    evals = sp.eigenvalues(_flat(p, g))
     k = g.wavenumbers
     sym = k**4 + 2.0 * (p.beta**2 - p.alpha**2) * k**2 + (p.alpha**2 + p.beta**2) ** 2
     # interior modes come in cos/sin pairs; the Nyquist multiplier is zeroed,
@@ -95,6 +100,27 @@ def test_flat_spectrum_is_the_symbol():
     expected = np.sort(np.concatenate(
         [sym[:1], np.repeat(sym[1:-1], 2), [(p.alpha**2 + p.beta**2) ** 2]]))
     np.testing.assert_allclose(evals, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_eigensystem_is_the_lowest_three_of_the_full_eigh(n):
+    # at N=256 the spectrum does not classify, but its lowest pairs are defined
+    op = sp.assemble(P, _grid(n))
+    evals, evecs = sp.eigensystem(op)
+    full_evals, full_evecs = scipy.linalg.eigh(op.matrix)
+    full_evecs = full_evecs[:, :3] / math.sqrt(op.grid.spacing)
+    # the eigenvalues against the matrix's scale (a backward-stable solver's
+    # error is roundoff times max |lambda|; the kernel pair is near zero)
+    np.testing.assert_allclose(evals, full_evals[:3], rtol=0,
+                               atol=1e-12 * np.max(np.abs(full_evals)))
+    np.testing.assert_array_equal(sp.eigenvalues(op),
+                                  scipy.linalg.eigh(op.matrix, eigvals_only=True))
+    np.testing.assert_allclose([_l2_norm(op.grid, v) for v in evecs.T], 1.0, rtol=1e-12)
+    # the negative eigenvector up to sign; the kernel pair's gap is too small
+    # for roundoff to fix each vector, so only the plane it spans is compared
+    sign = np.sign(evecs[:, 0] @ full_evecs[:, 0])
+    assert _l2_norm(op.grid, evecs[:, 0] - sign * full_evecs[:, 0]) <= 1e-10
+    assert np.max(scipy.linalg.subspace_angles(evecs[:, 1:], full_evecs[:, 1:])) <= 1e-10
 
 
 @pytest.mark.parametrize("p,expected", [
@@ -261,6 +287,29 @@ def _projected_pencil(op, constraints):
     return z, z.T @ op.matrix @ z, z.T @ (0.5 * (gram + gram.T)) @ z
 
 
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("x1", [0.0, 0.3, 1.1])
+def test_reflector_reduction_is_the_projected_pencil(x1, n):
+    op = sp.assemble(replace(P, x1=x1, x2=0.0), _grid(n))
+    kernel_span, b = _kernel_parts(op)
+    reflectors = sp._complement_reflectors(kernel_span)
+    # rows 2: of H_2 H_1 are the complement's basis
+    basis = sp._reflect(np.eye(n), reflectors)[2:].T
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n - 2), rtol=0, atol=1e-13)
+    unit_kernel = kernel_span / np.linalg.norm(kernel_span, axis=0)
+    assert np.max(np.abs(unit_kernel.T @ basis)) <= 1e-13
+
+    lred = sp._reflect_both_sides(op.matrix, reflectors)[2:, 2:]
+    gred = sp._reflect_both_sides(sp._gram_matrix(op.grid), reflectors)[2:, 2:]
+    np.testing.assert_array_equal(lred, lred.T)
+    np.testing.assert_allclose(sp._reflect(b, reflectors)[2:], basis.T @ b, rtol=0,
+                               atol=1e-13 * np.linalg.norm(b))
+    _, lref, gref = _projected_pencil(op, kernel_span.T)
+    lam = scipy.linalg.eigh(lred, gred, eigvals_only=True)
+    lam_ref = scipy.linalg.eigh(lref, gref, eigvals_only=True)
+    np.testing.assert_allclose(lam, lam_ref, rtol=1e-9)
+
+
 def _nu0_reference(op, b_neg):
     """Rayleigh minimum of Q/||.||_H2^2 on the L2-complement of
     span{b_neg, B1, B2}: the smallest eigenvalue of the projected pair."""
@@ -317,7 +366,7 @@ def test_sweep_spectra_matches_spectrum():
         op = sp.assemble(*case)
         point, full = sp.classify(op), sp.spectrum(op)
         assert point.negative_count == 1
-        assert point.lambda0_sq == pytest.approx(full.lambda0_sq, rel=1e-12)
+        assert point.lambda0_sq == full.lambda0_sq
 
 
 def test_classify_rejects_flat_operator():

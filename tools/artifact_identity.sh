@@ -7,8 +7,10 @@
 # and that checkout's src on PYTHONPATH, each into its own --out directory,
 # then compares the two output trees file by file with cmp (the
 # *_checkpoints/ directories included) and the two stdout logs, each side's
-# --out paths replaced by OUT. Prints the number of files compared and exits
-# 1 on any differing or missing file or differing stdout.
+# --out paths replaced by OUT. For each differing *.report.json it also
+# prints every differing key with its largest absolute and relative change
+# (tools/report_diff.py). Prints the number of files compared and exits 1 on
+# any differing or missing file or differing stdout.
 set -euf
 
 if [ "$#" -ne 2 ]; then
@@ -28,6 +30,7 @@ stability
 stability --set integrator.t_end=5.0
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
+tools=$(cd "$(dirname "$0")" && pwd)
 parent_src=$(cd "$1/src" && pwd)
 change_src=$(cd "$2/src" && pwd)
 work=$(mktemp -d)
@@ -57,6 +60,9 @@ for f in $( (cd parent && find . -type f; cd ../change && find . -type f) | sort
         status=1
     elif ! cmp -s "parent/$f" "change/$f"; then
         echo "differs: $f" >&2
+        case "$f" in
+            *.report.json) python3 "$tools/report_diff.py" "parent/$f" "change/$f" | sed 's/^/    /' >&2 ;;
+        esac
         status=1
     fi
 done
