@@ -140,8 +140,12 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
     t = config["t"]
     eig_grid = cfgmod.make_grid(config, n_points=config["spectrum"]["n_points"])
-    op = sp.assemble(p, eig_grid, t)
-    srep = sp.spectrum(op)
+    shifts = []
+    if config["spectrum"]["phase_sweep"]:
+        n_samples = config["spectrum"]["phase_samples"]
+        half_period = np.pi / p.alpha
+        shifts = [p.x1 + j * half_period / n_samples for j in range(n_samples)]
+    srep, reports = sp.spectrum_with_sweep(p, eig_grid, t, shifts)
     wrep = sp.wronskian_analysis(p, t)
 
     pass_fail = {
@@ -152,15 +156,11 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
     }
     report_doc = {"spectrum": asdict(srep), "wronskian": asdict(wrep), "sweep": None}
 
-    if config["spectrum"]["phase_sweep"]:
-        n_samples = config["spectrum"]["phase_samples"]
-        half_period = np.pi / p.alpha
-        shifts = [p.x1 + j * half_period / n_samples for j in range(n_samples)]
-        reports = sp.phase_sweep(p, eig_grid, t, shifts)
+    if reports:
         lam = [r.lambda0_sq for r in reports]
         pass_fail["sweep_lambda0_sq_positive"] = bool(all(v > 0.0 for v in lam))
         report_doc["sweep"] = {
-            "phase_samples": n_samples,
+            "phase_samples": len(reports),
             "lambda0_sq": lam,
             "lambda0_sq_min": min(lam),
             "negative_counts": [r.negative_count for r in reports],

@@ -54,6 +54,15 @@ DEFAULTS: dict = {
     },
 }
 
+# The spectrum command holds at most this many dense N x N float64 arrays at
+# once, N = spectrum.n_points: its traced peak is 7.06 N^2 doubles at N=512
+# and N=1024, with or without the phase sweep, reached both while assembling
+# beside the differentiation matrices and in the coercivity pencil. A
+# spectrum.n_points whose arrays would pass the budget is refused before
+# anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB.
+SPECTRUM_DENSE_ARRAYS = 8
+DENSE_BUDGET_BYTES = 2 * 1024**3
+
 # fields where null is a meaningful value (auto-derived at run time)
 _NULLABLE = {
     ("grid", "half_length"),
@@ -173,6 +182,12 @@ def validate_config(config: dict) -> None:
         n = config[path[0]][path[1]]
         if not _power_of_two(n):
             raise ConfigError(f"{'.'.join(path)} must be a power of two >= 16, got {n}")
+    n_eig = config["spectrum"]["n_points"]
+    dense_bytes = SPECTRUM_DENSE_ARRAYS * 8 * n_eig**2
+    if dense_bytes > DENSE_BUDGET_BYTES:
+        raise ConfigError(
+            f"spectrum.n_points={n_eig} needs about {dense_bytes} bytes of dense "
+            f"{n_eig}x{n_eig} arrays, above the budget of {DENSE_BUDGET_BYTES} bytes")
     half = config["grid"]["half_length"]
     if half is not None and not half > 0.0:
         raise ConfigError("grid.half_length must be positive")

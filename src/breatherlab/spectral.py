@@ -1,18 +1,20 @@
 """Dense spectral analysis of the linearized operator.
 
 The operator is discretized as a real symmetric N x N matrix built from
-Fourier differentiation matrices. Its eigenvalues, computed without vectors,
-are classified into the unique negative eigenvalue, the two-dimensional
-kernel, and the rest sitting above the continuum edge; only the three
-lowest eigenvectors, the negative and the two kernel directions, are
-computed. Both coercivity constants are roots of scalar secular equations
-on one pencil constrained to the complement of the kernel directions
-B1, B2, whose basis two Householder reflectors give: nu0 a Rayleigh
-minimum, mu0 0.99 times the exact positive-semidefiniteness threshold of the
-compensated form, certified by one more eigensolve, so the advertised
-quadratic-form inequalities hold for every grid field by construction.
-Phase sweeps only classify: eigenvalues without vectors, no coercivity,
-and one build of the grid's differentiation matrices serves every sample.
+Fourier differentiation matrices. Its four lowest eigenvalues, the fourth
+bounding all above it, classify it into the unique negative eigenvalue, the
+two-dimensional kernel, and the rest sitting above the continuum edge; a
+spectrum solves them with their vectors and the full eigenvalue list only
+for its report. Both coercivity constants are roots of scalar secular
+equations on one pencil constrained to the complement of the kernel
+directions B1, B2, whose basis two Householder reflectors give: nu0 a
+Rayleigh minimum, mu0 0.99 times the exact positive-semidefiniteness
+threshold of the compensated form, certified by a Cholesky factorization, so
+the advertised quadratic-form inequalities hold for every grid field by
+construction. Phase sweeps only classify, from the four lowest eigenvalues
+without vectors; one build of the grid's differentiation matrices serves
+the spectrum's operator and every sample, and the first sample is the
+spectrum's own operator, solved once (spectrum_with_sweep).
 
 The Wronskian of the two kernel directions has a closed form whose sign
 structure counts the negative eigenvalues; wronskian_analysis cross-checks
@@ -43,6 +45,9 @@ _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
 _BOUNDARY_TOL = 1e-10
 _ROOT_SCAN_SAMPLES = 2048
+# classification reads the lowest eigenvalues only: the negative one, the
+# kernel pair and the lowest of the rest, which bounds all others from below
+_CLASSIFY_COUNT = 4
 
 # scipy.optimize.brentq's defaults, which _brentq reproduces step for step
 _BRENT_XTOL = 2e-12
@@ -87,6 +92,11 @@ class DiscreteOperator:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """kernel_defect, the two kernel eigenvalues, lies below the eigensolver's
+    roundoff floor, about eps * max|lambda| (1e-10 at N=512): its digits move
+    with the solver's call shape, and only the bound |lambda| <= 1e-3 *
+    continuum_edge that classification enforces is meaningful."""
+
     eigenvalues: np.ndarray
     negative_count: int
     lambda0_sq: float
@@ -184,38 +194,51 @@ def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
 
 
 def eigenvalues(op: DiscreteOperator) -> np.ndarray:
-    """All eigenvalues, ascending, without vectors: the one call that both
-    classify and spectrum make, so both report bitwise the same lambda0^2."""
+    """All eigenvalues, ascending, without vectors: the spectrum report's list."""
     return scipy.linalg.eigh(op.matrix, eigvals_only=True)
 
 
-def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The three lowest eigenpairs, ascending; eigenvectors are L2-normalized.
+def eigensystem(op: DiscreteOperator, count: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The count lowest eigenpairs, ascending, count at most four;
+    eigenvectors are L2-normalized.
 
-    A spectrum that classifies has exactly one negative and two kernel
-    eigenvalues, so these are its negative and kernel directions.
+    One solve for the four lowest pairs serves every count; its eigenvalues
+    are bitwise those of classify's solve without vectors (one subset shape,
+    values independent of the vectors; other shapes differ in the last
+    bits). A spectrum that classifies has exactly one negative and two
+    kernel eigenvalues, so the three lowest pairs are its negative and
+    kernel directions.
     """
-    evals, evecs = scipy.linalg.eigh(op.matrix, subset_by_index=(0, 2))
-    return evals, evecs / math.sqrt(op.grid.spacing)
+    evals, evecs = scipy.linalg.eigh(op.matrix, subset_by_index=(0, _CLASSIFY_COUNT - 1))
+    return evals[:count], evecs[:, :count] / math.sqrt(op.grid.spacing)
 
 
 def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
-    """Return (negative_count, kernel indices); raise if the split is wrong."""
+    """Return (negative_count, kernel indices); raise if the split is wrong.
+
+    evals are the lowest eigenvalues, ascending: the whole spectrum or its
+    first _CLASSIFY_COUNT, which decide the same outcome. A count that runs
+    to the last given value is reported as a lower bound.
+    """
     eps_ker = 1e-3 * edge
     eps_neg = eps_ker
     eps_edge = 0.05 * edge
     neg = np.nonzero(evals < -eps_neg)[0]
     ker = np.nonzero((evals > -eps_ker) & (evals < eps_ker))[0]
     rest = np.setdiff1d(np.arange(evals.size), np.concatenate([neg, ker]))
+
+    def found(idx: np.ndarray) -> str:
+        capped = idx.size and idx[-1] == evals.size - 1
+        return f"found at least {idx.size}" if capped else f"found {idx.size}"
+
     if neg.size != 1:
         raise ClassificationError(
-            f"expected exactly 1 eigenvalue below {-eps_neg:.3e}, found {neg.size}",
+            f"expected exactly 1 eigenvalue below {-eps_neg:.3e}, {found(neg)}",
             evals[neg] if neg.size else evals[:3],
         )
     if ker.size != 2:
         raise ClassificationError(
-            f"expected exactly 2 near-zero eigenvalues within {eps_ker:.3e}, "
-            f"found {ker.size}",
+            f"expected exactly 2 near-zero eigenvalues within {eps_ker:.3e}, {found(ker)}",
             evals[ker] if ker.size else evals[:4],
         )
     low_rest = evals[rest] <= edge - eps_edge
@@ -227,19 +250,21 @@ def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
     return int(neg.size), ker
 
 
-def spectrum(op: DiscreteOperator) -> SpectrumReport:
-    """Classify the eigenvalues, then attach the kernel comparison and the
-    coercivity constants from the three lowest eigenvectors."""
-    evals = eigenvalues(op)
+def spectrum(op: DiscreteOperator,
+             lowest: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumReport:
+    """Classify the four lowest eigenvalues, then attach the full eigenvalue
+    list, the kernel comparison and the coercivity constants from the three
+    lowest eigenvectors. lowest, the operator's eigensystem(op, 4), saves
+    solving for it again."""
+    evals, evecs = eigensystem(op, _CLASSIFY_COUNT) if lowest is None else lowest
     edge = continuum_edge(op.params)
     _, ker_idx = _classify(evals, edge)
-    _, evecs = eigensystem(op)
     jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
     kernel_span = np.column_stack([jet.dx1, jet.dx2])
     angles = scipy.linalg.subspace_angles(evecs[:, ker_idx], kernel_span)
     nu0, mu0 = _coercivity_from_parts(op, evecs[:, 0], kernel_span, jet.b)
     return SpectrumReport(
-        eigenvalues=evals,
+        eigenvalues=eigenvalues(op),
         negative_count=1,
         lambda0_sq=float(-evals[0]),
         kernel_defect=(float(evals[ker_idx[0]]), float(evals[ker_idx[1]])),
@@ -270,8 +295,9 @@ def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span:
     For mu in (0, lam_1) only one entry of diag(lam) - mu I is negative and
     the rank-one term (h/mu) c c^T, c = W^T b, can only lift that one, so the
     form is semidefinite exactly when phi(mu) = mu + h sum_i c_i^2 /
-    (lam_i - mu) <= 0: mu* is the root in (0, lam_1). One eigensolve at mu0
-    certifies the form for arbitrary fields, not just sampled ones.
+    (lam_i - mu) <= 0: mu* is the root in (0, lam_1). A Cholesky
+    factorization at mu0 certifies the form for arbitrary fields, not just
+    sampled ones.
 
     The complement's basis is the last N-2 columns of Q = H_1 H_2, the two
     Householder reflectors of the QR factorization of [B1 B2], so both
@@ -315,12 +341,21 @@ def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span:
     nu0 = _brentq(psi, lo, hi) if psi(hi) > 0.0 else hi
 
     m = lred - mu0 * gred + (h / mu0) * np.outer(bred, bred)
-    certificate = scipy.linalg.eigh(0.5 * (m + m.T), eigvals_only=True,
-                                    subset_by_index=(0, 0))
-    if certificate[0] < 0.0:
-        raise ClassificationError(
-            f"compensated quadratic form is not positive at mu0 = {mu0:.6g}", certificate)
+    _certify_positive(0.5 * (m + m.T), f"compensated quadratic form is not positive at "
+                                       f"mu0 = {mu0:.6g}")
     return float(nu0), float(mu0)
+
+
+def _certify_positive(m: np.ndarray, message: str) -> None:
+    """Raise ClassificationError(message) unless the symmetric m is positive
+    definite. The Cholesky factorization exists exactly then (Golub and Van
+    Loan, Matrix Computations, 4th ed., 4.2); only when it breaks down is the
+    smallest eigenvalue solved for, for the error to carry."""
+    try:
+        scipy.linalg.cholesky(m, check_finite=False)
+    except np.linalg.LinAlgError:
+        smallest = scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=(0, 0))
+        raise ClassificationError(message, smallest) from None
 
 
 def _complement_reflectors(kernel_span: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -424,24 +459,56 @@ class Classification:
     lambda0_sq: float
 
 
-def classify(op: DiscreteOperator) -> Classification:
-    """Eigenvalues only (no vectors, no coercivity), classified; raises
-    ClassificationError when the negative/kernel/continuum split is wrong."""
-    evals = eigenvalues(op)
-    negative_count, _ = _classify(evals, continuum_edge(op.params))
+def _classification(evals: np.ndarray, p: cf.BreatherParams) -> Classification:
+    negative_count, _ = _classify(evals, continuum_edge(p))
     return Classification(negative_count, float(-evals[0]))
 
 
-def phase_sweep(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
-                shifts: list[float]) -> list[Classification]:
+def classify(op: DiscreteOperator) -> Classification:
+    """The four lowest eigenvalues only (no vectors, no coercivity),
+    classified; raises ClassificationError when the
+    negative/kernel/continuum split is wrong."""
+    evals = scipy.linalg.eigh(op.matrix, eigvals_only=True,
+                              subset_by_index=(0, _CLASSIFY_COUNT - 1))
+    return _classification(evals, op.params)
+
+
+def phase_sweep(p: cf.BreatherParams, grid: PeriodicGrid, t: float, shifts: list[float], *,
+                matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                ) -> list[Classification]:
     """classify(assemble(p with x1 = shift, grid, t)) for each shift, in order.
 
-    The differentiation matrices depend only on the grid, so they are built
-    once for the sweep and dropped with it; each sample still runs the
-    boundary check and the apply_operator self-check of assemble.
+    The differentiation matrices depend only on the grid, so one build
+    serves the sweep: the caller's matrices, or ones built here and dropped
+    with the sweep. Each sample still runs the boundary check and the
+    apply_operator self-check of assemble.
     """
-    matrices = _derivative_matrices(grid)
+    matrices = matrices or _derivative_matrices(grid)
     return [classify(assemble(replace(p, x1=x1), grid, t, matrices=matrices)) for x1 in shifts]
+
+
+def spectrum_with_sweep(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
+                        shifts: list[float]) -> tuple[SpectrumReport, list[Classification]]:
+    """(spectrum(assemble(p, grid, t)), phase_sweep(p, grid, t, shifts)),
+    shifts empty or starting at p.x1, without doing any dense work twice.
+
+    One build of the differentiation matrices serves every operator. The
+    first sample is the spectrum's operator, so its Classification comes from
+    the spectrum's four eigenpairs. The operator is classified before any
+    sample is assembled, and the matrices are dropped before the coercivity
+    pencil, so its arrays never sit beside them.
+    """
+    if shifts and shifts[0] != p.x1:
+        raise ValueError(f"a phase sweep starts at x1 = {p.x1!r}, not at {shifts[0]!r}")
+    matrices = _derivative_matrices(grid)
+    op = assemble(p, grid, t, matrices=matrices)
+    lowest = eigensystem(op, _CLASSIFY_COUNT)
+    sweep = []
+    if shifts:
+        sweep = [_classification(lowest[0], p)]
+        sweep += phase_sweep(p, grid, t, shifts[1:], matrices=matrices)
+    del matrices
+    return spectrum(op, lowest), sweep
 
 
 def root_function(p: cf.BreatherParams, t: float, y2):

@@ -166,6 +166,50 @@ def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, caps
         "check failed: matrix application disagrees with operator action")
     assert list(tmp_path.iterdir()) == []
 
+def _spy_dense_work(monkeypatch):
+    """Record each assemble's x1 and each _derivative_matrices' orders."""
+    assembled, built = [], []
+    real_assemble, real_build = sp.assemble, sp._derivative_matrices
+
+    def assemble(p, grid, t=0.0, *, matrices=None):
+        assembled.append(p.x1)
+        return real_assemble(p, grid, t, matrices=matrices)
+
+    def build(grid, orders=(1, 2, 4)):
+        built.append(tuple(orders))
+        return real_build(grid, orders)
+
+    monkeypatch.setattr(sp, "assemble", assemble)
+    monkeypatch.setattr(sp, "_derivative_matrices", build)
+    return assembled, built
+
+
+@pytest.mark.parametrize("n_samples", [4, 1])
+def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_samples):
+    assembled, built = _spy_dense_work(monkeypatch)
+    code = main(["spectrum", "--set", "spectrum.phase_sweep=true",
+                 "--set", f"spectrum.phase_samples={n_samples}", "--out", str(tmp_path)])
+    assert code == 0
+    # the first sample is the spectrum's own operator, assembled once
+    assert len(assembled) == n_samples
+    # one D1, D2, D4 build for every operator, then the pencil's own Gram
+    assert built == [(1, 2, 4), (2, 4)]
+    _, report = _read(tmp_path, ".report.json")
+    assert report["sweep"]["lambda0_sq"][0] == report["spectrum"]["lambda0_sq"]
+    assert len(report["sweep"]["lambda0_sq"]) == n_samples
+
+
+def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypatch, capsys):
+    # at N=256 the base spectrum does not classify
+    assembled, _ = _spy_dense_work(monkeypatch)
+    code = main(["spectrum", "--set", "spectrum.n_points=256", "--set", "spectrum.phase_sweep=true",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert assembled == [0.0]
+    assert capsys.readouterr().err.startswith("check failed: expected exactly")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_manifest_replay(tmp_path):
     # one process, so one BLAS thread count: the report must replay byte for
     # byte (across thread counts the eigenvalues differ in the last digits)

@@ -1,10 +1,14 @@
 """Configuration merging, validation, overrides, and canonical hashing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from breatherlab import config as cfg
+from breatherlab.cli import main
+
+_IDENTITY_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "artifact_identity.sh"
 
 
 def test_default_config_is_valid_and_detached():
@@ -128,6 +132,40 @@ def test_validate_config_rejections(assignment, message):
     c = cfg.apply_overrides(cfg.default_config(), [assignment])
     with pytest.raises(cfg.ConfigError, match=message):
         cfg.validate_config(c)
+
+
+def test_spectrum_dense_arrays_beyond_budget_are_refused():
+    # arithmetic only: the guard compares 8 * 8 N^2 bytes with the budget
+    assert cfg.SPECTRUM_DENSE_ARRAYS * 8 * 4096**2 <= cfg.DENSE_BUDGET_BYTES
+    assert cfg.SPECTRUM_DENSE_ARRAYS * 8 * 8192**2 > cfg.DENSE_BUDGET_BYTES
+    cfg.validate_config(cfg.apply_overrides(cfg.default_config(), ["spectrum.n_points=4096"]))
+    for n in (8192, 2**20):
+        c = cfg.apply_overrides(cfg.default_config(), [f"spectrum.n_points={n}"])
+        with pytest.raises(cfg.ConfigError,
+                           match=f"spectrum.n_points={n} needs about {64 * n**2} bytes"):
+            cfg.validate_config(c)
+
+
+def test_spectrum_refused_before_anything_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--set", "spectrum.n_points=8192", "--out", str(out)]) == 1
+    assert "spectrum.n_points=8192 needs about 4294967296 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _identity_invocations():
+    """The CLI argument lists of tools/artifact_identity.sh."""
+    block = _IDENTITY_SCRIPT.read_text().split("INVOCATIONS='", 1)[1].split("'", 1)[0]
+    return [line.split() for line in block.splitlines()]
+
+
+def test_identity_invocations_pass_the_dense_guard():
+    invocations = _identity_invocations()
+    assert len(invocations) == 9
+    assert any("spectrum.n_points=1024" in args for args in invocations)
+    for args in invocations:
+        overrides = [args[i + 1] for i, arg in enumerate(args) if arg == "--set"]
+        cfg.validate_config(cfg.apply_overrides(cfg.default_config(), overrides))
 
 
 def test_breather_params_and_grid():

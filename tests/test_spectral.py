@@ -375,6 +375,110 @@ def test_classify_rejects_flat_operator():
     assert isinstance(exc.value.offending, np.ndarray)
 
 
+def test_spectrum_with_sweep_is_bitwise_spectrum_and_phase_sweep(report):
+    shifts = _sweep_shifts(P, 3)
+    srep, sweep = sp.spectrum_with_sweep(P, GRID, 0.0, shifts)
+    assert sweep == sp.phase_sweep(P, GRID, 0.0, shifts)
+    np.testing.assert_array_equal(srep.eigenvalues, report.eigenvalues)
+    assert replace(srep, eigenvalues=None) == replace(report, eigenvalues=None)
+    alone, none = sp.spectrum_with_sweep(P, GRID, 0.0, [])
+    assert none == [] and replace(alone, eigenvalues=None) == replace(report, eigenvalues=None)
+    with pytest.raises(ValueError, match="starts at x1"):
+        sp.spectrum_with_sweep(P, GRID, 0.0, shifts[1:])
+
+
+def _with_negative_directions(op, count):
+    """op with `count` grid modes cos(k_j x) turned negative: on the flat
+    operator each is an eigenvector, and the rank-one update flips its sign."""
+    mat = op.matrix
+    for j in range(40, 40 + count):
+        v = np.cos(op.grid.wavenumbers[j] * op.grid.nodes)
+        mat = mat - 2.0 * (v @ mat @ v) / (v @ v) ** 2 * np.outer(v, v)
+    return sp.DiscreteOperator(op.grid, 0.5 * (mat + mat.T), op.params, op.time_tag)
+
+
+def _classify_outcome(evals, edge):
+    """(negative_count or exception type, message) of _classify."""
+    try:
+        return sp._classify(evals, edge)[0], ""
+    except sp.ClassificationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", ["n512", "n1024", "shift1", "shift5", "n256", "flat",
+                                  "flat_two_negative", "flat_five_negative"])
+def test_four_value_classification_is_the_full_list_classification(case):
+    shifts = _sweep_shifts(P, 8)
+    ops = {
+        "n512": lambda: sp.assemble(P, GRID),
+        "n1024": lambda: sp.assemble(P, _grid(1024)),
+        "shift1": lambda: sp.assemble(replace(P, x1=shifts[1]), GRID),
+        "shift5": lambda: sp.assemble(replace(P, x1=shifts[5]), GRID),
+        "n256": lambda: sp.assemble(P, _grid(256)),  # does not classify
+        "flat": lambda: _flat(P, GRID),
+        "flat_two_negative": lambda: _with_negative_directions(_flat(P, GRID), 2),
+        "flat_five_negative": lambda: _with_negative_directions(_flat(P, GRID), 5),
+    }
+    op = ops[case]()
+    edge = sp.continuum_edge(op.params)
+    four, four_message = _classify_outcome(
+        scipy.linalg.eigh(op.matrix, eigvals_only=True, subset_by_index=(0, 3)), edge)
+    full, full_message = _classify_outcome(scipy.linalg.eigh(op.matrix, eigvals_only=True), edge)
+    assert four == full
+    assert (four == 1) == (case in ("n512", "n1024", "shift1", "shift5"))
+    if case == "flat_two_negative":
+        assert "found 2" in four_message and "found 2" in full_message
+    if case == "flat_five_negative":
+        # four values cannot tell 4 negative eigenvalues from more
+        assert "found at least 4" in four_message and "found 5" in full_message
+
+
+def test_classify_and_spectrum_read_the_same_four_eigenvalues(op, report):
+    evals, _ = sp.eigensystem(op, 4)
+    np.testing.assert_array_equal(
+        evals, scipy.linalg.eigh(op.matrix, eigvals_only=True, subset_by_index=(0, 3)))
+    assert report.lambda0_sq == -evals[0]
+    assert report.kernel_defect == (evals[1], evals[2])
+
+
+def _forms_near_singular(seed, n, count):
+    """Symmetric n x n forms Q diag(d) Q^T, d in [1, 10] except the smallest,
+    +-1e-6 of the largest, with the signs drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for sign in rng.choice([-1.0, 1.0], count):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        d = rng.uniform(1.0, 10.0, n)
+        d[0] = sign * 1e-6 * np.max(d)
+        m = (q * d) @ q.T
+        forms.append(0.5 * (m + m.T))
+    return forms
+
+
+def test_cholesky_certificate_accepts_exactly_the_positive_forms():
+    outcomes = []
+    for m in _forms_near_singular(510, 510, 8):
+        smallest = scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=(0, 0))[0]
+        try:
+            sp._certify_positive(m, "not positive")
+            accepted = True
+        except sp.ClassificationError as exc:
+            accepted = False
+            assert exc.offending[0] == smallest
+        outcomes.append((accepted, smallest > 0.0))
+    assert all(accepted == positive for accepted, positive in outcomes)
+    assert {positive for _, positive in outcomes} == {True, False}
+
+
+def test_certificate_rejects_mu0_above_the_threshold(op, monkeypatch):
+    real = sp._brentq
+    # every root 20% high: mu0 = 0.99 * 1.2 mu* lies above mu*
+    monkeypatch.setattr(sp, "_brentq", lambda f, a, b: 1.2 * real(f, a, b))
+    with pytest.raises(sp.ClassificationError, match="not positive at mu0") as exc:
+        sp.spectrum(op)
+    assert exc.value.offending[0] < 0.0
+
+
 def _sweep_shifts(p, n_samples):
     # the CLI's phase sweep: n_samples shifts of x1 over half a period
     return [p.x1 + j * (np.pi / p.alpha) / n_samples for j in range(n_samples)]
