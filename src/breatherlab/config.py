@@ -62,6 +62,12 @@ DEFAULTS: dict = {
 # anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB.
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
+# Counts that a typo can blow up are refused the same way. spectrum solves
+# (phase_samples if phase_sweep else 1) + 2 eigenproblems, about 20 ms each
+# at N=512; evolve and stability take t_end / dt steps, about 260 us each at
+# N=2048 (t_end=50 at the default dt is 400000 steps).
+EIGENSOLVE_BUDGET = 1000
+STEP_BUDGET = 2_000_000
 
 # fields where null is a meaningful value (auto-derived at run time)
 _NULLABLE = {
@@ -204,6 +210,17 @@ def validate_config(config: dict) -> None:
         raise ConfigError("verify.gamma_scale must be positive")
     if config["spectrum"]["phase_samples"] < 1:
         raise ConfigError("spectrum.phase_samples must be >= 1")
+    spec = config["spectrum"]
+    solves = (spec["phase_samples"] if spec["phase_sweep"] else 1) + 2
+    if solves > EIGENSOLVE_BUDGET:
+        raise ConfigError(
+            f"spectrum.phase_samples={spec['phase_samples']} needs about {solves} dense "
+            f"eigensolves, above the budget of {EIGENSOLVE_BUDGET}")
+    steps = integ["t_end"] / integ["dt"]
+    if steps > STEP_BUDGET:
+        raise ConfigError(
+            f"integrator.t_end={integ['t_end']!r} at integrator.dt={integ['dt']!r} needs "
+            f"about {steps:.6g} steps, above the budget of {STEP_BUDGET}")
     for path in (("evolve", "drift_tol"), ("evolve", "steady_tol"),
                  ("stability", "a0_threshold"), ("stability", "closure_tol"),
                  ("stability", "h_drift_tol")):

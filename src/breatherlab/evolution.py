@@ -141,8 +141,11 @@ class _Stepper:
         # propagator annihilates that mode, matching the derivative tables
         self.e_full[-1] = 0.0
         self.e_half[-1] = 0.0
-        # 2/3 rule: irfft zero-pads the modes kept for cubing, and the flux
-        # is truncated to the same band
+        # 2/3 rule: irfft zero-pads the K = n//3 modes kept for cubing, and
+        # the flux is truncated to the same band. K removes the aliasing of a
+        # quadratic product only: u^3 reaches mode 3K ~ n, and its modes in
+        # [n-K, 3K] alias into the kept band. The effect on the breather's
+        # artifacts has not been measured.
         self.keep = self.n // 3 + 1 if cfg.dealias else k.shape[0]
         self.minus_ik = -grid.multiplier(1)
         self.minus_ik[self.keep:] = 0.0

@@ -3,18 +3,18 @@
 The operator is discretized as a real symmetric N x N matrix built from
 Fourier differentiation matrices. Its four lowest eigenvalues, the fourth
 bounding all above it, classify it into the unique negative eigenvalue, the
-two-dimensional kernel, and the rest sitting above the continuum edge; a
-spectrum solves them with their vectors and the full eigenvalue list only
-for its report. Both coercivity constants are roots of scalar secular
-equations on one pencil constrained to the complement of the kernel
-directions B1, B2, whose basis two Householder reflectors give: nu0 a
-Rayleigh minimum, mu0 0.99 times the exact positive-semidefiniteness
-threshold of the compensated form, certified by a Cholesky factorization, so
-the advertised quadratic-form inequalities hold for every grid field by
-construction. Phase sweeps only classify, from the four lowest eigenvalues
-without vectors; one build of the grid's differentiation matrices serves
-the spectrum's operator and every sample, and the first sample is the
-spectrum's own operator, solved once (spectrum_with_sweep).
+two-dimensional kernel, and the rest sitting above the continuum edge.
+spectrum is the one path to that split: it solves the four lowest pairs of
+the operator, classifies each phase-sweep sample from its four lowest
+eigenvalues alone, and solves the full eigenvalue list only for its report.
+One build of the grid's differentiation matrices serves the operator and
+every sample, and the first sample is the operator itself, solved once.
+Both coercivity constants are roots of scalar secular equations on one
+pencil constrained to the complement of the kernel directions B1, B2, whose
+basis two Householder reflectors give: nu0 a Rayleigh minimum, mu0 0.99
+times the exact positive-semidefiniteness threshold of the compensated form,
+certified by a Cholesky factorization, so the advertised quadratic-form
+inequalities hold for every grid field by construction.
 
 The Wronskian of the two kernel directions has a closed form whose sign
 structure counts the negative eigenvalues; wronskian_analysis cross-checks
@@ -92,10 +92,13 @@ class DiscreteOperator:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """kernel_defect, the two kernel eigenvalues, lies below the eigensolver's
-    roundoff floor, about eps * max|lambda| (1e-10 at N=512): its digits move
-    with the solver's call shape, and only the bound |lambda| <= 1e-3 *
-    continuum_edge that classification enforces is meaningful."""
+    """kernel_defect and kernel_angle are bound-only. kernel_defect, the two
+    kernel eigenvalues, lies below the eigensolver's roundoff floor, about
+    eps * max|lambda| (1e-10 at N=512), and only the bound |lambda| <= 1e-3
+    * continuum_edge that classification enforces is meaningful.
+    kernel_angle, the largest angle between the kernel eigenvectors and B1,
+    B2, is about 4e-11 at N=1024 and moves by 1.5e-6 relative with the
+    solver's call shape; only its magnitude is meaningful."""
 
     eigenvalues: np.ndarray
     negative_count: int
@@ -193,24 +196,17 @@ def _gram_matrix(grid: PeriodicGrid) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def eigenvalues(op: DiscreteOperator) -> np.ndarray:
-    """All eigenvalues, ascending, without vectors: the spectrum report's list."""
-    return scipy.linalg.eigh(op.matrix, eigvals_only=True)
+def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The four lowest eigenpairs, ascending; eigenvectors are L2-normalized.
 
-
-def eigensystem(op: DiscreteOperator, count: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """The count lowest eigenpairs, ascending, count at most four;
-    eigenvectors are L2-normalized.
-
-    One solve for the four lowest pairs serves every count; its eigenvalues
-    are bitwise those of classify's solve without vectors (one subset shape,
-    values independent of the vectors; other shapes differ in the last
-    bits). A spectrum that classifies has exactly one negative and two
-    kernel eigenvalues, so the three lowest pairs are its negative and
-    kernel directions.
+    A spectrum that classifies has exactly one negative and two kernel
+    eigenvalues, so the three lowest pairs are its negative and kernel
+    directions and the fourth eigenvalue bounds the rest. The eigenvalues are
+    bitwise those of the same subset solved without vectors (values
+    independent of the vectors; other subset shapes differ in the last bits).
     """
     evals, evecs = scipy.linalg.eigh(op.matrix, subset_by_index=(0, _CLASSIFY_COUNT - 1))
-    return evals[:count], evecs[:, :count] / math.sqrt(op.grid.spacing)
+    return evals, evecs / math.sqrt(op.grid.spacing)
 
 
 def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
@@ -250,21 +246,41 @@ def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
     return int(neg.size), ker
 
 
-def spectrum(op: DiscreteOperator,
-             lowest: tuple[np.ndarray, np.ndarray] | None = None) -> SpectrumReport:
-    """Classify the four lowest eigenvalues, then attach the full eigenvalue
-    list, the kernel comparison and the coercivity constants from the three
-    lowest eigenvectors. lowest, the operator's eigensystem(op, 4), saves
-    solving for it again."""
-    evals, evecs = eigensystem(op, _CLASSIFY_COUNT) if lowest is None else lowest
-    edge = continuum_edge(op.params)
+def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
+             shifts: list[float] | tuple[float, ...] = ()) -> tuple[SpectrumReport, list[float]]:
+    """The spectrum report of assemble(p, grid, t), and lambda0^2 of each
+    phase-sweep sample: the operator with x1 = shift, for shifts empty or
+    starting at p.x1.
+
+    One build of the differentiation matrices serves every operator. The
+    operator's four lowest eigenpairs are classified before any sample is
+    assembled, and they are the first sample. Every other sample runs the
+    assembly's boundary check and self-check and is classified from its four
+    lowest eigenvalues, without vectors. The matrices are dropped before the
+    kernel comparison and the coercivity constants, so the pencil's arrays
+    never sit beside them; the full eigenvalue list is solved last, for the
+    report only.
+    """
+    if shifts and shifts[0] != p.x1:
+        raise ValueError(f"a phase sweep starts at x1 = {p.x1!r}, not at {shifts[0]!r}")
+    edge = continuum_edge(p)
+    matrices = _derivative_matrices(grid)
+    op = assemble(p, grid, t, matrices=matrices)
+    evals, evecs = eigensystem(op)
     _, ker_idx = _classify(evals, edge)
-    jet = cf.breather_jet(op.params, op.time_tag, op.grid.nodes)
+    sweep = [float(-evals[0])] if shifts else []
+    for x1 in shifts[1:]:
+        lowest = scipy.linalg.eigh(assemble(replace(p, x1=x1), grid, t, matrices=matrices).matrix,
+                                   eigvals_only=True, subset_by_index=(0, _CLASSIFY_COUNT - 1))
+        _classify(lowest, edge)
+        sweep.append(float(-lowest[0]))
+    del matrices
+    jet = cf.breather_jet(p, t, grid.nodes)
     kernel_span = np.column_stack([jet.dx1, jet.dx2])
     angles = scipy.linalg.subspace_angles(evecs[:, ker_idx], kernel_span)
     nu0, mu0 = _coercivity_from_parts(op, evecs[:, 0], kernel_span, jet.b)
     return SpectrumReport(
-        eigenvalues=eigenvalues(op),
+        eigenvalues=scipy.linalg.eigh(op.matrix, eigvals_only=True),
         negative_count=1,
         lambda0_sq=float(-evals[0]),
         kernel_defect=(float(evals[ker_idx[0]]), float(evals[ker_idx[1]])),
@@ -272,7 +288,7 @@ def spectrum(op: DiscreteOperator,
         continuum_edge=edge,
         nu0_estimate=nu0,
         mu0_estimate=mu0,
-    )
+    ), sweep
 
 
 def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span: np.ndarray,
@@ -451,64 +467,6 @@ def _brentq(f, a: float, b: float) -> float:
             xcur += delta if sbis > 0.0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur:f}")
-
-
-@dataclass(frozen=True)
-class Classification:
-    negative_count: int
-    lambda0_sq: float
-
-
-def _classification(evals: np.ndarray, p: cf.BreatherParams) -> Classification:
-    negative_count, _ = _classify(evals, continuum_edge(p))
-    return Classification(negative_count, float(-evals[0]))
-
-
-def classify(op: DiscreteOperator) -> Classification:
-    """The four lowest eigenvalues only (no vectors, no coercivity),
-    classified; raises ClassificationError when the
-    negative/kernel/continuum split is wrong."""
-    evals = scipy.linalg.eigh(op.matrix, eigvals_only=True,
-                              subset_by_index=(0, _CLASSIFY_COUNT - 1))
-    return _classification(evals, op.params)
-
-
-def phase_sweep(p: cf.BreatherParams, grid: PeriodicGrid, t: float, shifts: list[float], *,
-                matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                ) -> list[Classification]:
-    """classify(assemble(p with x1 = shift, grid, t)) for each shift, in order.
-
-    The differentiation matrices depend only on the grid, so one build
-    serves the sweep: the caller's matrices, or ones built here and dropped
-    with the sweep. Each sample still runs the boundary check and the
-    apply_operator self-check of assemble.
-    """
-    matrices = matrices or _derivative_matrices(grid)
-    return [classify(assemble(replace(p, x1=x1), grid, t, matrices=matrices)) for x1 in shifts]
-
-
-def spectrum_with_sweep(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
-                        shifts: list[float]) -> tuple[SpectrumReport, list[Classification]]:
-    """(spectrum(assemble(p, grid, t)), phase_sweep(p, grid, t, shifts)),
-    shifts empty or starting at p.x1, without doing any dense work twice.
-
-    One build of the differentiation matrices serves every operator. The
-    first sample is the spectrum's operator, so its Classification comes from
-    the spectrum's four eigenpairs. The operator is classified before any
-    sample is assembled, and the matrices are dropped before the coercivity
-    pencil, so its arrays never sit beside them.
-    """
-    if shifts and shifts[0] != p.x1:
-        raise ValueError(f"a phase sweep starts at x1 = {p.x1!r}, not at {shifts[0]!r}")
-    matrices = _derivative_matrices(grid)
-    op = assemble(p, grid, t, matrices=matrices)
-    lowest = eigensystem(op, _CLASSIFY_COUNT)
-    sweep = []
-    if shifts:
-        sweep = [_classification(lowest[0], p)]
-        sweep += phase_sweep(p, grid, t, shifts[1:], matrices=matrices)
-    del matrices
-    return spectrum(op, lowest), sweep
 
 
 def root_function(p: cf.BreatherParams, t: float, y2):

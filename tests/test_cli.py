@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 import breatherlab
 from breatherlab import config as cfgmod
@@ -167,8 +168,9 @@ def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 def _spy_dense_work(monkeypatch):
-    """Record each assemble's x1 and each _derivative_matrices' orders."""
-    assembled, built = [], []
+    """Record each assemble's x1 and each _derivative_matrices' orders, and
+    count the scipy.linalg.eigh and scipy.linalg.cholesky calls."""
+    assembled, built, solves = [], [], {"eigh": 0, "cholesky": 0}
     real_assemble, real_build = sp.assemble, sp._derivative_matrices
 
     def assemble(p, grid, t=0.0, *, matrices=None):
@@ -179,14 +181,22 @@ def _spy_dense_work(monkeypatch):
         built.append(tuple(orders))
         return real_build(grid, orders)
 
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            solves[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(sp, "assemble", assemble)
     monkeypatch.setattr(sp, "_derivative_matrices", build)
-    return assembled, built
+    for name in solves:
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    return assembled, built, solves
 
 
 @pytest.mark.parametrize("n_samples", [4, 1])
 def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_samples):
-    assembled, built = _spy_dense_work(monkeypatch)
+    assembled, built, solves = _spy_dense_work(monkeypatch)
     code = main(["spectrum", "--set", "spectrum.phase_sweep=true",
                  "--set", f"spectrum.phase_samples={n_samples}", "--out", str(tmp_path)])
     assert code == 0
@@ -194,6 +204,9 @@ def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_sample
     assert len(assembled) == n_samples
     # one D1, D2, D4 build for every operator, then the pencil's own Gram
     assert built == [(1, 2, 4), (2, 4)]
+    # the operator's four lowest pairs, one four-value solve per other
+    # sample, the pencil and the full list; one Cholesky certifies mu0
+    assert solves == {"eigh": n_samples + 2, "cholesky": 1}
     _, report = _read(tmp_path, ".report.json")
     assert report["sweep"]["lambda0_sq"][0] == report["spectrum"]["lambda0_sq"]
     assert len(report["sweep"]["lambda0_sq"]) == n_samples
@@ -201,11 +214,12 @@ def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_sample
 
 def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypatch, capsys):
     # at N=256 the base spectrum does not classify
-    assembled, _ = _spy_dense_work(monkeypatch)
+    assembled, _, solves = _spy_dense_work(monkeypatch)
     code = main(["spectrum", "--set", "spectrum.n_points=256", "--set", "spectrum.phase_sweep=true",
                  "--out", str(tmp_path)])
     assert code == 2
     assert assembled == [0.0]
+    assert solves == {"eigh": 1, "cholesky": 0}
     assert capsys.readouterr().err.startswith("check failed: expected exactly")
     assert list(tmp_path.iterdir()) == []
 

@@ -153,6 +153,43 @@ def test_spectrum_refused_before_anything_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_counts_beyond_budget_are_refused():
+    # arithmetic only: spectrum solves phase_samples + 2 eigenproblems with
+    # the sweep on and 3 without, evolve and stability take t_end / dt steps
+    assert 50.0 / 1.25e-4 <= cfg.STEP_BUDGET
+    budget = cfg.EIGENSOLVE_BUDGET
+    for assignments in (["spectrum.phase_sweep=true", f"spectrum.phase_samples={budget - 2}"],
+                        [f"spectrum.phase_samples={100 * budget}"],
+                        ["integrator.t_end=50"]):
+        cfg.validate_config(cfg.apply_overrides(cfg.default_config(), assignments))
+    refused = [
+        (["spectrum.phase_sweep=true", f"spectrum.phase_samples={budget - 1}"],
+         f"spectrum.phase_samples={budget - 1} needs about {budget + 1} dense eigensolves"),
+        (["spectrum.phase_sweep=true", "spectrum.phase_samples=1000000"],
+         "spectrum.phase_samples=1000000 needs about 1000002 dense eigensolves"),
+        (["integrator.t_end=1e6"],
+         r"integrator.t_end=1000000.0 at integrator.dt=0.000125 needs about 8e\+09 steps"),
+        (["integrator.dt=1e-300", "integrator.t_end=1e300"], "needs about inf steps"),
+    ]
+    for assignments, message in refused:
+        c = cfg.apply_overrides(cfg.default_config(), assignments)
+        with pytest.raises(cfg.ConfigError, match=message):
+            cfg.validate_config(c)
+
+
+@pytest.mark.parametrize("command,assignment,message", [
+    ("evolve", "integrator.t_end=1e6", "integrator.t_end=1000000.0 at integrator.dt"),
+    ("spectrum", "spectrum.phase_samples=5000", "spectrum.phase_samples=5000 needs about"),
+])
+def test_counts_refused_before_anything_runs(tmp_path, capsys, command, assignment, message):
+    out = tmp_path / "out"
+    code = main([command, "--set", "spectrum.phase_sweep=true", "--set", assignment,
+                 "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _identity_invocations():
     """The CLI argument lists of tools/artifact_identity.sh."""
     block = _IDENTITY_SCRIPT.read_text().split("INVOCATIONS='", 1)[1].split("'", 1)[0]
@@ -163,9 +200,18 @@ def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
     assert len(invocations) == 9
     assert any("spectrum.n_points=1024" in args for args in invocations)
+    # and the c12 configuration of tests/test_acceptance.py
+    invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
+                        "--set", "integrator.t_end=5.0"])
+    steps, solves = [], []
     for args in invocations:
         overrides = [args[i + 1] for i, arg in enumerate(args) if arg == "--set"]
-        cfg.validate_config(cfg.apply_overrides(cfg.default_config(), overrides))
+        c = cfg.apply_overrides(cfg.default_config(), overrides)
+        # the dense-array, eigensolve and step guards
+        cfg.validate_config(c)
+        steps.append(c["integrator"]["t_end"] / c["integrator"]["dt"])
+        solves.append((c["spectrum"]["phase_samples"] if c["spectrum"]["phase_sweep"] else 1) + 2)
+    assert max(steps) == 40000.0 and max(solves) == 10
 
 
 def test_breather_params_and_grid():

@@ -30,8 +30,8 @@ def op():
 
 
 @pytest.fixture(scope="module")
-def report(op):
-    return sp.spectrum(op)
+def report():
+    return sp.spectrum(P, GRID, 0.0)[0]
 
 
 def _band_field(grid, seed, kmax=2.5):
@@ -48,6 +48,11 @@ def _flat(p, grid):
     zeros = np.zeros(grid.n_points)
     mat = sp._assemble_from_coefficients(p, zeros, zeros, zeros, sp._derivative_matrices(grid))
     return sp.DiscreteOperator(grid, mat, p, 0.0)
+
+
+def _assembling(monkeypatch, build):
+    """spectrum's assemble replaced by build(p, grid) for synthetic operators."""
+    monkeypatch.setattr(sp, "assemble", lambda p, grid, t=0.0, *, matrices=None: build(p, grid))
 
 
 def _l2_norm(grid, values):
@@ -92,7 +97,7 @@ def test_assemble_rejects_unresolved_grid():
 def test_flat_spectrum_is_the_symbol():
     p = cf.BreatherParams(1.2, 0.8)
     g = gr.PeriodicGrid(20.0, 64)
-    evals = sp.eigenvalues(_flat(p, g))
+    evals = scipy.linalg.eigh(_flat(p, g).matrix, eigvals_only=True)
     k = g.wavenumbers
     sym = k**4 + 2.0 * (p.beta**2 - p.alpha**2) * k**2 + (p.alpha**2 + p.beta**2) ** 2
     # interior modes come in cos/sin pairs; the Nyquist multiplier is zeroed,
@@ -104,23 +109,22 @@ def test_flat_spectrum_is_the_symbol():
 
 @pytest.mark.parametrize("n", [256, 512])
 def test_eigensystem_is_the_lowest_three_of_the_full_eigh(n):
-    # at N=256 the spectrum does not classify, but its lowest pairs are defined
+    # at N=256 the spectrum does not classify, but its lowest pairs are
+    # defined; the fourth pair only bounds the rest from below
     op = sp.assemble(P, _grid(n))
     evals, evecs = sp.eigensystem(op)
     full_evals, full_evecs = scipy.linalg.eigh(op.matrix)
     full_evecs = full_evecs[:, :3] / math.sqrt(op.grid.spacing)
     # the eigenvalues against the matrix's scale (a backward-stable solver's
     # error is roundoff times max |lambda|; the kernel pair is near zero)
-    np.testing.assert_allclose(evals, full_evals[:3], rtol=0,
+    np.testing.assert_allclose(evals, full_evals[:4], rtol=0,
                                atol=1e-12 * np.max(np.abs(full_evals)))
-    np.testing.assert_array_equal(sp.eigenvalues(op),
-                                  scipy.linalg.eigh(op.matrix, eigvals_only=True))
     np.testing.assert_allclose([_l2_norm(op.grid, v) for v in evecs.T], 1.0, rtol=1e-12)
     # the negative eigenvector up to sign; the kernel pair's gap is too small
     # for roundoff to fix each vector, so only the plane it spans is compared
     sign = np.sign(evecs[:, 0] @ full_evecs[:, 0])
     assert _l2_norm(op.grid, evecs[:, 0] - sign * full_evecs[:, 0]) <= 1e-10
-    assert np.max(scipy.linalg.subspace_angles(evecs[:, 1:], full_evecs[:, 1:])) <= 1e-10
+    assert np.max(scipy.linalg.subspace_angles(evecs[:, 1:3], full_evecs[:, 1:])) <= 1e-10
 
 
 @pytest.mark.parametrize("p,expected", [
@@ -150,31 +154,32 @@ def test_report_serializes(report):
 
 
 def test_lambda0_sq_stable_under_refinement(report):
-    fine = sp.spectrum(sp.assemble(P, _grid(1024), t=0.0))
+    fine = sp.spectrum(P, _grid(1024), 0.0)[0]
     rel = abs(fine.lambda0_sq - report.lambda0_sq) / fine.lambda0_sq
     assert rel <= 2e-6
 
 
 def test_lambda0_sq_translation_invariant(report):
     shift = 8.0 * GRID.spacing
-    moved = sp.spectrum(sp.assemble(replace(P, x1=P.x1 + shift, x2=P.x2 + shift), GRID))
+    moved = sp.spectrum(replace(P, x1=P.x1 + shift, x2=P.x2 + shift), GRID)[0]
     assert moved.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-8)
 
 
 def test_lambda0_sq_half_period_invariant(report):
-    flipped = sp.spectrum(sp.assemble(replace(P, x1=P.x1 + np.pi / P.alpha, x2=P.x2), GRID))
+    flipped = sp.spectrum(replace(P, x1=P.x1 + np.pi / P.alpha, x2=P.x2), GRID)[0]
     assert flipped.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-8)
 
 
 def test_equal_parameters_classify():
-    rep = sp.spectrum(sp.assemble(cf.BreatherParams(1.0, 1.0), GRID, t=0.1))
+    rep = sp.spectrum(cf.BreatherParams(1.0, 1.0), GRID, 0.1)[0]
     assert rep.negative_count == 1
     assert rep.continuum_edge == pytest.approx(4.0)
 
 
-def test_flat_operator_fails_classification():
+def test_flat_operator_fails_classification(monkeypatch):
+    _assembling(monkeypatch, _flat)
     with pytest.raises(sp.ClassificationError) as exc:
-        sp.spectrum(_flat(P, GRID))
+        sp.spectrum(P, GRID)
     assert isinstance(exc.value.offending, np.ndarray)
 
 
@@ -361,30 +366,34 @@ def test_coercivity_rejects_form_not_positive_for_tiny_mu():
 
 
 def test_sweep_spectra_matches_spectrum():
-    cases = [(P, GRID, 0.0), (replace(P, x1=P.x1 + 0.5 * np.pi / P.alpha, x2=P.x2), GRID, 0.0)]
-    for case in cases:
-        op = sp.assemble(*case)
-        point, full = sp.classify(op), sp.spectrum(op)
-        assert point.negative_count == 1
-        assert point.lambda0_sq == full.lambda0_sq
+    # each sample, the base and the half-shifted operator, classified from
+    # its four lowest eigenvalues, against its own sweep-free spectrum
+    half = P.x1 + 0.5 * np.pi / P.alpha
+    srep, sweep = sp.spectrum(P, GRID, 0.0, [P.x1, half])
+    shifted = sp.spectrum(replace(P, x1=half), GRID, 0.0)[0]
+    assert srep.negative_count == shifted.negative_count == 1
+    assert sweep == [srep.lambda0_sq, shifted.lambda0_sq]
 
 
-def test_classify_rejects_flat_operator():
+def test_classify_rejects_flat_operator(monkeypatch):
+    # a flat sample after the base operator fails the sweep's classification
+    real = sp.assemble
+    _assembling(monkeypatch, lambda p, grid: real(p, grid) if p.x1 == P.x1 else _flat(p, grid))
     with pytest.raises(sp.ClassificationError) as exc:
-        sp.classify(_flat(P, GRID))
+        sp.spectrum(P, GRID, 0.0, _sweep_shifts(P, 3))
     assert isinstance(exc.value.offending, np.ndarray)
 
 
-def test_spectrum_with_sweep_is_bitwise_spectrum_and_phase_sweep(report):
+def test_spectrum_sweep_starts_at_its_own_bitwise_report(report):
     shifts = _sweep_shifts(P, 3)
-    srep, sweep = sp.spectrum_with_sweep(P, GRID, 0.0, shifts)
-    assert sweep == sp.phase_sweep(P, GRID, 0.0, shifts)
+    srep, sweep = sp.spectrum(P, GRID, 0.0, shifts)
+    assert len(sweep) == 3 and sweep[0].hex() == report.lambda0_sq.hex()
     np.testing.assert_array_equal(srep.eigenvalues, report.eigenvalues)
     assert replace(srep, eigenvalues=None) == replace(report, eigenvalues=None)
-    alone, none = sp.spectrum_with_sweep(P, GRID, 0.0, [])
+    alone, none = sp.spectrum(P, GRID, 0.0, [])
     assert none == [] and replace(alone, eigenvalues=None) == replace(report, eigenvalues=None)
     with pytest.raises(ValueError, match="starts at x1"):
-        sp.spectrum_with_sweep(P, GRID, 0.0, shifts[1:])
+        sp.spectrum(P, GRID, 0.0, shifts[1:])
 
 
 def _with_negative_directions(op, count):
@@ -434,11 +443,14 @@ def test_four_value_classification_is_the_full_list_classification(case):
 
 
 def test_classify_and_spectrum_read_the_same_four_eigenvalues(op, report):
-    evals, _ = sp.eigensystem(op, 4)
+    # a sweep sample's solve without vectors and the spectrum's with them
+    evals, _ = sp.eigensystem(op)
     np.testing.assert_array_equal(
         evals, scipy.linalg.eigh(op.matrix, eigvals_only=True, subset_by_index=(0, 3)))
     assert report.lambda0_sq == -evals[0]
     assert report.kernel_defect == (evals[1], evals[2])
+    np.testing.assert_array_equal(report.eigenvalues,
+                                  scipy.linalg.eigh(op.matrix, eigvals_only=True))
 
 
 def _forms_near_singular(seed, n, count):
@@ -474,8 +486,9 @@ def test_certificate_rejects_mu0_above_the_threshold(op, monkeypatch):
     real = sp._brentq
     # every root 20% high: mu0 = 0.99 * 1.2 mu* lies above mu*
     monkeypatch.setattr(sp, "_brentq", lambda f, a, b: 1.2 * real(f, a, b))
+    _assembling(monkeypatch, lambda p, grid: op)
     with pytest.raises(sp.ClassificationError, match="not positive at mu0") as exc:
-        sp.spectrum(op)
+        sp.spectrum(P, GRID)
     assert exc.value.offending[0] < 0.0
 
 
@@ -487,10 +500,10 @@ def _sweep_shifts(p, n_samples):
 @pytest.mark.parametrize("n_samples", [8, 3])
 def test_phase_sweep_is_bitwise_the_per_sample_classification(n_samples):
     shifts = _sweep_shifts(P, n_samples)
-    swept = sp.phase_sweep(P, GRID, 0.0, shifts)
-    alone = [sp.classify(sp.assemble(replace(P, x1=s), GRID, 0.0)) for s in shifts]
-    assert [(c.negative_count, c.lambda0_sq.hex()) for c in swept] == \
-        [(c.negative_count, c.lambda0_sq.hex()) for c in alone]
+    _, swept = sp.spectrum(P, GRID, 0.0, shifts)
+    alone = [sp.spectrum(replace(P, x1=s), GRID, 0.0)[0] for s in shifts]
+    assert all(rep.negative_count == 1 for rep in alone)
+    assert [v.hex() for v in swept] == [rep.lambda0_sq.hex() for rep in alone]
 
 
 @pytest.mark.parametrize("n", [16, 64, 512, 1024])
@@ -511,7 +524,7 @@ def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch):
         return real(p, grid, t, matrices=matrices)
 
     monkeypatch.setattr(sp, "assemble", spy)
-    sp.phase_sweep(P, GRID, 0.0, _sweep_shifts(P, 3))
+    sp.spectrum(P, GRID, 0.0, _sweep_shifts(P, 3))
     assert len(seen) == 3 and all(m is seen[0] for m in seen)
     for m in seen[0]:
         assert not m.flags.writeable
@@ -531,11 +544,25 @@ def test_phase_sweep_checks_every_sample(monkeypatch):
     monkeypatch.setattr(sp, "apply_operator", wrong_after_two)
     shifts = _sweep_shifts(P, 4)
     with pytest.raises(sp.AssemblyError):
-        sp.phase_sweep(P, GRID, 0.0, shifts)
+        sp.spectrum(P, GRID, 0.0, shifts)
     assert calls == shifts[:3]
     # the boundary check too: this grid cuts the breather's tails
     with pytest.raises(ValueError, match="does not resolve"):
-        sp.phase_sweep(P, gr.PeriodicGrid(5.0, 128), 0.0, shifts)
+        sp.spectrum(P, gr.PeriodicGrid(5.0, 128), 0.0, shifts)
+    # and on a sample after a resolved base: its boundary value made large
+    monkeypatch.setattr(sp, "apply_operator", real)
+    real_fields = sp.coefficient_fields
+
+    def unresolved_after_base(p, grid, t=0.0):
+        b, bx, bxx = real_fields(p, grid, t)
+        if p.x1 != P.x1:
+            b = b.copy()
+            b[0] = 1.0
+        return b, bx, bxx
+
+    monkeypatch.setattr(sp, "coefficient_fields", unresolved_after_base)
+    with pytest.raises(ValueError, match="does not resolve"):
+        sp.spectrum(P, GRID, 0.0, shifts)
 
 
 def _solve(solver, f, a, b):

@@ -9,8 +9,9 @@
 # *_checkpoints/ directories included) and the two stdout logs, each side's
 # --out paths replaced by OUT. For each differing *.report.json it also
 # prints every differing key with its largest absolute and relative change
-# (tools/report_diff.py). Prints the number of files compared and exits 1 on
-# any differing or missing file or differing stdout.
+# (tools/report_diff.py). Prints the number of files compared and the net
+# change in src/ lines (*.py) from PARENT to CHANGE, and exits 1 on any
+# differing or missing file or differing stdout.
 set -euf
 
 if [ "$#" -ne 2 ]; then
@@ -74,6 +75,13 @@ if ! cmp -s parent.stdout change.stdout; then
     echo "differs: stdout (parent.stdout, change.stdout)" >&2
     status=1
 fi
+
+src_lines() {  # src_lines DIR: lines of the *.py files under DIR
+    find "$1" -name '*.py' -type f -exec cat {} + | wc -l
+}
+before=$(src_lines "$parent_src")
+after=$(src_lines "$change_src")
+printf 'src lines: %d -> %d (net %+d)\n' "$before" "$after" "$((after - before))"
 
 if [ "$status" -eq 0 ]; then
     echo "all $count files identical, stdout identical"
