@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
@@ -181,8 +182,18 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid, t0)
         frame_speed = soliton.c
     cfg = _integrator(config, frame_speed)
-    fields: list[gr.GridField] = []
-    trace = ev.evolve(u0, cfg, fields.append)
+    # each checkpoint is written as evolve reaches it, into a staging
+    # directory that becomes <prefix>_checkpoints only once the run is done
+    ckpt_dir = f"{prefix}_checkpoints"
+    staging = os.path.join(outdir, f"{ckpt_dir}.partial")
+    shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(staging)
+    written: list[str] = []
+    try:
+        trace = ev.evolve(u0, cfg, ev.checkpoint_writer(staging, written))
+    except BaseException:
+        shutil.rmtree(staging)
+        raise
 
     drift_tol = config["evolve"]["drift_tol"]
     names = ("mass", "energy", "f")
@@ -204,10 +215,9 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
 
     trace_name = f"{prefix}_trace.csv"
     ev.write_trace_csv(trace, os.path.join(outdir, trace_name))
-    ckpt_dir = f"{prefix}_checkpoints"
-    os.makedirs(os.path.join(outdir, ckpt_dir), exist_ok=True)
-    written = ev.write_checkpoints(fields, os.path.join(outdir, ckpt_dir))
-    outputs = [trace_name] + [os.path.join(ckpt_dir, os.path.basename(w)) for w in written]
+    shutil.rmtree(os.path.join(outdir, ckpt_dir), ignore_errors=True)
+    os.rename(staging, os.path.join(outdir, ckpt_dir))
+    outputs = [trace_name] + [os.path.join(ckpt_dir, name) for name in written]
     return report_doc, pass_fail, outputs
 
 
@@ -215,7 +225,7 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
     stab = config["stability"]
     grid = cfgmod.make_grid(config, n_points=stab["n_points"])
-    perturbation = st.default_perturbations(grid, seed=config["seed"])[stab["perturbation"]]
+    perturbation = st.perturbation(grid, stab["perturbation"], config["seed"])
     defaults = st.default_stability_config(p)
     cfg = _integrator(config, defaults.frame_speed, defaults.boundary_margin)
     etas = list(stab["eta_sweep"]) or [stab["eta"]]

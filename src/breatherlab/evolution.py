@@ -15,6 +15,7 @@ at small wavenumbers without special-casing the zero mode.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from . import grid as gr
 _STABILITY_BUDGET = 200.0
 _BLOWUP_SUP = 1e6
 _CONTOUR_POINTS = 32
+# rows of the (modes x _CONTOUR_POINTS) circle-mean tables built at a time
+_ROW_BLOCK = 64
 
 
 class BlowUpError(RuntimeError):
@@ -112,7 +115,11 @@ class EvolutionTrace:
 
 
 class _Stepper:
-    """Precomputed propagator tables for one (grid, config) pair."""
+    """Precomputed propagator tables for one (grid, config) pair.
+
+    Only the K kept modes enter the flux, so every table but e_full covers
+    that band alone, and so do the stage values advance computes.
+    """
 
     def __init__(self, grid: gr.PeriodicGrid, cfg: IntegratorConfig):
         self.grid = grid
@@ -125,44 +132,60 @@ class _Stepper:
                 f"dt*max|k^3 + c k| = {budget:.3g} exceeds the stability budget "
                 f"{_STABILITY_BUDGET}; reduce dt or the grid resolution"
             )
-        # weights via circle means: the integrands are entire, so the mean of
-        # each over a unit circle centered at z equals its value at z.
-        theta = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS)
-        lr = z[:, None] + theta[None, :]
-        elr = np.exp(lr)
-        dt = cfg.dt
-        self.e_full = np.exp(z)
-        self.e_half = np.exp(z / 2.0)
-        self.q = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
-        self.w1 = dt * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
-        self.w2 = dt * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
-        self.w3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        # a complex Nyquist coefficient has no real-signal preimage, so the
-        # propagator annihilates that mode, matching the derivative tables
-        self.e_full[-1] = 0.0
-        self.e_half[-1] = 0.0
         # 2/3 rule: irfft zero-pads the K = n//3 modes kept for cubing, and
         # the flux is truncated to the same band. K removes the aliasing of a
         # quadratic product only: u^3 reaches mode 3K ~ n, and its modes in
         # [n-K, 3K] alias into the kept band. The effect on the breather's
         # artifacts has not been measured.
-        self.keep = self.n // 3 + 1 if cfg.dealias else k.shape[0]
-        self.minus_ik = -grid.multiplier(1)
-        self.minus_ik[self.keep:] = 0.0
+        keep = self.keep = self.n // 3 + 1 if cfg.dealias else k.shape[0]
+        self.e_full = np.exp(z)
+        self.e_half = np.exp(z[:keep] / 2.0)
+        # a complex Nyquist coefficient has no real-signal preimage, so the
+        # propagator annihilates that mode, matching the derivative tables
+        # (the slice is empty when the band stops short of it)
+        self.e_full[-1] = 0.0
+        self.e_half[k.shape[0] - 1:] = 0.0
+        self.minus_ik = -grid.multiplier(1)[:keep]
+        # weights via circle means: the integrands are entire, so the mean of
+        # each over a unit circle centered at z equals its value at z. They
+        # are taken a block of rows at a time, so no (modes x 32) table is
+        # held; each product with exp(lr) is written (...) * elr, the order
+        # numpy's temporary elision gives a whole-table build at N >= 1024.
+        theta = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS)
+        dt = cfg.dt
+        self.q, self.w1, self.w2x2, self.w3 = (np.empty(keep, dtype=complex) for _ in range(4))
+        for lo in range(0, keep, _ROW_BLOCK):
+            rows = slice(lo, min(lo + _ROW_BLOCK, keep))
+            lr = z[rows, None] + theta[None, :]
+            elr = np.exp(lr)
+            self.q[rows] = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+            self.w1[rows] = dt * np.mean((-4.0 - lr + (4.0 - 3.0 * lr + lr**2) * elr) / lr**3, axis=1)
+            self.w2x2[rows] = 2.0 * (dt * np.mean((2.0 + lr + (lr - 2.0) * elr) / lr**3, axis=1))
+            self.w3[rows] = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + (4.0 - lr) * elr) / lr**3, axis=1)
 
-    def flux(self, vhat: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(vhat[:self.keep], n=self.n)
-        return self.minus_ik * np.fft.rfft(u * u * u)
+    def flux(self, vk: np.ndarray) -> np.ndarray:
+        """Kept band of the cubic flux -(u^3)_x of the field whose kept band is vk."""
+        u = np.fft.irfft(vk, n=self.n)
+        return self.minus_ik * np.fft.rfft(u * u * u)[:self.keep]
 
     def advance(self, vhat: np.ndarray) -> np.ndarray:
-        nv = self.flux(vhat)
-        a = self.e_half * vhat + self.q * nv
+        # every complex product keeps its operand order and every sum its
+        # association: numpy's complex multiply need not commute bitwise
+        vk = vhat[:self.keep]
+        nv = self.flux(vk)
+        half = self.e_half * vk
+        a = half + self.q * nv
         na = self.flux(a)
-        b = self.e_half * vhat + self.q * na
+        b = half + self.q * na
         nb = self.flux(b)
         c = self.e_half * a + self.q * (2.0 * nb - nv)
         nc = self.flux(c)
-        return self.e_full * vhat + self.w1 * nv + 2.0 * self.w2 * (na + nb) + self.w3 * nc
+        out = self.e_full * vhat
+        band = out[:self.keep]
+        band += self.w1 * nv
+        band += self.w2x2 * (na + nb)
+        band += self.w3 * nc
+        return out
 
 
 def energy_centroid(u: gr.GridField) -> float:
@@ -262,13 +285,13 @@ def write_trace_csv(trace: EvolutionTrace, path) -> None:
             handle.write(f"{t:.17g},{m:.17g},{e:.17g},{f:.17g},{s:.17g}\n")
 
 
-def write_checkpoints(fields: list[gr.GridField], directory) -> list[str]:
-    """Dump checkpointed fields in the binary grid format, numbered in order."""
-    import os
+def checkpoint_writer(directory, names: list[str]):
+    """Observer for evolve that writes each checkpointed field into directory
+    in the binary grid format as it arrives, numbered in order, and appends
+    each file name to names."""
 
-    paths = []
-    for i, field in enumerate(fields):
-        path = os.path.join(str(directory), f"checkpoint_{i:05d}.field")
-        gr.write_binary(field, path)
-        paths.append(path)
-    return paths
+    def write(field: gr.GridField) -> None:
+        names.append(f"checkpoint_{len(names):05d}.field")
+        gr.write_binary(field, os.path.join(directory, names[-1]))
+
+    return write

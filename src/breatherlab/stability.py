@@ -29,7 +29,6 @@ _STALL_RESIDUAL = 1e-8
 # regime: z is not a small perturbation of the fitted breather
 _MAX_Z_FRACTION = 0.5
 _MONITOR_INTERVAL = 0.01
-_BAND_SEED = 20406
 
 
 class ModulationError(RuntimeError):
@@ -209,19 +208,18 @@ def band_limited_values(grid: gr.PeriodicGrid, seed: int) -> np.ndarray:
     return np.fft.irfft(coeff, n=grid.n_points)
 
 
-def default_perturbations(grid: gr.PeriodicGrid, seed: int = _BAND_SEED) -> dict[str, gr.GridField]:
-    """Three unit-H^2 perturbations: even/localized, oscillatory, generic."""
+def perturbation(grid: gr.PeriodicGrid, name: str, seed: int) -> gr.GridField:
+    """Unit-H^2 perturbation by name: sech (even, localized), sech_cos
+    (oscillatory) or random_band (generic, drawn from seed)."""
     x = grid.nodes
     shapes = {
-        "sech": 1.0 / np.cosh(x),
-        "sech_cos": np.cos(3.0 * x) / np.cosh(x),
-        "random_band": band_limited_values(grid, seed),
+        "sech": lambda: 1.0 / np.cosh(x),
+        "sech_cos": lambda: np.cos(3.0 * x) / np.cosh(x),
+        "random_band": lambda: band_limited_values(grid, seed),
     }
-    out = {}
-    for name, vals in shapes.items():
-        field = gr.GridField(grid, vals)
-        out[name] = field.with_values(vals / gr.h2_norm(field))
-    return out
+    vals = shapes[name]()
+    field = gr.GridField(grid, vals)
+    return field.with_values(vals / gr.h2_norm(field))
 
 
 def default_stability_config(p: cf.BreatherParams, t_end: float = 5.0, dt: float = 1.25e-4) -> ev.IntegratorConfig:

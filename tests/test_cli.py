@@ -8,6 +8,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,34 @@ def test_evolve_breather_short(tmp_path):
     assert len(trace) == 1 + report["n_checkpoints"]
     checkpoints = sorted((tmp_path / f"{stem}_checkpoints").iterdir())
     assert len(checkpoints) == report["n_checkpoints"]
+
+
+def test_evolve_memory_is_flat_in_monitor_stride(tmp_path, capsys):
+    # each checkpoint goes to disk as evolve reaches it: 401 fields at
+    # stride 1 and 11 at stride 40 peak within a few 8 KiB fields
+    main(_SHORT_EVOLVE + ["--out", str(tmp_path / "warm")])
+    peaks = {}
+    for stride in (1, 40):
+        out = tmp_path / str(stride)
+        tracemalloc.start()
+        try:
+            code = main(["evolve", "--set", "integrator.t_end=0.05",
+                         "--set", f"integrator.monitor_stride={stride}", "--out", str(out)])
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(list(out.glob("*_checkpoints/*"))) == 400 // stride + 1
+        assert not list(out.glob("*.partial"))
+    assert abs(peaks[1] - peaks[40]) < 4 * 8 * 1024
+
+
+def test_evolve_rerun_replaces_its_checkpoints(tmp_path, capsys):
+    assert main(_SHORT_EVOLVE + ["--out", str(tmp_path)]) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.glob("*_checkpoints/*")}
+    assert main(_SHORT_EVOLVE + ["--out", str(tmp_path)]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*_checkpoints/*")} == first
+    assert len(first) == 2 and len(list(tmp_path.iterdir())) == 4
 
 
 def test_evolve_soliton_steady(tmp_path):

@@ -1,5 +1,7 @@
 """Exponential time-differencing integrator: accuracy, invariants, failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,14 +205,15 @@ def test_checkpoints_roundtrip(tmp_path):
     g = gr.PeriodicGrid(30.0, 256)
     cfg = ev.IntegratorConfig(dt=1e-3, t_end=0.005, monitor_stride=2)
     for t0 in (0.0, 0.25):
-        fields = []
-        trace = ev.evolve(_breather_field(P, g, t0), cfg, fields.append)
         directory = tmp_path / f"t0_{t0}"
         directory.mkdir()
-        paths = ev.write_checkpoints(fields, directory)
-        assert [p.rsplit("/", 1)[-1] for p in paths] == [
+        names = []
+        trace = ev.evolve(_breather_field(P, g, t0), cfg, ev.checkpoint_writer(directory, names))
+        assert names == [
             "checkpoint_00000.field", "checkpoint_00001.field", "checkpoint_00002.field",
             "checkpoint_00003.field"]
+        assert sorted(p.name for p in directory.iterdir()) == names
+        paths = [directory / name for name in names]
         back = gr.read_binary(paths[-1])
         np.testing.assert_array_equal(back.values, trace.final.values)
         # trace times are elapsed; each checkpoint carries its absolute time
@@ -295,9 +298,73 @@ def test_flux_matches_explicit_mask(dealias):
     vhat = np.fft.rfft(_breather_field(P, g).values + 0.1 * rng.standard_normal(g.n_points))
     modes = np.arange(vhat.shape[0])
     mask = (modes <= g.n_points // 3) if dealias else np.ones(vhat.shape[0], dtype=bool)
+    keep = int(np.sum(mask))
     mask = mask.astype(float)
     u = np.fft.irfft(mask * vhat, n=g.n_points)
     expected = -g.multiplier(1) * (mask * np.fft.rfft(u * u * u))
-    np.testing.assert_array_equal(stepper.flux(vhat), expected)
-    if dealias:
-        assert not np.any(stepper.flux(vhat)[g.n_points // 3 + 1:])
+    flux = stepper.flux(vhat[:stepper.keep])
+    # the flux is the kept band alone, and the masked formula has nothing above it
+    assert stepper.keep == keep and flux.shape == (keep,)
+    np.testing.assert_array_equal(flux, expected[:keep])
+    assert not np.any(expected[keep:])
+
+
+def _reference_step(grid, cfg):
+    """One ETDRK4 step over full-length tables and stages, each circle mean
+    taken over the whole (modes x 32) table, with advance's operand order."""
+    dt = cfg.dt
+    k = grid.wavenumbers
+    z = 1j * dt * (k**3 + cfg.frame_speed * k)
+    lr = z[:, None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
+    elr = np.exp(lr)
+    e_full, e_half = np.exp(z), np.exp(z / 2.0)
+    e_full[-1] = e_half[-1] = 0.0
+    q = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+    w1 = dt * np.mean((-4.0 - lr + (4.0 - 3.0 * lr + lr**2) * elr) / lr**3, axis=1)
+    w2 = dt * np.mean((2.0 + lr + (lr - 2.0) * elr) / lr**3, axis=1)
+    w3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + (4.0 - lr) * elr) / lr**3, axis=1)
+    keep = grid.n_points // 3 + 1 if cfg.dealias else k.shape[0]
+    minus_ik = -grid.multiplier(1)
+    minus_ik[keep:] = 0.0
+
+    def flux(v):
+        u = np.fft.irfft(v[:keep], n=grid.n_points)
+        return minus_ik * np.fft.rfft(u * u * u)
+
+    def step(vhat):
+        nv = flux(vhat)
+        a = e_half * vhat + q * nv
+        na = flux(a)
+        b = e_half * vhat + q * na
+        nb = flux(b)
+        c = e_half * a + q * (2.0 * nb - nv)
+        nc = flux(c)
+        return e_full * vhat + w1 * nv + 2.0 * w2 * (na + nb) + w3 * nc
+
+    return step
+
+
+@pytest.mark.parametrize("n_points", [256, 2048])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_banded_step_is_the_full_length_step(n_points, dealias):
+    g = gr.PeriodicGrid(30.0, n_points)
+    cfg = ev.IntegratorConfig(dt=1e-4, t_end=1.0, frame_speed=-P.gamma, dealias=dealias)
+    stepper, reference = ev._Stepper(g, cfg), _reference_step(g, cfg)
+    rng = np.random.default_rng(11)
+    v = w = np.fft.rfft(_breather_field(P, g).values + 1e-3 * rng.standard_normal(n_points))
+    for _ in range(50):
+        v, w = stepper.advance(v), reference(w)
+    np.testing.assert_array_equal(v, w)
+
+
+def test_stepper_build_holds_no_whole_circle_table():
+    # one whole (1025 x 32) complex table is 512.5 KiB at N = 2048
+    g = gr.PeriodicGrid(30.0, 2048)
+    g.multiplier(1)
+    tracemalloc.start()
+    try:
+        ev._Stepper(g, ev.IntegratorConfig(dt=1e-4, t_end=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024

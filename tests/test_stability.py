@@ -21,6 +21,8 @@ from breatherlab import stability as st
 P = cf.BreatherParams(1.5, 1.0)
 GRID = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 2048)
 FIT_GRID = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 1024)
+# the default config seed, which draws the random_band perturbation
+SEED = 20406
 
 
 def _breather_field(p, grid, t=0.0):
@@ -98,19 +100,18 @@ def test_modulate_refuses_stalled_fit_with_large_residual(monkeypatch):
 
 
 def test_default_perturbations_are_unit_h2():
-    perts = st.default_perturbations(GRID)
-    assert set(perts) == {"sech", "sech_cos", "random_band"}
-    for field in perts.values():
-        assert gr.h2_norm(field) == pytest.approx(1.0, abs=1e-12)
+    for name in ("sech", "sech_cos", "random_band"):
+        assert gr.h2_norm(st.perturbation(GRID, name, SEED)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_default_perturbations_seeding():
-    a = st.default_perturbations(GRID, seed=1)
-    b = st.default_perturbations(GRID, seed=1)
-    c = st.default_perturbations(GRID, seed=2)
-    np.testing.assert_array_equal(a["random_band"].values, b["random_band"].values)
-    assert np.max(np.abs(a["random_band"].values - c["random_band"].values)) > 1e-3
-    np.testing.assert_array_equal(a["sech"].values, c["sech"].values)
+    a = st.perturbation(GRID, "random_band", 1)
+    b = st.perturbation(GRID, "random_band", 1)
+    c = st.perturbation(GRID, "random_band", 2)
+    np.testing.assert_array_equal(a.values, b.values)
+    assert np.max(np.abs(a.values - c.values)) > 1e-3
+    np.testing.assert_array_equal(st.perturbation(GRID, "sech", 1).values,
+                                  st.perturbation(GRID, "sech", 2).values)
 
 
 def test_default_stability_config():
@@ -122,7 +123,7 @@ def test_default_stability_config():
 
 
 def test_experiment_validates_inputs():
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.02)
     with pytest.raises(ValueError, match="unit H"):
         st.stability_experiment(P, pert.with_values(2.0 * pert.values), 1e-3, cfg)
@@ -131,7 +132,7 @@ def test_experiment_validates_inputs():
 
 
 def test_unperturbed_run_sits_on_the_manifold():
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     run = st.stability_experiment(P, pert, 0.0, st.default_stability_config(P, t_end=0.03))
     assert run.failure_time is None
     assert run.times.shape[0] == 4
@@ -143,7 +144,7 @@ def test_unperturbed_run_sits_on_the_manifold():
 
 @pytest.fixture(scope="module")
 def short_run():
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.05)
     return st.stability_experiment(P, pert, 1e-2, cfg)
 
@@ -179,7 +180,7 @@ def test_audit_matches_independent_recomputation(short_run):
     # re-evolve, rebuild B at the lab shifts advected back to the frame, and
     # recompute every audit term from the fields
     run = short_run
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     b0 = _breather_field(P, GRID)
     cfg = st.default_stability_config(P, t_end=0.05)
     fields = []
@@ -200,7 +201,7 @@ def test_audit_matches_independent_recomputation(short_run):
 
 
 def test_remainder_scales_linearly_with_eta():
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.02)
     big = st.stability_experiment(P, pert, 1e-2, cfg)
     small = st.stability_experiment(P, pert, 5e-3, cfg)
@@ -209,7 +210,7 @@ def test_remainder_scales_linearly_with_eta():
 
 def test_stability_csv_deterministic(tmp_path, short_run):
     run = short_run
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.05)
     rerun = st.stability_experiment(P, pert, 1e-2, cfg)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -238,7 +239,7 @@ def test_modulation_failure_truncates_every_series(monkeypatch):
 
     monkeypatch.setattr(ev, "evolve", recording_evolve)
     monkeypatch.setattr(st, "modulate", flaky_modulate)
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     run = st.stability_experiment(P, pert, 1e-2, st.default_stability_config(P, t_end=0.03))
     (trace,) = traces
     assert len(calls) == 3
@@ -270,7 +271,7 @@ def _cores(monkeypatch, n):
 
 
 def test_sweep_pool_matches_in_process_runs(monkeypatch):
-    pert = st.default_perturbations(GRID)["random_band"]
+    pert = st.perturbation(GRID, "random_band", SEED)
     cfg = st.default_stability_config(P, t_end=0.03)
     etas = [1e-2, 1e-3]
     pools = []
@@ -296,7 +297,7 @@ def test_sweep_raises_the_first_listed_failure(monkeypatch):
         raise st.ModulationError(f"failed at eta {eta}", residuals=(eta, 2.0 * eta))
 
     monkeypatch.setattr(st, "stability_experiment", failing)
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.01)
     for cores in (2, 1):
         _cores(monkeypatch, cores)
@@ -316,7 +317,7 @@ def test_sweep_raises_when_a_worker_is_killed(monkeypatch):
 
     monkeypatch.setattr(st, "stability_experiment", killed)
     _cores(monkeypatch, 2)
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.01)
     with pytest.raises(futures.process.BrokenProcessPool):
         st.stability_sweep(P, pert, [0.01, 0.001], cfg)
@@ -329,7 +330,7 @@ def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(st, "stability_experiment", lambda p, perturbation, eta, cfg: eta)
-    pert = st.default_perturbations(GRID)["sech"]
+    pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.01)
     _cores(monkeypatch, 2)
     assert st.stability_sweep(P, pert, [0.01], cfg) == [0.01]
