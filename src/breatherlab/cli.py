@@ -27,6 +27,16 @@ from . import grid as gr
 from . import spectral as sp
 from . import stability as st
 
+# Pass/fail tolerances. evolve: the relative drift of mass, energy and f, and
+# the soliton's sup-norm deviation from its initial profile. stability: the
+# largest a0 a stable run may observe, and the audit's relative closure
+# residual and relative drift of H.
+DRIFT_TOL = 1e-8
+STEADY_TOL = 1e-6
+A0_THRESHOLD = 100.0
+CLOSURE_TOL = 1e-8
+H_DRIFT_TOL = 1e-8
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors, which this tool reserves for
@@ -67,16 +77,9 @@ def _integrator(config: dict, frame_speed: float, boundary_margin=None) -> ev.In
         dt=integ["dt"],
         t_end=integ["t_end"],
         frame_speed=frame_speed,
-        dealias=integ["dealias"],
         monitor_stride=integ["monitor_stride"],
         boundary_margin=boundary_margin,
     )
-
-
-def _residual_grid(config: dict) -> gr.PeriodicGrid:
-    # sup-norm residuals need the wide, fine grid; see the grid module notes
-    return gr.PeriodicGrid(gr.residual_half_length(config["beta"]),
-                           config["verify"]["residual_n_points"])
 
 
 def _cmd_verify(config: dict, outdir: str, prefix: str):
@@ -84,7 +87,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     t = config["t"]
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
     quad_grid = cfgmod.make_grid(config)
-    res_grid = _residual_grid(config)
+    res_grid = gr.residual_grid(beta)
 
     # one jet on the quadrature grid feeds the functionals and the expansion
     jet = cf.breather_jet(p, t, quad_grid.nodes)
@@ -109,7 +112,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     )
     add("weinstein_conditions", wein_dev, 1e-6)
 
-    residuals = fn.identity_residuals(p, res_grid, t, config["verify"]["gamma_scale"])
+    residuals = fn.identity_residuals(p, res_grid, t)
     res, scale = residuals.pop("stationary")
     add("stationary", res, 1e-6 * scale)
     bounds = {"second_order": 1e-6, "first_order": 1e-6, "mixed": 1e-6,
@@ -195,22 +198,21 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         shutil.rmtree(staging)
         raise
 
-    drift_tol = config["evolve"]["drift_tol"]
     names = ("mass", "energy", "f")
     pass_fail = {
-        f"{name}_drift": drift < drift_tol for name, drift in zip(names, trace.max_drift)
+        f"{name}_drift": drift < DRIFT_TOL for name, drift in zip(names, trace.max_drift)
     }
     report_doc = {
         "frame_speed": cfg.frame_speed,
         "max_drift": dict(zip(names, trace.max_drift)),
-        "drift_tol": drift_tol,
+        "drift_tol": DRIFT_TOL,
         "monitored_times": [float(trace.times[0]), float(trace.times[-1])],
         "n_checkpoints": int(trace.times.shape[0]),
         "final_sup": float(trace.sup_series[-1]),
     }
     if config["evolve"]["initial"] == "soliton":
         deviation = float(np.max(np.abs(trace.final.values - u0.values)))
-        pass_fail["steady"] = deviation < config["evolve"]["steady_tol"]
+        pass_fail["steady"] = deviation < STEADY_TOL
         report_doc["steady_deviation"] = deviation
 
     trace_name = f"{prefix}_trace.csv"
@@ -238,9 +240,9 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     for i, run in enumerate(runs):
         audit = run.audit
         h_drift = float(np.max(np.abs(audit.h_u - audit.h_u[0])) / max(abs(audit.h_u[0]), 1e-30))
-        stable = run.failure_time is None and run.a0_observed < stab["a0_threshold"]
-        flagged = audit.closure_rel > stab["closure_tol"]
-        audit_ok = not bool(flagged.any()) and h_drift < stab["h_drift_tol"]
+        stable = run.failure_time is None and run.a0_observed < A0_THRESHOLD
+        flagged = audit.closure_rel > CLOSURE_TOL
+        audit_ok = not bool(flagged.any()) and h_drift < H_DRIFT_TOL
         pass_fail[f"run{i}_stable"] = stable
         pass_fail[f"run{i}_audit"] = audit_ok
         csv_name = f"{prefix}_run{i}.csv"

@@ -31,27 +31,12 @@ DEFAULTS: dict = {
         "dt": 1.25e-4,
         "t_end": 0.5,
         "frame_speed": None,
-        "dealias": True,
         "monitor_stride": 80,
         "boundary_margin": None,
     },
-    "verify": {"gamma_scale": 1.0, "residual_n_points": 2048},
     "spectrum": {"n_points": 512, "phase_sweep": False, "phase_samples": 8},
-    "evolve": {
-        "initial": "breather",
-        "soliton_c": 1.0,
-        "drift_tol": 1e-8,
-        "steady_tol": 1e-6,
-    },
-    "stability": {
-        "eta": 1e-3,
-        "perturbation": "sech",
-        "eta_sweep": [],
-        "n_points": 2048,
-        "a0_threshold": 100.0,
-        "closure_tol": 1e-8,
-        "h_drift_tol": 1e-8,
-    },
+    "evolve": {"initial": "breather", "soliton_c": 1.0},
+    "stability": {"eta": 1e-3, "perturbation": "sech", "eta_sweep": [], "n_points": 2048},
 }
 
 # The spectrum command holds at most this many dense N x N float64 arrays at
@@ -184,8 +169,7 @@ def validate_config(config: dict) -> None:
         raise ConfigError("alpha > 0 required")
     if not config["beta"] > 0.0:
         raise ConfigError("beta > 0 required")
-    for path in (("grid", "n_points"), ("spectrum", "n_points"),
-                 ("stability", "n_points"), ("verify", "residual_n_points")):
+    for path in (("grid", "n_points"), ("spectrum", "n_points"), ("stability", "n_points")):
         n = config[path[0]][path[1]]
         if not _power_of_two(n):
             raise ConfigError(f"{'.'.join(path)} must be a power of two >= 16, got {n}")
@@ -207,8 +191,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError("integrator.monitor_stride must be >= 1")
     if integ["boundary_margin"] is not None and not integ["boundary_margin"] > 0.0:
         raise ConfigError("integrator.boundary_margin must be positive")
-    if not config["verify"]["gamma_scale"] > 0.0:
-        raise ConfigError("verify.gamma_scale must be positive")
     if config["spectrum"]["phase_samples"] < 1:
         raise ConfigError("spectrum.phase_samples must be >= 1")
     spec = config["spectrum"]
@@ -222,11 +204,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError(
             f"integrator.t_end={integ['t_end']!r} at integrator.dt={integ['dt']!r} needs "
             f"about {steps:.6g} steps, above the budget of {STEP_BUDGET}")
-    for path in (("evolve", "drift_tol"), ("evolve", "steady_tol"),
-                 ("stability", "a0_threshold"), ("stability", "closure_tol"),
-                 ("stability", "h_drift_tol")):
-        if not config[path[0]][path[1]] > 0.0:
-            raise ConfigError(f"{'.'.join(path)} must be positive")
     if config["evolve"]["initial"] not in ("breather", "soliton"):
         raise ConfigError("evolve.initial must be 'breather' or 'soliton'")
     if not config["evolve"]["soliton_c"] > 0.0:

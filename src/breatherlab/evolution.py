@@ -63,12 +63,13 @@ class IntegratorConfig:
     the lab frame, -gamma keeps a breather's envelope centered, +c keeps the
     speed-c soliton steady.  boundary_margin, when set, aborts the run once
     the centroid of u^2 comes within that distance of the domain boundary.
+    The cubic flux is always truncated to the 2/3-rule band: the band is
+    part of the scheme (see _Stepper), not a setting.
     """
 
     dt: float
     t_end: float
     frame_speed: float = 0.0
-    dealias: bool = True
     monitor_stride: int = 1
     boundary_margin: float | None = None
 
@@ -137,14 +138,12 @@ class _Stepper:
         # quadratic product only: u^3 reaches mode 3K ~ n, and its modes in
         # [n-K, 3K] alias into the kept band. The effect on the breather's
         # artifacts has not been measured.
-        keep = self.keep = self.n // 3 + 1 if cfg.dealias else k.shape[0]
+        keep = self.keep = self.n // 3 + 1
         self.e_full = np.exp(z)
         self.e_half = np.exp(z[:keep] / 2.0)
         # a complex Nyquist coefficient has no real-signal preimage, so the
         # propagator annihilates that mode, matching the derivative tables
-        # (the slice is empty when the band stops short of it)
         self.e_full[-1] = 0.0
-        self.e_half[k.shape[0] - 1:] = 0.0
         self.minus_ik = -grid.multiplier(1)[:keep]
         # weights via circle means: the integrands are entire, so the mean of
         # each over a unit circle centered at z equals its value at z. They

@@ -160,9 +160,7 @@ def expansion_terms(z: GridField, zx: np.ndarray, zxx: np.ndarray, jet: cf.Breat
     return integrate(q_integrand, z.grid), integrate(n_integrand, z.grid)
 
 
-def stationary_residual(
-    p: cf.BreatherParams, grid: PeriodicGrid, t: float, gamma_scale: float = 1.0
-) -> GridField:
+def stationary_residual(p: cf.BreatherParams, grid: PeriodicGrid, t: float) -> GridField:
     """Residual of the fourth-order stationary equation satisfied by B.
 
     G[B] = B_4x - 2(beta^2-alpha^2)(B_xx + B^3) + (alpha^2+beta^2)^2 B
@@ -175,15 +173,13 @@ def stationary_residual(
 
     The constant coefficients are the symmetric functions of the two phase
     velocities: -2(beta^2-alpha^2) = (delta+gamma)/2 and (alpha^2+beta^2)^2
-    = ((delta-gamma)/2)^2. gamma_scale is a fault-injection hook for the CLI
-    verification self-test: biasing gamma corrupts both coefficients and must
-    break the identity.
+    = ((delta-gamma)/2)^2, so a wrong gamma corrupts both coefficients and
+    breaks the identity.
     """
     x = grid.nodes.astype(np.longdouble)
     b = cf.breather(p, t, x)
-    gam = p.gamma * gamma_scale
-    c1 = 0.5 * (p.delta + gam)
-    c2 = (0.5 * (p.delta - gam)) ** 2
+    c1 = 0.5 * (p.delta + p.gamma)
+    c2 = (0.5 * (p.delta - p.gamma)) ** 2
     bx, bxx, b4 = spectral_derivatives(b, grid, (1, 2, 4))
     res = (
         b4
@@ -210,8 +206,8 @@ def wronskian_residual(p: cf.BreatherParams, jet: cf.BreatherJet, grid: Periodic
     return float(np.max(np.abs(det - det_closed))), float(np.max(np.abs(det_closed)))
 
 
-def identity_residuals(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
-                       gamma_scale: float = 1.0) -> dict[str, tuple[float, float]]:
+def identity_residuals(p: cf.BreatherParams, grid: PeriodicGrid,
+                       t: float) -> dict[str, tuple[float, float]]:
     """{name: (sup residual, scale)} for the pointwise identities of the
     breather, from one jet and one pass of each other closed form.
 
@@ -234,7 +230,7 @@ def identity_residuals(p: cf.BreatherParams, grid: PeriodicGrid, t: float,
         return float(np.max(np.abs(res)))
 
     return {
-        "stationary": (sup(stationary_residual(p, grid, t, gamma_scale).values),
+        "stationary": (sup(stationary_residual(p, grid, t).values),
                        max(1.0, sup(b) ** 5)),
         "second_order": (sup(bxx + prim_t + b**3), 1.0),
         "first_order": (sup(bx**2 + 0.5 * b**4 + 2.0 * b * prim_t - 2.0 * prof_t), 1.0),

@@ -206,7 +206,8 @@ def quadrature_half_length(beta: float) -> float:
     return 30.0 / min(beta, 1.0)
 
 
-def residual_half_length(beta: float) -> float:
-    """44/min(beta, 1): the wider box sup-norm residual checks need, so the
-    breather tails sit below the residual floor at the boundary."""
-    return 44.0 / min(beta, 1.0)
+def residual_grid(beta: float) -> PeriodicGrid:
+    """The grid of the sup-norm residual checks: half-length 44/min(beta, 1),
+    wider than the quadrature box so the breather tails sit below the
+    residual floor at the boundary, and 2048 points."""
+    return PeriodicGrid(44.0 / min(beta, 1.0), 2048)

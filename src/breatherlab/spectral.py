@@ -38,8 +38,7 @@ import scipy.linalg
 
 from . import closed_forms as cf
 from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
-from .grid import (GridField, PeriodicGrid, _read_only, residual_half_length,
-                   spectral_derivatives)
+from .grid import GridField, PeriodicGrid, _read_only, residual_grid, spectral_derivatives
 
 _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
@@ -98,7 +97,9 @@ class SpectrumReport:
     * continuum_edge that classification enforces is meaningful.
     kernel_angle, the largest angle between the kernel eigenvectors and B1,
     B2, is about 4e-11 at N=1024 and moves by 1.5e-6 relative with the
-    solver's call shape; only its magnitude is meaningful."""
+    solver's call shape; only its magnitude is meaningful. negative_count
+    is 1 by construction: any other count raises ClassificationError before
+    a report exists."""
 
     eigenvalues: np.ndarray
     negative_count: int
@@ -209,8 +210,9 @@ def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs / math.sqrt(op.grid.spacing)
 
 
-def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
-    """Return (negative_count, kernel indices); raise if the split is wrong.
+def _classify(evals: np.ndarray, edge: float) -> np.ndarray:
+    """Return the kernel indices; raise unless exactly one eigenvalue is
+    negative, two sit in the kernel window and none lies below the edge.
 
     evals are the lowest eigenvalues, ascending: the whole spectrum or its
     first _CLASSIFY_COUNT, which decide the same outcome. A count that runs
@@ -243,7 +245,7 @@ def _classify(evals: np.ndarray, edge: float) -> tuple[int, np.ndarray]:
             f"eigenvalues between kernel window and continuum edge {edge:.6g}",
             evals[rest][low_rest],
         )
-    return int(neg.size), ker
+    return ker
 
 
 def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
@@ -267,7 +269,7 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
     matrices = _derivative_matrices(grid)
     op = assemble(p, grid, t, matrices=matrices)
     evals, evecs = eigensystem(op)
-    _, ker_idx = _classify(evals, edge)
+    ker_idx = _classify(evals, edge)
     sweep = [float(-evals[0])] if shifts else []
     for x1 in shifts[1:]:
         lowest = scipy.linalg.eigh(assemble(replace(p, x1=x1), grid, t, matrices=matrices).matrix,
@@ -513,7 +515,7 @@ def wronskian_analysis(p: cf.BreatherParams, t: float) -> WronskianReport:
     else:
         location = math.nan
 
-    grid = PeriodicGrid(residual_half_length(p.beta), 2048)
+    grid = residual_grid(p.beta)
     res, scale = wronskian_residual(p, cf.breather_jet(p, t, grid.nodes), grid, t)
     return WronskianReport(root_count=root_count, root_location=location,
                            closed_form_max_err=res / scale)

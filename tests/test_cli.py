@@ -15,7 +15,10 @@ import pytest
 import scipy.linalg
 
 import breatherlab
+from breatherlab import cli
+from breatherlab import closed_forms as cf
 from breatherlab import config as cfgmod
+from breatherlab import functionals as fn
 from breatherlab import spectral as sp
 from breatherlab import stability as st
 from breatherlab.cli import main
@@ -76,12 +79,32 @@ def test_verify_prints_one_line_per_check(verify_out, tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_detects_wrong_velocity(tmp_path):
-    code = main(["verify", "--set", "verify.gamma_scale=1.001", "--out", str(tmp_path)])
+class _BiasedGamma(cf.BreatherParams):
+    """Breather parameters whose gamma is 0.1% off; B itself is unchanged."""
+
+    @property
+    def gamma(self) -> float:
+        return 1.001 * super().gamma
+
+
+def test_verify_detects_wrong_velocity(tmp_path, monkeypatch):
+    exact = fn.stationary_residual
+    monkeypatch.setattr(fn, "stationary_residual", lambda p, grid, t: exact(
+        _BiasedGamma(p.alpha, p.beta, p.x1, p.x2), grid, t))
+    code = main(["verify", "--out", str(tmp_path)])
     assert code == 2
     _, manifest = _read(tmp_path, ".manifest.json")
     failed = [k for k, ok in manifest["pass_fail"].items() if not ok]
     assert failed == ["stationary"]
+
+
+def test_verify_and_spectrum_report_one_wronskian_residual(verify_out, tmp_path):
+    # both commands run functionals.wronskian_residual on grid.residual_grid
+    _, verify_report = _read(verify_out[0], ".report.json")
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    _, spectrum_report = _read(tmp_path, ".report.json")
+    assert (verify_report["checks"]["wronskian"]["residual"]
+            == spectrum_report["wronskian"]["closed_form_max_err"])
 
 
 def test_invalid_parameter_exits_one(tmp_path, capsys):
@@ -94,7 +117,6 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
     "stability.eta_sweep=[[0.01]]",
     "alpha=1e400",
     "integrator.frame_speed=NaN",
-    "verify.gamma_scale=Infinity",
     "grid.half_length=Infinity",
     "integrator.t_end=Infinity",
 ])
@@ -106,8 +128,34 @@ def test_malformed_override_exits_one(tmp_path, override):
     assert "Traceback" not in proc.stderr
 
 
-def test_unknown_key_exits_one(tmp_path):
-    assert main(["verify", "--set", "gamma=1", "--out", str(tmp_path)]) == 1
+# gamma was never a key; the others are the keys a config held before its
+# tolerances became constants, its residual grid fixed and its flux band part
+# of the scheme, at their former defaults. A manifest carrying one is refused.
+_UNKNOWN_KEYS = {
+    "gamma": 1.0,
+    "integrator.dealias": True,
+    "verify.gamma_scale": 1.0,
+    "verify.residual_n_points": 2048,
+    "evolve.drift_tol": 1e-8,
+    "evolve.steady_tol": 1e-6,
+    "stability.a0_threshold": 100.0,
+    "stability.closure_tol": 1e-8,
+    "stability.h_drift_tol": 1e-8,
+}
+
+
+@pytest.mark.parametrize("key,value", _UNKNOWN_KEYS.items(), ids=list(_UNKNOWN_KEYS))
+def test_unknown_key_exits_one(tmp_path, capsys, key, value):
+    config = cfgmod.default_config()
+    table, _, leaf = key.rpartition(".")
+    (config.setdefault(table, {}) if table else config)[leaf] = value
+    manifest = tmp_path / "old.manifest.json"
+    manifest.write_text(json.dumps({"command": "verify", "config": config}))
+    out = tmp_path / "out"
+    for args in (["--set", f"{key}={json.dumps(value)}"], ["--config", str(manifest)]):
+        assert main(["verify", *args, "--out", str(out)]) == 1
+        assert f"unknown config key: {key.partition('.')[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_config_file_exits_one(tmp_path):
@@ -298,14 +346,23 @@ def test_evolve_soliton_steady(tmp_path):
     assert manifest["pass_fail"]["steady"] is True
 
 
-def test_evolve_impossible_tolerance_exits_two(tmp_path):
+def test_evolve_soliton_steady_reads_the_cli_tolerance(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "STEADY_TOL", 0.0)
+    code = main(["evolve", "--set", "evolve.initial=soliton", "--set", "integrator.t_end=0.01",
+                 "--set", "integrator.dt=0.0001", "--out", str(tmp_path)])
+    assert code == 2
+    _, manifest = _read(tmp_path, ".manifest.json")
+    assert [k for k, ok in manifest["pass_fail"].items() if not ok] == ["steady"]
+
+
+def test_evolve_impossible_tolerance_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "DRIFT_TOL", 1e-18)
     code = main(["evolve", "--set", "integrator.t_end=0.01",
-                 "--set", "integrator.dt=0.0001",
-                 "--set", "evolve.drift_tol=1e-18", "--out", str(tmp_path)])
+                 "--set", "integrator.dt=0.0001", "--out", str(tmp_path)])
     assert code == 2
 
 
-@pytest.mark.parametrize("override", ["integrator.frame_speed=true", "evolve.drift_tol=-1"])
+@pytest.mark.parametrize("override", ["integrator.frame_speed=true", "evolve.soliton_c=-1"])
 def test_evolve_invalid_number_exits_one_before_running(tmp_path, capsys, override):
     out = tmp_path / "out"
     assert main(["evolve", "--set", override, "--out", str(out)]) == 1
@@ -342,6 +399,19 @@ def test_stability_eta_zero_reports_null_a0(tmp_path):
     _, report = _read(tmp_path, ".report.json")
     assert report["runs"][0]["a0_observed"] is None
     assert report["runs"][0]["failure_time"] is None
+
+
+@pytest.mark.parametrize("constant,failed", [
+    ("A0_THRESHOLD", "run0_stable"),
+    ("CLOSURE_TOL", "run0_audit"),
+    ("H_DRIFT_TOL", "run0_audit"),
+])
+def test_stability_checks_read_the_cli_tolerances(tmp_path, monkeypatch, constant, failed):
+    monkeypatch.setattr(cli, constant, 0.0)
+    code = main(["stability", "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
+    assert code == 2
+    _, manifest = _read(tmp_path, ".manifest.json")
+    assert [k for k, ok in manifest["pass_fail"].items() if not ok] == [failed]
 
 
 def test_stability_sweep_monotone_in_any_eta_order(tmp_path):

@@ -289,15 +289,14 @@ def test_observer_true_return_stops_the_run(monkeypatch):
     assert trace.final is seen[-1]
 
 
-@pytest.mark.parametrize("dealias", [True, False])
-def test_flux_matches_explicit_mask(dealias):
+def test_flux_matches_explicit_mask():
     # the 2/3 rule as a mask on both sides of the cubing, written out
     g = gr.PeriodicGrid(30.0, 256)
-    stepper = ev._Stepper(g, ev.IntegratorConfig(dt=1e-3, t_end=1.0, dealias=dealias))
+    stepper = ev._Stepper(g, ev.IntegratorConfig(dt=1e-3, t_end=1.0))
     rng = np.random.default_rng(5)
     vhat = np.fft.rfft(_breather_field(P, g).values + 0.1 * rng.standard_normal(g.n_points))
     modes = np.arange(vhat.shape[0])
-    mask = (modes <= g.n_points // 3) if dealias else np.ones(vhat.shape[0], dtype=bool)
+    mask = modes <= g.n_points // 3
     keep = int(np.sum(mask))
     mask = mask.astype(float)
     u = np.fft.irfft(mask * vhat, n=g.n_points)
@@ -323,7 +322,7 @@ def _reference_step(grid, cfg):
     w1 = dt * np.mean((-4.0 - lr + (4.0 - 3.0 * lr + lr**2) * elr) / lr**3, axis=1)
     w2 = dt * np.mean((2.0 + lr + (lr - 2.0) * elr) / lr**3, axis=1)
     w3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + (4.0 - lr) * elr) / lr**3, axis=1)
-    keep = grid.n_points // 3 + 1 if cfg.dealias else k.shape[0]
+    keep = grid.n_points // 3 + 1
     minus_ik = -grid.multiplier(1)
     minus_ik[keep:] = 0.0
 
@@ -345,10 +344,9 @@ def _reference_step(grid, cfg):
 
 
 @pytest.mark.parametrize("n_points", [256, 2048])
-@pytest.mark.parametrize("dealias", [True, False])
-def test_banded_step_is_the_full_length_step(n_points, dealias):
+def test_banded_step_is_the_full_length_step(n_points):
     g = gr.PeriodicGrid(30.0, n_points)
-    cfg = ev.IntegratorConfig(dt=1e-4, t_end=1.0, frame_speed=-P.gamma, dealias=dealias)
+    cfg = ev.IntegratorConfig(dt=1e-4, t_end=1.0, frame_speed=-P.gamma)
     stepper, reference = ev._Stepper(g, cfg), _reference_step(g, cfg)
     rng = np.random.default_rng(11)
     v = w = np.fft.rfft(_breather_field(P, g).values + 1e-3 * rng.standard_normal(n_points))

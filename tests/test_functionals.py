@@ -298,23 +298,19 @@ IDENTITY_BOUNDS = {
 }
 
 
-def _residual_grid(p):
-    return gr.PeriodicGrid(gr.residual_half_length(p.beta), 2048)
-
-
 # the ids are the ones these cases had under the former IdentityKind enum
 @pytest.mark.parametrize("p,t", IDENTITY_CASES)
 @pytest.mark.parametrize("name,bound",
                          [(n, b) for n, b in IDENTITY_BOUNDS.items() if n != "stationary"],
                          ids=lambda v: f"IdentityKind.{v.upper()}" if isinstance(v, str) else None)
 def test_breather_identities(p, t, name, bound):
-    res, scale = fn.identity_residuals(p, _residual_grid(p), t)[name]
+    res, scale = fn.identity_residuals(p, gr.residual_grid(p.beta), t)[name]
     assert res <= bound * scale
 
 
 @pytest.mark.parametrize("p,t", IDENTITY_CASES)
 def test_stationary_identity(p, t):
-    grid = _residual_grid(p)
+    grid = gr.residual_grid(p.beta)
     res, scale = fn.identity_residuals(p, grid, t)["stationary"]
     sup_b = np.max(np.abs(cf.breather(p, t, grid.nodes)))
     assert scale == pytest.approx(max(1.0, sup_b**5))
@@ -333,7 +329,7 @@ def test_stationary_identity(p, t):
 def test_identity_suite_negative_controls(p, t, closed_form, broken, monkeypatch):
     exact = getattr(cf, closed_form)
     monkeypatch.setattr(cf, closed_form, lambda q, tt, x: (1.0 + 1e-3) * exact(q, tt, x))
-    got = fn.identity_residuals(p, _residual_grid(p), t)
+    got = fn.identity_residuals(p, gr.residual_grid(p.beta), t)
     assert set(got) == set(IDENTITY_BOUNDS)
     for name, (res, scale) in got.items():
         assert (res > IDENTITY_BOUNDS[name] * scale) == (name in broken), name
@@ -341,7 +337,7 @@ def test_identity_suite_negative_controls(p, t, closed_form, broken, monkeypatch
 
 @pytest.mark.parametrize("p,t", IDENTITY_CASES)
 def test_wronskian_analysis_reports_the_suite_residual(p, t):
-    res, scale = fn.identity_residuals(p, _residual_grid(p), t)["wronskian"]
+    res, scale = fn.identity_residuals(p, gr.residual_grid(p.beta), t)["wronskian"]
     assert sp.wronskian_analysis(p, t).closed_form_max_err == res / scale
 
 
@@ -355,10 +351,24 @@ def test_stationary_identity_shift_invariant():
         np.max(np.abs(r_q.values)), rel=0.5)
 
 
+class _BiasedGamma(cf.BreatherParams):
+    """Breather parameters whose gamma is 1% off; cf.breather computes its
+    phases from alpha and beta, so B is unchanged and only the stationary
+    equation's coefficients move."""
+
+    @property
+    def gamma(self) -> float:
+        return 1.01 * super().gamma
+
+
 def test_stationary_identity_detects_wrong_velocity():
     p = cf.BreatherParams(1.5, 1.0)
     grid = gr.PeriodicGrid(44.0, 2048)
-    res = fn.stationary_residual(p, grid, t=0.0, gamma_scale=1.01)
+    biased = _BiasedGamma(p.alpha, p.beta)
+    assert biased.gamma != p.gamma
+    np.testing.assert_array_equal(cf.breather(biased, 0.0, grid.nodes),
+                                  cf.breather(p, 0.0, grid.nodes))
+    res = fn.stationary_residual(biased, grid, t=0.0)
     assert np.max(np.abs(res.values)) > 1e-3
 
 

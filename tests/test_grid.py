@@ -247,5 +247,5 @@ def test_binary_rejects_corrupt_files(tmp_path):
 def test_half_length_rules():
     assert gr.quadrature_half_length(2.0) == 30.0
     assert gr.quadrature_half_length(0.5) == 60.0
-    assert gr.residual_half_length(2.0) == 44.0
-    assert gr.residual_half_length(0.5) == 88.0
+    assert gr.residual_grid(2.0) == gr.PeriodicGrid(44.0, 2048)
+    assert gr.residual_grid(0.5) == gr.PeriodicGrid(88.0, 2048)

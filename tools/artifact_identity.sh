@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same nine CLI invocations in each checkout, with one BLAS thread
+# Runs the same ten CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory,
 # then compares the two output trees file by file with cmp (the
 # *_checkpoints/ directories included) and the two stdout logs, each side's
@@ -29,6 +29,7 @@ spectrum --set spectrum.phase_sweep=true --set spectrum.phase_samples=3 --set sp
 evolve
 stability
 stability --set integrator.t_end=5.0
+evolve --set evolve.initial=soliton --set integrator.t_end=0.05
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
 tools=$(cd "$(dirname "$0")" && pwd)
