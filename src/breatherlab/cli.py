@@ -13,7 +13,6 @@ import argparse
 import os
 import shutil
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -193,7 +192,7 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
     os.makedirs(staging)
     written: list[str] = []
     try:
-        trace = ev.evolve(u0, cfg, ev.checkpoint_writer(staging, written))
+        trace = ev.evolve(u0, cfg, ev.checkpoint_writer(staging, written, cfg))
     except BaseException:
         shutil.rmtree(staging)
         raise
@@ -321,13 +320,8 @@ def main(argv=None) -> int:
     prefix = f"{args.command}_{cfgmod.config_hash(config)}"
     try:
         report_doc, pass_fail, outputs = _RUNNERS[args.command](config, args.out, prefix)
-    except (sp.AssemblyError, sp.ClassificationError, st.ModulationError,
-            ev.BlowUpError, ev.DomainExitError) as exc:
+    except gr.ScientificError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        return 2
-    except BrokenExecutor as exc:
-        # a sweep worker died (killed by a signal, say): its run is lost
-        print(f"check failed: a worker process was lost: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

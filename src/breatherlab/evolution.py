@@ -32,27 +32,21 @@ _CONTOUR_POINTS = 32
 _ROW_BLOCK = 64
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(gr.ScientificError):
     """Sup norm of the field exceeded the blow-up threshold."""
 
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
 
-    def __reduce__(self):
-        return type(self), (str(self), self.time)
 
-
-class DomainExitError(RuntimeError):
+class DomainExitError(gr.ScientificError):
     """The field's energy centroid drifted too close to the boundary."""
 
     def __init__(self, message: str, time: float, centroid: float):
         super().__init__(message)
         self.time = time
         self.centroid = centroid
-
-    def __reduce__(self):
-        return type(self), (str(self), self.time, self.centroid)
 
 
 @dataclass(frozen=True)
@@ -136,8 +130,9 @@ class _Stepper:
         # 2/3 rule: irfft zero-pads the K = n//3 modes kept for cubing, and
         # the flux is truncated to the same band. K removes the aliasing of a
         # quadratic product only: u^3 reaches mode 3K ~ n, and its modes in
-        # [n-K, 3K] alias into the kept band. The effect on the breather's
-        # artifacts has not been measured.
+        # [n-K, 3K] alias into the kept band. At N=2048 that moves a
+        # t_end=0.25 stability run's sup_z_h2, shift rate and Q[z] by at most
+        # 8.5e-12 relative against the alias-free band n//4 (see the tests).
         keep = self.keep = self.n // 3 + 1
         self.e_full = np.exp(z)
         self.e_half = np.exp(z[:keep] / 2.0)
@@ -284,13 +279,16 @@ def write_trace_csv(trace: EvolutionTrace, path) -> None:
             handle.write(f"{t:.17g},{m:.17g},{e:.17g},{f:.17g},{s:.17g}\n")
 
 
-def checkpoint_writer(directory, names: list[str]):
-    """Observer for evolve that writes each checkpointed field into directory
-    in the binary grid format as it arrives, numbered in order, and appends
-    each file name to names."""
+def checkpoint_writer(directory, names: list[str], cfg: IntegratorConfig):
+    """Observer for evolve(u0, cfg) that writes each checkpointed field into
+    directory in the binary grid format as it arrives, numbered in order, and
+    appends each file name to names.  The numbers are zero-padded to the
+    width of the run's last one (at least 5), so the names sort in time order."""
+    last = -(-int(round(cfg.t_end / cfg.dt)) // int(cfg.monitor_stride))
+    width = max(5, len(str(last)))
 
     def write(field: gr.GridField) -> None:
-        names.append(f"checkpoint_{len(names):05d}.field")
+        names.append(f"checkpoint_{len(names):0{width}d}.field")
         gr.write_binary(field, os.path.join(directory, names[-1]))
 
     return write

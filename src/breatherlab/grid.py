@@ -26,6 +26,15 @@ _BINARY_MAGIC = b"BLGF"
 _LONG_PI = np.arccos(np.longdouble(-1.0))
 
 
+class ScientificError(RuntimeError):
+    """A failed scientific check (the CLI exits 2). It is pickled as its message
+    and attributes, so no subclass needs pickling code of its own."""
+
+    def __reduce__(self):
+        # rebuilt from the final text, which a subclass __init__ may have formatted
+        return RuntimeError.__new__, (type(self), str(self)), self.__dict__
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Equispaced periodic grid on [-half_length, half_length)."""

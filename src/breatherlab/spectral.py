@@ -38,7 +38,8 @@ import scipy.linalg
 
 from . import closed_forms as cf
 from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
-from .grid import GridField, PeriodicGrid, _read_only, residual_grid, spectral_derivatives
+from .grid import (GridField, PeriodicGrid, ScientificError, _read_only, residual_grid,
+                   spectral_derivatives)
 
 _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
@@ -54,20 +55,16 @@ _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(ScientificError):
     """Assembled matrix disagrees with the direct operator action."""
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(ScientificError):
     """Spectrum does not show the expected negative/kernel/continuum split."""
 
     def __init__(self, message: str, offending: np.ndarray):
         super().__init__(f"{message}: {np.array2string(offending, precision=6)}")
         self.offending = offending
-
-    def __reduce__(self):
-        # rebuilt from the formatted text, which __init__ would format again
-        return RuntimeError.__new__, (type(self), str(self)), self.__dict__
 
 
 @dataclass(frozen=True)

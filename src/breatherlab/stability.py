@@ -31,15 +31,12 @@ _MAX_Z_FRACTION = 0.5
 _MONITOR_INTERVAL = 0.01
 
 
-class ModulationError(RuntimeError):
+class ModulationError(gr.ScientificError):
     """Shift fit failed; carries the final orthogonality residuals."""
 
     def __init__(self, message: str, residuals: tuple[float, float]):
         super().__init__(message)
         self.residuals = residuals
-
-    def __reduce__(self):
-        return type(self), (str(self), self.residuals)
 
 
 @dataclass(frozen=True)
@@ -377,7 +374,8 @@ def stability_sweep(
     the same computation and comes out bitwise equal.  A run that raises
     raises here; when several do, the first listed eta's error wins, and it
     is raised as soon as every eta listed before it has finished: the
-    workers still running are stopped, not waited for.
+    workers still running are stopped, not waited for.  A worker lost
+    without an error (killed by a signal, say) raises ScientificError.
     """
     tasks = [(p, perturbation, eta, cfg) for eta in etas]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -387,6 +385,7 @@ def stability_sweep(
     # imported here: set-up of a single-eta run does not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # fork, not spawn: a worker starts with numpy, scipy and this package
     # already imported instead of importing them again, and the pool forks
@@ -396,11 +395,14 @@ def stability_sweep(
         futures = [pool.submit(_run_eta, task) for task in tasks]
         try:
             return [future.result() for future in futures]
-        except BaseException:
-            # the executor has no public way to stop a running task, and
-            # leaving the with block would wait for every one of them
-            for process in list(pool._processes.values()):
+        except BaseException as exc:
+            # the executor has no way to stop a running task, and leaving
+            # the with block would wait for every one of them; the lab
+            # starts no child process but the pool's workers
+            for process in multiprocessing.active_children():
                 process.terminate()
+            if isinstance(exc, BrokenProcessPool):
+                raise gr.ScientificError(f"a worker process was lost: {exc}") from exc
             raise
 
 

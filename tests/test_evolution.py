@@ -8,6 +8,7 @@ import pytest
 from breatherlab import closed_forms as cf
 from breatherlab import evolution as ev
 from breatherlab import grid as gr
+from breatherlab import stability as st
 
 P = cf.BreatherParams(1.5, 1.0)
 
@@ -208,7 +209,7 @@ def test_checkpoints_roundtrip(tmp_path):
         directory = tmp_path / f"t0_{t0}"
         directory.mkdir()
         names = []
-        trace = ev.evolve(_breather_field(P, g, t0), cfg, ev.checkpoint_writer(directory, names))
+        trace = ev.evolve(_breather_field(P, g, t0), cfg, ev.checkpoint_writer(directory, names, cfg))
         assert names == [
             "checkpoint_00000.field", "checkpoint_00001.field", "checkpoint_00002.field",
             "checkpoint_00003.field"]
@@ -221,6 +222,22 @@ def test_checkpoints_roundtrip(tmp_path):
         tags = [gr.read_binary(path).time_tag for path in paths]
         assert tags == [t0 + t for t in trace.times]
         assert tags[0] == t0
+
+
+def test_checkpoint_names_sort_in_time_order_past_99999(tmp_path):
+    # the writer starts at index 99 999 instead of writing the files before it
+    field = _breather_field(P, gr.PeriodicGrid(30.0, 16))
+    for t_end, start, expected in [
+            (99.999, 99_998, ["checkpoint_99998.field", "checkpoint_99999.field"]),
+            (100.0, 99_999, ["checkpoint_099999.field", "checkpoint_100000.field"])]:
+        directory = tmp_path / str(t_end)
+        directory.mkdir()
+        names = [""] * start
+        write = ev.checkpoint_writer(directory, names, ev.IntegratorConfig(dt=1e-3, t_end=t_end))
+        write(field)
+        write(field)
+        assert names[-2:] == expected
+        assert sorted(p.name for p in directory.iterdir()) == expected
 
 
 def test_observer_sees_each_checkpoint_under_callers_error_state():
@@ -306,6 +323,33 @@ def test_flux_matches_explicit_mask():
     assert stepper.keep == keep and flux.shape == (keep,)
     np.testing.assert_array_equal(flux, expected[:keep])
     assert not np.any(expected[keep:])
+
+
+@pytest.mark.parametrize("kind", ["sech", "random_band"])
+def test_cubic_dealiasing_band_leaves_stability_results(monkeypatch, kind):
+    # the n//4 band removes the cubic product's aliasing as well; at N=2048
+    # the 2/3 rule's results match it far below any check's tolerance
+    grid = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 2048)
+    pert = st.perturbation(grid, kind, 20406)
+    cfg = st.default_stability_config(P, t_end=0.25)
+    third = st.stability_experiment(P, pert, 1e-2, cfg)
+    built, bands = ev._Stepper, []
+
+    def quarter_band(grid, cfg):
+        stepper = built(grid, cfg)
+        keep = stepper.keep = stepper.n // 4 + 1
+        for name in ("e_half", "q", "w1", "w2x2", "w3", "minus_ik"):
+            setattr(stepper, name, getattr(stepper, name)[:keep])
+        bands.append(keep)
+        return stepper
+
+    monkeypatch.setattr(ev, "_Stepper", quarter_band)
+    quarter = st.stability_experiment(P, pert, 1e-2, cfg)
+    assert bands == [513]
+    assert quarter.audit.q_z.tobytes() != third.audit.q_z.tobytes()
+    np.testing.assert_allclose(quarter.sup_z_h2, third.sup_z_h2, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(quarter.shift_rate_sup, third.shift_rate_sup, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(quarter.audit.q_z, third.audit.q_z, rtol=1e-11, atol=0)
 
 
 def _reference_step(grid, cfg):

@@ -319,8 +319,10 @@ def test_sweep_raises_when_a_worker_is_killed(monkeypatch):
     _cores(monkeypatch, 2)
     pert = st.perturbation(GRID, "sech", SEED)
     cfg = st.default_stability_config(P, t_end=0.01)
-    with pytest.raises(futures.process.BrokenProcessPool):
+    with pytest.raises(gr.ScientificError, match="^a worker process was lost: ") as info:
         st.stability_sweep(P, pert, [0.01, 0.001], cfg)
+    assert type(info.value) is gr.ScientificError
+    assert isinstance(info.value.__cause__, futures.process.BrokenProcessPool)
     assert multiprocessing.active_children() == []
 
 def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
@@ -338,15 +340,31 @@ def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
     assert st.stability_sweep(P, pert, [0.01, 0.001], cfg) == [0.01, 0.001]
 
 
-@pytest.mark.parametrize("exc", [
+_ERROR_SAMPLES = {type(exc): exc for exc in [
+    gr.ScientificError("a worker process was lost: pool broken"),
     st.ModulationError("no fit", residuals=(1e-3, -2e-3)),
     ev.BlowUpError("blow-up detected at t = 0.5", time=0.5),
     ev.DomainExitError("centroid 25.0 near the boundary", time=0.25, centroid=25.0),
     sp.AssemblyError("assembled matrix disagrees"),
     sp.ClassificationError("expected one negative eigenvalue", np.array([-1.5, -0.25])),
-], ids=lambda exc: type(exc).__name__)
-def test_scientific_errors_survive_pickling(exc):
-    # a worker's error reaches the parent pickled; the CLI prints str(exc)
+]}
+
+
+def _scientific_error_types():
+    found, todo = [], [gr.ScientificError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+@pytest.mark.parametrize("cls", _scientific_error_types(), ids=lambda cls: cls.__name__)
+def test_scientific_errors_survive_pickling(cls):
+    # a worker's error reaches the parent pickled; the CLI prints str(exc).
+    # Every subclass is listed, so a new one without a sample fails here.
+    assert cls in _ERROR_SAMPLES, f"no pickling sample for {cls.__name__}"
+    exc = _ERROR_SAMPLES[cls]
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)

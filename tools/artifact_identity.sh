@@ -4,14 +4,18 @@
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
 # Runs the same ten CLI invocations in each checkout, with one BLAS thread
-# and that checkout's src on PYTHONPATH, each into its own --out directory,
-# then compares the two output trees file by file with cmp (the
-# *_checkpoints/ directories included) and the two stdout logs, each side's
-# --out paths replaced by OUT. For each differing *.report.json it also
+# and that checkout's src on PYTHONPATH, each into its own --out directory.
+# Each side's 12-hex config hash is then replaced by HASH in file names, in
+# the JSON and CSV files and in stdout, so a change to the config defaults still
+# compares like with like. The two output trees are compared file by file
+# with cmp (the *_checkpoints/ directories included), and the two stdout
+# logs with each side's --out paths replaced by OUT. Manifests are compared
+# with their config block set aside: the config keys that differ are listed
+# but are not a difference. For each differing *.report.json or manifest it
 # prints every differing key with its largest absolute and relative change
 # (tools/report_diff.py). Prints the number of files compared and the net
 # change in src/ lines (*.py) from PARENT to CHANGE, and exits 1 on any
-# differing or missing file or differing stdout.
+# differing or missing result file or differing stdout.
 set -euf
 
 if [ "$#" -ne 2 ]; then
@@ -50,8 +54,34 @@ run_all() {  # run_all SRC NAME: outputs go to NAME/<n>/, stdout to NAME.log
     done
 }
 
+# the config hash: in <command>_<hash>, the prefix of every name the CLI
+# writes, and as the value of a report's "config_hash" key
+unhash_sed='s/(verify|spectrum|evolve|stability)_[0-9a-f]{12}/\1_HASH/g
+s/"config_hash": "[0-9a-f]{12}"/"config_hash": "HASH"/g'
+
+unhash() {  # unhash DIR: the config hash becomes HASH in names and text files
+    find "$1" -depth -mindepth 1 | while read -r path; do
+        case "$path" in
+            *.json|*.csv) sed -E -i "$unhash_sed" "$path" ;;
+        esac
+        name=$(basename "$path")
+        new=$(echo "$name" | sed -E "$unhash_sed")
+        [ "$name" = "$new" ] || mv "$path" "$(dirname "$path")/$new"
+    done
+}
+
+# exits 0 when two JSON documents are equal once their "config" entries are
+# removed; ints and floats stay apart, as they do in the bytes
+same_without_config='import json, sys
+a, b = (json.load(open(path)) for path in sys.argv[1:])
+a.pop("config", None)
+b.pop("config", None)
+sys.exit(json.dumps(a) != json.dumps(b))'
+
 run_all "$parent_src" parent
 run_all "$change_src" change
+unhash parent
+unhash change
 
 status=0
 count=0
@@ -61,17 +91,28 @@ for f in $( (cd parent && find . -type f; cd ../change && find . -type f) | sort
         echo "missing: $f" >&2
         status=1
     elif ! cmp -s "parent/$f" "change/$f"; then
+        case "$f" in
+            *.manifest.json)
+                python3 "$tools/report_diff.py" "parent/$f" "change/$f" \
+                    | { grep '^config\.' || true; } >> config.diff
+                python3 -c "$same_without_config" "parent/$f" "change/$f" && continue ;;
+        esac
         echo "differs: $f" >&2
         case "$f" in
-            *.report.json) python3 "$tools/report_diff.py" "parent/$f" "change/$f" | sed 's/^/    /' >&2 ;;
+            *.json) python3 "$tools/report_diff.py" "parent/$f" "change/$f" | sed 's/^/    /' >&2 ;;
         esac
         status=1
     fi
 done
+if [ -s config.diff ]; then
+    echo "config keys that differ (set aside in the manifests):"
+    sort -u config.diff | sed 's/^/    /'
+    config_note=" apart from the manifests' config blocks"
+fi
 
 # the PASS/FAIL lines and the report/manifest names must match too
-sed "s#: parent/#: OUT/#" parent.log > parent.stdout
-sed "s#: change/#: OUT/#" change.log > change.stdout
+sed -E "s#: parent/#: OUT/#; $unhash_sed" parent.log > parent.stdout
+sed -E "s#: change/#: OUT/#; $unhash_sed" change.log > change.stdout
 if ! cmp -s parent.stdout change.stdout; then
     echo "differs: stdout (parent.stdout, change.stdout)" >&2
     status=1
@@ -85,7 +126,7 @@ after=$(src_lines "$change_src")
 printf 'src lines: %d -> %d (net %+d)\n' "$before" "$after" "$((after - before))"
 
 if [ "$status" -eq 0 ]; then
-    echo "all $count files identical, stdout identical"
+    echo "all $count files identical${config_note:-}, stdout identical"
     rm -rf "$work"
 else
     echo "$count files compared; outputs kept in $work" >&2
