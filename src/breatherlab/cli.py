@@ -64,23 +64,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _integrator(config: dict, frame_speed: float, boundary_margin=None) -> ev.IntegratorConfig:
-    """Integrator settings from the config; a null integrator.frame_speed or
-    integrator.boundary_margin takes the command's default given here."""
-    integ = config["integrator"]
-    if integ["frame_speed"] is not None:
-        frame_speed = integ["frame_speed"]
-    if integ["boundary_margin"] is not None:
-        boundary_margin = integ["boundary_margin"]
-    return ev.IntegratorConfig(
-        dt=integ["dt"],
-        t_end=integ["t_end"],
-        frame_speed=frame_speed,
-        monitor_stride=integ["monitor_stride"],
-        boundary_margin=boundary_margin,
-    )
-
-
 def _cmd_verify(config: dict, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
     t = config["t"]
@@ -174,7 +157,7 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
 def _cmd_evolve(config: dict, outdir: str, prefix: str):
     t0 = config["t"]
     grid = cfgmod.make_grid(config)
-    # default frame: the initial profile's own co-moving frame
+    # the initial profile's own co-moving frame, and no boundary guard
     if config["evolve"]["initial"] == "breather":
         p = cfgmod.breather_params(config)
         u0 = gr.sample(lambda tt, xx: cf.breather(p, tt, xx), grid, t0)
@@ -183,7 +166,9 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid, t0)
         frame_speed = soliton.c
-    cfg = _integrator(config, frame_speed)
+    integ = config["integrator"]
+    cfg = ev.IntegratorConfig(dt=integ["dt"], t_end=integ["t_end"], frame_speed=frame_speed,
+                              monitor_stride=integ["monitor_stride"])
     # each checkpoint is written as evolve reaches it, into a staging
     # directory that becomes <prefix>_checkpoints only once the run is done
     ckpt_dir = f"{prefix}_checkpoints"
@@ -227,8 +212,8 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     stab = config["stability"]
     grid = cfgmod.make_grid(config, n_points=stab["n_points"])
     perturbation = st.perturbation(grid, stab["perturbation"], config["seed"])
-    defaults = st.default_stability_config(p)
-    cfg = _integrator(config, defaults.frame_speed, defaults.boundary_margin)
+    integ = config["integrator"]
+    cfg = st.default_stability_config(p, integ["dt"], integ["t_end"], integ["monitor_stride"])
     etas = list(stab["eta_sweep"]) or [stab["eta"]]
     runs = st.stability_sweep(p, perturbation, etas, cfg)
 
@@ -238,7 +223,7 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     config_hash = cfgmod.config_hash(config)
     for i, run in enumerate(runs):
         audit = run.audit
-        h_drift = float(np.max(np.abs(audit.h_u - audit.h_u[0])) / max(abs(audit.h_u[0]), 1e-30))
+        h_drift = ev.relative_drift(audit.h_u)
         stable = run.failure_time is None and run.a0_observed < A0_THRESHOLD
         flagged = audit.closure_rel > CLOSURE_TOL
         audit_ok = not bool(flagged.any()) and h_drift < H_DRIFT_TOL

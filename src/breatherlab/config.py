@@ -27,13 +27,7 @@ DEFAULTS: dict = {
     "t": 0.0,
     "seed": 20406,
     "grid": {"half_length": None, "n_points": 1024},
-    "integrator": {
-        "dt": 1.25e-4,
-        "t_end": 0.5,
-        "frame_speed": None,
-        "monitor_stride": 80,
-        "boundary_margin": None,
-    },
+    "integrator": {"dt": 1.25e-4, "t_end": 0.5, "monitor_stride": 80},
     "spectrum": {"n_points": 512, "phase_sweep": False, "phase_samples": 8},
     "evolve": {"initial": "breather", "soliton_c": 1.0},
     "stability": {"eta": 1e-3, "perturbation": "sech", "eta_sweep": [], "n_points": 2048},
@@ -56,11 +50,7 @@ EIGENSOLVE_BUDGET = 1000
 STEP_BUDGET = 2_000_000
 
 # fields where null is a meaningful value (auto-derived at run time)
-_NULLABLE = {
-    ("grid", "half_length"),
-    ("integrator", "frame_speed"),
-    ("integrator", "boundary_margin"),
-}
+_NULLABLE = {("grid", "half_length")}
 
 
 class ConfigError(ValueError):
@@ -189,8 +179,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError("integrator.t_end must be positive")
     if integ["monitor_stride"] < 1:
         raise ConfigError("integrator.monitor_stride must be >= 1")
-    if integ["boundary_margin"] is not None and not integ["boundary_margin"] > 0.0:
-        raise ConfigError("integrator.boundary_margin must be positive")
     if config["spectrum"]["phase_samples"] < 1:
         raise ConfigError("spectrum.phase_samples must be >= 1")
     spec = config["spectrum"]

@@ -57,8 +57,12 @@ class IntegratorConfig:
     the lab frame, -gamma keeps a breather's envelope centered, +c keeps the
     speed-c soliton steady.  boundary_margin, when set, aborts the run once
     the centroid of u^2 comes within that distance of the domain boundary.
-    The cubic flux is always truncated to the 2/3-rule band: the band is
-    part of the scheme (see _Stepper), not a setting.
+    The commands derive both from the run's parameters and offer neither as
+    a setting: evolve co-moves with its initial profile and sets no guard,
+    stability co-moves with the breather and guards at 5/beta (see
+    stability.default_stability_config).  The cubic flux is always truncated
+    to the 2/3-rule band: the band is part of the scheme (see _Stepper), not
+    a setting.
     """
 
     dt: float
@@ -202,8 +206,6 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
     When observe returns a true value the run stops there: the trace's series
     end at that checkpoint, max_drift covers them, and final is its state.
     """
-    if not np.all(np.isfinite(u0.values)):
-        raise ValueError("initial field contains non-finite values")
     grid = u0.grid
     stepper = _Stepper(grid, cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -227,7 +229,7 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
             if grid.half_length - abs(centroid) < cfg.boundary_margin:
                 raise DomainExitError(
                     f"field centroid {centroid:.3f} within {cfg.boundary_margin} of the "
-                    f"boundary at t = {t}; use a co-moving frame_speed or a larger domain",
+                    f"boundary at t = {t}; use a co-moving frame or a larger domain",
                     time=t,
                     centroid=centroid,
                 )
@@ -253,10 +255,6 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
         stop = observe(field)
         done = checkpoint
 
-    def drift(series: list[float]) -> float:
-        base = series[0]
-        return float(np.max(np.abs(np.asarray(series) - base)) / max(abs(base), 1e-30))
-
     return EvolutionTrace(
         times=np.asarray(times),
         final=field,
@@ -264,8 +262,15 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
         energy_series=np.asarray(energies),
         f_series=np.asarray(f_values),
         sup_series=np.asarray(sups),
-        max_drift=(drift(masses), drift(energies), drift(f_values)),
+        max_drift=(relative_drift(masses), relative_drift(energies), relative_drift(f_values)),
     )
+
+
+def relative_drift(series) -> float:
+    """max|s - s[0]| / max(|s[0]|, 1e-30): the largest excursion of a
+    monitored series from its first value, relative to that value."""
+    base = series[0]
+    return float(np.max(np.abs(np.asarray(series) - base)) / max(abs(base), 1e-30))
 
 
 def write_trace_csv(trace: EvolutionTrace, path) -> None:

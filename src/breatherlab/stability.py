@@ -28,7 +28,6 @@ _STALL_RESIDUAL = 1e-8
 # ||z||_H2 at or above this fraction of ||B||_H2 is outside the modulation
 # regime: z is not a small perturbation of the fitted breather
 _MAX_Z_FRACTION = 0.5
-_MONITOR_INTERVAL = 0.01
 
 
 class ModulationError(gr.ScientificError):
@@ -219,17 +218,13 @@ def perturbation(grid: gr.PeriodicGrid, name: str, seed: int) -> gr.GridField:
     return field.with_values(vals / gr.h2_norm(field))
 
 
-def default_stability_config(p: cf.BreatherParams, t_end: float = 5.0, dt: float = 1.25e-4) -> ev.IntegratorConfig:
-    """Co-moving frame, 0.01 monitor interval, boundary guard at 5/beta.
-
-    The stability command takes its frame and boundary guard from here."""
-    return ev.IntegratorConfig(
-        dt=dt,
-        t_end=t_end,
-        frame_speed=-p.gamma,
-        monitor_stride=max(1, int(round(_MONITOR_INTERVAL / dt))),
-        boundary_margin=5.0 / p.beta,
-    )
+def default_stability_config(p: cf.BreatherParams, dt: float, t_end: float,
+                             monitor_stride: int) -> ev.IntegratorConfig:
+    """The stability run's integrator at the caller's dt, t_end and stride:
+    the breather's co-moving frame (-gamma) and a boundary guard at 5/beta.
+    This is the one place the stability command's frame and guard are set."""
+    return ev.IntegratorConfig(dt=dt, t_end=t_end, frame_speed=-p.gamma,
+                               monitor_stride=monitor_stride, boundary_margin=5.0 / p.beta)
 
 
 def stability_experiment(

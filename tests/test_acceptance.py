@@ -28,10 +28,6 @@ def _breather_field(p, grid, t=0.0):
     return gr.sample(lambda tt, x: cf.breather(p, tt, x), grid, t)
 
 
-def _wide_grid(beta, n=2048):
-    return gr.PeriodicGrid(44.0 / min(beta, 1.0), n)
-
-
 def _quadrature_grid(beta, n):
     return gr.PeriodicGrid(gr.quadrature_half_length(beta), n)
 
@@ -80,7 +76,7 @@ def test_c03_stationary_equation():
         p = cf.BreatherParams(rng.uniform(0.7, 2.0), rng.uniform(0.5, 1.5),
                               rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = rng.uniform(-0.5, 0.5)
-        grid = _wide_grid(p.beta)
+        grid = gr.residual_grid(p.beta)
         res = fn.stationary_residual(p, grid, t)
         scale = max(1.0, float(np.max(np.abs(cf.breather(p, t, grid.nodes)))) ** 5)
         worst = max(worst, float(np.max(np.abs(res.values))) / scale)
@@ -91,7 +87,7 @@ def test_c03_stationary_equation():
 
 def test_c04_kernel_directions():
     p = cf.BreatherParams(1.5, 1.0)
-    grid = _wide_grid(1.0)
+    grid = gr.residual_grid(1.0)
     worst = 0.0
     for name in ("dx1", "dx2"):
         def direction(q, t, x):
@@ -110,7 +106,7 @@ def test_c05_scaling_direction_forms():
     worst = 0.0
     for alpha, beta in ((1.0, 1.0), (1.5, 1.0), (2.0, 0.5)):
         p = cf.BreatherParams(alpha, beta)
-        grid = _wide_grid(beta)
+        grid = gr.residual_grid(beta)
         expected = 32.0 * alpha**2 * beta
         za = gr.sample(lambda t, x: cf.scaling_derivative(p, t, x, "alpha"), grid, 0.0)
         zb = gr.sample(lambda t, x: cf.scaling_derivative(p, t, x, "beta"), grid, 0.0)
@@ -125,7 +121,7 @@ def test_c06_inverse_direction():
     worst_res, worst_rel = 0.0, 0.0
     for alpha, beta in ((1.5, 1.0), (2.0, 0.5)):
         p = cf.BreatherParams(alpha, beta)
-        grid = _wide_grid(beta)
+        grid = gr.residual_grid(beta)
         res = fn.apply_operator_direction(cf.b0_direction, p, grid, t=0.0)
         target = -cf.breather(p, 0.0, grid.nodes)
         worst_res = max(worst_res, float(np.max(np.abs(res.values - target))))
@@ -170,7 +166,7 @@ def test_c08_wronskian_closed_form():
         p = cf.BreatherParams(rng.uniform(0.7, 1.8), rng.uniform(0.5, 1.4),
                               rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = rng.uniform(-0.4, 0.4)
-        grid = _wide_grid(p.beta)
+        grid = gr.residual_grid(p.beta)
         x = grid.nodes
         jet = cf.breather_jet(p, t, x)
         (d1b1,) = gr.spectral_derivatives(jet.dx1, grid, (1,))

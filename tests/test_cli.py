@@ -18,6 +18,7 @@ import breatherlab
 from breatherlab import cli
 from breatherlab import closed_forms as cf
 from breatherlab import config as cfgmod
+from breatherlab import evolution as ev
 from breatherlab import functionals as fn
 from breatherlab import spectral as sp
 from breatherlab import stability as st
@@ -116,7 +117,7 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
     "integrator.monitor_stride=[1]",
     "stability.eta_sweep=[[0.01]]",
     "alpha=1e400",
-    "integrator.frame_speed=NaN",
+    "integrator.dt=NaN",
     "grid.half_length=Infinity",
     "integrator.t_end=Infinity",
 ])
@@ -129,10 +130,13 @@ def test_malformed_override_exits_one(tmp_path, override):
 
 
 # gamma was never a key; the others are the keys a config held before its
-# tolerances became constants, its residual grid fixed and its flux band part
-# of the scheme, at their former defaults. A manifest carrying one is refused.
+# tolerances became constants, its residual grid fixed, its flux band part of
+# the scheme and its integration frame and boundary guard derived, at their
+# former defaults. A manifest carrying one is refused.
 _UNKNOWN_KEYS = {
     "gamma": 1.0,
+    "integrator.frame_speed": None,
+    "integrator.boundary_margin": None,
     "integrator.dealias": True,
     "verify.gamma_scale": 1.0,
     "verify.residual_n_points": 2048,
@@ -362,7 +366,7 @@ def test_evolve_impossible_tolerance_exits_two(tmp_path, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("override", ["integrator.frame_speed=true", "evolve.soliton_c=-1"])
+@pytest.mark.parametrize("override", ["integrator.dt=true", "evolve.soliton_c=-1"])
 def test_evolve_invalid_number_exits_one_before_running(tmp_path, capsys, override):
     out = tmp_path / "out"
     assert main(["evolve", "--set", override, "--out", str(out)]) == 1
@@ -377,19 +381,45 @@ def test_evolve_unstable_dt_exits_one(tmp_path, capsys):
     assert "stability budget" in capsys.readouterr().err
 
 
-def test_evolve_domain_exit_writes_nothing(tmp_path, capsys):
-    # the soliton drifts in the lab frame and crosses the boundary guard
-    # at t = 0.006, long before t_end
+def test_evolve_failed_checkpoint_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a check that fails at the third checkpoint, once two checkpoints are
+    # on disk, leaves no checkpoint directory, staged or final, behind
+    real_writer = ev.checkpoint_writer
+    on_disk = []
+
+    def fails_third(directory, names, cfg):
+        write = real_writer(directory, names, cfg)
+
+        def observe(field):
+            if len(names) == 2:
+                on_disk.extend(os.listdir(directory))
+                raise ev.BlowUpError("injected blow-up", time=field.time_tag)
+            write(field)
+
+        return observe
+
+    monkeypatch.setattr(ev, "checkpoint_writer", fails_third)
     out = tmp_path / "out"
-    code = main(["evolve", "--set", "evolve.initial=soliton",
-                 "--set", "integrator.frame_speed=0",
-                 "--set", "integrator.boundary_margin=29.995",
-                 "--set", "integrator.monitor_stride=10",
-                 "--set", "integrator.t_end=0.02",
+    code = main(["evolve", "--set", "integrator.monitor_stride=10",
+                 "--set", "integrator.t_end=0.005",
                  "--set", "integrator.dt=0.0001", "--out", str(out)])
     assert code == 2
-    assert "check failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "check failed: injected blow-up\n"
+    assert sorted(on_disk) == ["checkpoint_00000.field", "checkpoint_00001.field"]
     assert list(out.iterdir()) == []
+
+
+def test_stability_domain_exit_exits_two(tmp_path, capsys):
+    # the stability guard is 5/beta: a 4.5 half-length box puts the
+    # breather's centroid inside it at t = 0
+    code = main(["stability", "--set", "grid.half_length=4.5",
+                 "--set", "stability.n_points=256",
+                 "--set", "integrator.t_end=0.01", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: field centroid ")
+    assert "within 5.0 of the boundary at t = 0.0" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stability_eta_zero_reports_null_a0(tmp_path):

@@ -25,8 +25,7 @@ def test_config_surface():
         "alpha", "beta",
         "evolve.initial", "evolve.soliton_c",
         "grid.half_length", "grid.n_points",
-        "integrator.boundary_margin", "integrator.dt", "integrator.frame_speed",
-        "integrator.monitor_stride", "integrator.t_end",
+        "integrator.dt", "integrator.monitor_stride", "integrator.t_end",
         "seed",
         "spectrum.n_points", "spectrum.phase_samples", "spectrum.phase_sweep",
         "stability.eta", "stability.eta_sweep", "stability.n_points", "stability.perturbation",
@@ -83,13 +82,13 @@ def test_apply_overrides():
         "integrator.dt=0.0005",
         "stability.eta_sweep=[0.01, 0.001]",
         "stability.perturbation=sech_cos",  # bare word falls back to a string
-        "integrator.frame_speed=null",
+        "grid.half_length=null",
     ])
     assert c["alpha"] == 2.5
     assert c["integrator"]["dt"] == 5e-4
     assert c["stability"]["eta_sweep"] == [0.01, 0.001]
     assert c["stability"]["perturbation"] == "sech_cos"
-    assert c["integrator"]["frame_speed"] is None
+    assert c["grid"]["half_length"] is None
 
 
 def test_apply_overrides_rejects_malformed():
@@ -107,10 +106,9 @@ def test_apply_overrides_rejects_malformed():
     ("evolve.initial=[1]", "must be a string"),
     ("stability.eta_sweep=0.01", "must be a list"),
     ("x1=NaN", "must be finite"),
-    # null means "derive at run time"; otherwise these keys are numbers
+    ("integrator.dt=true", "must be a number"),
+    # null means "derive at run time"; otherwise the key is a number
     ("grid.half_length=true", "must be a number"),
-    ("integrator.frame_speed=true", "must be a number"),
-    ("integrator.boundary_margin=true", "must be a number"),
 ])
 def test_coercion_rejects_wrong_types(assignment, message):
     with pytest.raises(cfg.ConfigError, match=message):
@@ -119,12 +117,10 @@ def test_coercion_rejects_wrong_types(assignment, message):
 
 def test_nullable_paths_accept_null():
     c = cfg.default_config()
-    cfg.apply_overrides(c, ["grid.half_length=25.0", "integrator.boundary_margin=4"])
+    cfg.apply_overrides(c, ["grid.half_length=25.0"])
     assert c["grid"]["half_length"] == 25.0
-    assert c["integrator"]["boundary_margin"] == 4.0
-    cfg.apply_overrides(c, ["grid.half_length=null", "integrator.boundary_margin=null"])
+    cfg.apply_overrides(c, ["grid.half_length=null"])
     assert c["grid"]["half_length"] is None
-    assert c["integrator"]["boundary_margin"] is None
 
 
 @pytest.mark.parametrize("assignment,message", [
@@ -214,7 +210,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 10
+    assert len(invocations) == 12
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from breatherlab import closed_forms as cf
+from breatherlab import config
 from breatherlab import evolution as ev
 from breatherlab import grid as gr
 from breatherlab import stability as st
@@ -331,7 +332,8 @@ def test_cubic_dealiasing_band_leaves_stability_results(monkeypatch, kind):
     # the 2/3 rule's results match it far below any check's tolerance
     grid = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 2048)
     pert = st.perturbation(grid, kind, 20406)
-    cfg = st.default_stability_config(P, t_end=0.25)
+    integ = config.DEFAULTS["integrator"]
+    cfg = st.default_stability_config(P, integ["dt"], 0.25, integ["monitor_stride"])
     third = st.stability_experiment(P, pert, 1e-2, cfg)
     built, bands = ev._Stepper, []
 

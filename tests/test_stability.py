@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from breatherlab import closed_forms as cf
+from breatherlab import config
 from breatherlab import evolution as ev
 from breatherlab import functionals as fn
 from breatherlab import grid as gr
@@ -27,6 +28,12 @@ SEED = 20406
 
 def _breather_field(p, grid, t=0.0):
     return gr.sample(lambda tt, x: cf.breather(p, tt, x), grid, t)
+
+
+def _stability_cfg(t_end):
+    # the stability command's integrator at the config's default dt and stride
+    integ = config.DEFAULTS["integrator"]
+    return st.default_stability_config(P, integ["dt"], t_end, integ["monitor_stride"])
 
 
 def _assert_jet_at_fit(state, t):
@@ -115,16 +122,18 @@ def test_default_perturbations_seeding():
 
 
 def test_default_stability_config():
-    cfg = st.default_stability_config(P, t_end=0.5, dt=1.25e-4)
-    assert cfg.frame_speed == pytest.approx(-P.gamma)
-    assert cfg.monitor_stride * cfg.dt == pytest.approx(0.01)
-    assert cfg.boundary_margin == pytest.approx(5.0 / P.beta)
-    assert cfg.t_end == 0.5
+    cfg = st.default_stability_config(P, 2.5e-4, 0.5, 40)
+    assert cfg.frame_speed == -P.gamma
+    assert cfg.boundary_margin == 5.0 / P.beta
+    assert (cfg.dt, cfg.t_end, cfg.monitor_stride) == (2.5e-4, 0.5, 40)
+    # the config's defaults keep the 0.01 monitor interval
+    integ = config.DEFAULTS["integrator"]
+    assert integ["monitor_stride"] * integ["dt"] == pytest.approx(0.01)
 
 
 def test_experiment_validates_inputs():
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.02)
+    cfg = _stability_cfg(0.02)
     with pytest.raises(ValueError, match="unit H"):
         st.stability_experiment(P, pert.with_values(2.0 * pert.values), 1e-3, cfg)
     with pytest.raises(ValueError, match="eta"):
@@ -133,7 +142,7 @@ def test_experiment_validates_inputs():
 
 def test_unperturbed_run_sits_on_the_manifold():
     pert = st.perturbation(GRID, "sech", SEED)
-    run = st.stability_experiment(P, pert, 0.0, st.default_stability_config(P, t_end=0.03))
+    run = st.stability_experiment(P, pert, 0.0, _stability_cfg(0.03))
     assert run.failure_time is None
     assert run.times.shape[0] == 4
     assert run.sup_z_h2 <= 1e-7
@@ -145,7 +154,7 @@ def test_unperturbed_run_sits_on_the_manifold():
 @pytest.fixture(scope="module")
 def short_run():
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.05)
+    cfg = _stability_cfg(0.05)
     return st.stability_experiment(P, pert, 1e-2, cfg)
 
 
@@ -182,7 +191,7 @@ def test_audit_matches_independent_recomputation(short_run):
     run = short_run
     pert = st.perturbation(GRID, "sech", SEED)
     b0 = _breather_field(P, GRID)
-    cfg = st.default_stability_config(P, t_end=0.05)
+    cfg = _stability_cfg(0.05)
     fields = []
     trace = ev.evolve(b0.with_values(b0.values + 1e-2 * pert.values), cfg, fields.append)
     np.testing.assert_array_equal(trace.times, run.times)
@@ -202,7 +211,7 @@ def test_audit_matches_independent_recomputation(short_run):
 
 def test_remainder_scales_linearly_with_eta():
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.02)
+    cfg = _stability_cfg(0.02)
     big = st.stability_experiment(P, pert, 1e-2, cfg)
     small = st.stability_experiment(P, pert, 5e-3, cfg)
     assert 1.5 <= big.sup_z_h2 / small.sup_z_h2 <= 2.7
@@ -211,7 +220,7 @@ def test_remainder_scales_linearly_with_eta():
 def test_stability_csv_deterministic(tmp_path, short_run):
     run = short_run
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.05)
+    cfg = _stability_cfg(0.05)
     rerun = st.stability_experiment(P, pert, 1e-2, cfg)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     st.write_stability_csv(run, a)
@@ -240,7 +249,7 @@ def test_modulation_failure_truncates_every_series(monkeypatch):
     monkeypatch.setattr(ev, "evolve", recording_evolve)
     monkeypatch.setattr(st, "modulate", flaky_modulate)
     pert = st.perturbation(GRID, "sech", SEED)
-    run = st.stability_experiment(P, pert, 1e-2, st.default_stability_config(P, t_end=0.03))
+    run = st.stability_experiment(P, pert, 1e-2, _stability_cfg(0.03))
     (trace,) = traces
     assert len(calls) == 3
     # the evolution stops at the failing checkpoint
@@ -272,7 +281,7 @@ def _cores(monkeypatch, n):
 
 def test_sweep_pool_matches_in_process_runs(monkeypatch):
     pert = st.perturbation(GRID, "random_band", SEED)
-    cfg = st.default_stability_config(P, t_end=0.03)
+    cfg = _stability_cfg(0.03)
     etas = [1e-2, 1e-3]
     pools = []
 
@@ -298,7 +307,7 @@ def test_sweep_raises_the_first_listed_failure(monkeypatch):
 
     monkeypatch.setattr(st, "stability_experiment", failing)
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.01)
+    cfg = _stability_cfg(0.01)
     for cores in (2, 1):
         _cores(monkeypatch, cores)
         with pytest.raises(st.ModulationError, match="failed at eta 0.01$") as info:
@@ -318,7 +327,7 @@ def test_sweep_raises_when_a_worker_is_killed(monkeypatch):
     monkeypatch.setattr(st, "stability_experiment", killed)
     _cores(monkeypatch, 2)
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.01)
+    cfg = _stability_cfg(0.01)
     with pytest.raises(gr.ScientificError, match="^a worker process was lost: ") as info:
         st.stability_sweep(P, pert, [0.01, 0.001], cfg)
     assert type(info.value) is gr.ScientificError
@@ -333,7 +342,7 @@ def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
     monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(st, "stability_experiment", lambda p, perturbation, eta, cfg: eta)
     pert = st.perturbation(GRID, "sech", SEED)
-    cfg = st.default_stability_config(P, t_end=0.01)
+    cfg = _stability_cfg(0.01)
     _cores(monkeypatch, 2)
     assert st.stability_sweep(P, pert, [0.01], cfg) == [0.01]
     _cores(monkeypatch, 1)
