@@ -66,14 +66,13 @@ def _build_parser() -> _Parser:
 
 def _cmd_verify(config: dict, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
-    t = config["t"]
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
     quad_grid = cfgmod.make_grid(config)
     res_grid = gr.residual_grid(beta)
 
     # one jet on the quadrature grid feeds the functionals and the expansion
-    jet = cf.breather_jet(p, t, quad_grid.nodes)
-    b = gr.GridField(quad_grid, jet.b, time_tag=t)
+    jet = cf.breather_jet(p, 0.0, quad_grid.nodes)
+    b = gr.GridField(quad_grid, jet.b)
     mass, energy, f = fn.invariants(b)
     h_b = fn.h_from_parts(p, mass, energy, f)
     checks: dict[str, dict] = {}
@@ -85,7 +84,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     energy_exact = (4.0 / 3.0) * beta * gamma
     add("energy_closed_form", abs(energy - energy_exact) / max(abs(energy_exact), 1e-12), 1e-8)
 
-    wein = fn.weinstein_derivatives(p, quad_grid, t)
+    wein = fn.weinstein_derivatives(p, quad_grid)
     wein_dev = max(
         abs(wein["dmass_dalpha"]),
         abs(wein["dmass_dbeta"] - 4.0),
@@ -94,7 +93,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     )
     add("weinstein_conditions", wein_dev, 1e-6)
 
-    residuals = fn.identity_residuals(p, res_grid, t)
+    residuals = fn.identity_residuals(p, res_grid, 0.0)
     res, scale = residuals.pop("stationary")
     add("stationary", res, 1e-6 * scale)
     bounds = {"second_order": 1e-6, "first_order": 1e-6, "mixed": 1e-6,
@@ -102,7 +101,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     for name, (res, scale) in residuals.items():
         add(name, res / scale, bounds[name])
     soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
-    soliton_res = fn.soliton_ode_residual(soliton, res_grid, t).values
+    soliton_res = fn.soliton_ode_residual(soliton, res_grid).values
     add("soliton_ode", float(np.max(np.abs(soliton_res))), 1e-8)
 
     # energy-functional expansion at a seeded H^2-norm-0.1 perturbation
@@ -124,15 +123,14 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
 
 def _cmd_spectrum(config: dict, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
-    t = config["t"]
     eig_grid = cfgmod.make_grid(config, n_points=config["spectrum"]["n_points"])
     shifts = []
     if config["spectrum"]["phase_sweep"]:
         n_samples = config["spectrum"]["phase_samples"]
         half_period = np.pi / p.alpha
         shifts = [p.x1 + j * half_period / n_samples for j in range(n_samples)]
-    srep, lam = sp.spectrum(p, eig_grid, t, shifts)
-    wrep = sp.wronskian_analysis(p, t)
+    srep, lam = sp.spectrum(p, eig_grid, 0.0, shifts)
+    wrep = sp.wronskian_analysis(p, 0.0)
 
     pass_fail = {
         "negative_count_is_one": srep.negative_count == 1,
@@ -155,16 +153,15 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
 
 
 def _cmd_evolve(config: dict, outdir: str, prefix: str):
-    t0 = config["t"]
     grid = cfgmod.make_grid(config)
     # the initial profile's own co-moving frame, and no boundary guard
     if config["evolve"]["initial"] == "breather":
         p = cfgmod.breather_params(config)
-        u0 = gr.sample(lambda tt, xx: cf.breather(p, tt, xx), grid, t0)
+        u0 = gr.sample(lambda tt, xx: cf.breather(p, tt, xx), grid)
         frame_speed = -p.gamma
     else:
         soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
-        u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid, t0)
+        u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid)
         frame_speed = soliton.c
     integ = config["integrator"]
     cfg = ev.IntegratorConfig(dt=integ["dt"], t_end=integ["t_end"], frame_speed=frame_speed,

@@ -71,10 +71,9 @@ class BreatherParams:
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """Soliton parameters: speed c > 0 and initial center x0."""
+    """Soliton parameters: speed c > 0; the soliton is centred at x = 0 at t = 0."""
 
     c: float
-    x0: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.c > 0.0 and math.isfinite(self.c)):
@@ -266,8 +265,8 @@ def b0_direction(p: BreatherParams, t, x):
 
 
 def soliton(s: SolitonParams, t, x):
-    """Soliton sqrt(2c) sech(sqrt(c)(x - c t - x0))."""
+    """Soliton sqrt(2c) sech(sqrt(c)(x - c t))."""
     rc = math.sqrt(s.c)
-    w, clipped = _clip_arg(rc * (np.asarray(x, dtype=float) - s.c * t - s.x0))
+    w, clipped = _clip_arg(rc * (np.asarray(x, dtype=float) - s.c * t))
     out = math.sqrt(2.0 * s.c) / np.cosh(w)
     return np.where(clipped, 0.0, out)

@@ -23,8 +23,6 @@ DEFAULTS: dict = {
     "alpha": 1.5,
     "beta": 1.0,
     "x1": 0.0,
-    "x2": 0.0,
-    "t": 0.0,
     "seed": 20406,
     "grid": {"half_length": None, "n_points": 1024},
     "integrator": {"dt": 1.25e-4, "t_end": 0.5, "monitor_stride": 80},
@@ -150,10 +148,6 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return config
 
 
-def _power_of_two(n: int) -> bool:
-    return n >= 16 and (n & (n - 1)) == 0
-
-
 def validate_config(config: dict) -> None:
     if not config["alpha"] > 0.0:
         raise ConfigError("alpha > 0 required")
@@ -161,7 +155,7 @@ def validate_config(config: dict) -> None:
         raise ConfigError("beta > 0 required")
     for path in (("grid", "n_points"), ("spectrum", "n_points"), ("stability", "n_points")):
         n = config[path[0]][path[1]]
-        if not _power_of_two(n):
+        if not gr.PeriodicGrid.is_dyadic(n):
             raise ConfigError(f"{'.'.join(path)} must be a power of two >= 16, got {n}")
     n_eig = config["spectrum"]["n_points"]
     dense_bytes = SPECTRUM_DENSE_ARRAYS * 8 * n_eig**2
@@ -207,9 +201,9 @@ def validate_config(config: dict) -> None:
 
 
 def breather_params(config: dict) -> cf.BreatherParams:
-    return cf.BreatherParams(
-        alpha=config["alpha"], beta=config["beta"], x1=config["x1"], x2=config["x2"]
-    )
+    """B(0; alpha, beta, x1, 0): every B(t; alpha, beta, x1, x2) is a translate of
+    B(0; alpha, beta, x1 - x2 - 2(alpha^2 + beta^2)t, 0)."""
+    return cf.BreatherParams(alpha=config["alpha"], beta=config["beta"], x1=config["x1"])
 
 
 def make_grid(config: dict, n_points: int | None = None) -> gr.PeriodicGrid:

@@ -45,9 +45,13 @@ class PeriodicGrid:
     def __post_init__(self) -> None:
         if not (self.half_length > 0.0 and np.isfinite(self.half_length)):
             raise ValueError(f"half_length must be positive, got {self.half_length}")
-        n = self.n_points
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 16, got {n}")
+        if not self.is_dyadic(self.n_points):
+            raise ValueError(f"n_points must be a power of two >= 16, got {self.n_points}")
+
+    @staticmethod
+    def is_dyadic(n: int) -> bool:
+        """Whether n is a grid size: a power of two, at least 16."""
+        return n >= 16 and (n & (n - 1)) == 0
 
     @property
     def spacing(self) -> float:

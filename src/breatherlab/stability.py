@@ -95,7 +95,6 @@ class StabilityRunReport:
     ortho_max: float
     frame_speed: float
     audit: LyapunovAudit
-    params: cf.BreatherParams
     failure_time: float | None = None
 
     def __post_init__(self):
@@ -344,7 +343,6 @@ def stability_experiment(
         ortho_max=ortho_max,
         frame_speed=c,
         audit=audit,
-        params=p,
         failure_time=failure_time,
     )
 

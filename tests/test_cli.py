@@ -135,6 +135,8 @@ def test_malformed_override_exits_one(tmp_path, override):
 # former defaults. A manifest carrying one is refused.
 _UNKNOWN_KEYS = {
     "gamma": 1.0,
+    "t": 0.0,
+    "x2": 0.0,
     "integrator.frame_speed": None,
     "integrator.boundary_margin": None,
     "integrator.dealias": True,

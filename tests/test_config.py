@@ -29,7 +29,7 @@ def test_config_surface():
         "seed",
         "spectrum.n_points", "spectrum.phase_samples", "spectrum.phase_sweep",
         "stability.eta", "stability.eta_sweep", "stability.n_points", "stability.perturbation",
-        "t", "x1", "x2",
+        "x1",
     ]
 
 
@@ -210,7 +210,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 12
+    assert len(invocations) == 14
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

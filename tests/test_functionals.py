@@ -374,5 +374,5 @@ def test_stationary_identity_detects_wrong_velocity():
 
 def test_soliton_ode_identity():
     grid = gr.PeriodicGrid(30.0, 1024)
-    res = fn.soliton_ode_residual(cf.SolitonParams(1.5, 0.2), grid, t=0.1)
+    res = fn.soliton_ode_residual(cf.SolitonParams(1.5), grid, t=0.1)
     assert np.max(np.abs(res.values)) <= 1e-8

@@ -165,6 +165,19 @@ def test_lambda0_sq_translation_invariant(report):
     assert moved.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-8)
 
 
+def test_time_is_a_phase(report):
+    # B(T; x1 = 2(alpha^2 + beta^2)T, 0) is B(0; 0, 0) translated by -gamma*T,
+    # so the CLI's t = 0 breather loses no analysis. What remains is the grid's
+    # own translation error: gamma*T is 4.9 spacings, and at N = 512 it reads
+    # lambda0^2 3.4e-8, nu0 2.2e-8, mu0 2.0e-7 relative (2.45 spacings, at
+    # T = 0.05, reads 4.0e-7, 2.6e-7 and 2.3e-6)
+    T = 0.1
+    later = sp.spectrum(replace(P, x1=2.0 * (P.alpha**2 + P.beta**2) * T), GRID, T)[0]
+    assert later.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-7)
+    assert later.nu0_estimate == pytest.approx(report.nu0_estimate, rel=1e-7)
+    assert later.mu0_estimate == pytest.approx(report.mu0_estimate, rel=1e-6)
+
+
 def test_lambda0_sq_half_period_invariant(report):
     flipped = sp.spectrum(replace(P, x1=P.x1 + np.pi / P.alpha, x2=P.x2), GRID)[0]
     assert flipped.lambda0_sq == pytest.approx(report.lambda0_sq, rel=1e-8)

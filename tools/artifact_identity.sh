@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same twelve CLI invocations in each checkout, with one BLAS thread
+# Runs the same fourteen CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
 # Each side's 12-hex config hash is then replaced by HASH in file names, in
 # the JSON and CSV files and in stdout, so a change to the config defaults still
@@ -25,10 +25,12 @@ fi
 
 # One invocation per line; the last is the modulation_dense benchmark call
 # (seed 0). The two at beta = 0.5 cover the min(beta, 1) branch of the grid
-# rule; every other one runs at beta = 1.
+# rule; every other one runs at beta = 1. The two at x1 = 0.4 cover the
+# breather's one phase key.
 INVOCATIONS='verify
 verify --set seed=7
 verify --set alpha=2 --set beta=0.5
+verify --set x1=0.4
 spectrum
 spectrum --set spectrum.phase_sweep=true
 spectrum --set spectrum.phase_sweep=true --set spectrum.phase_samples=3 --set spectrum.n_points=1024
@@ -36,6 +38,7 @@ spectrum --set alpha=2 --set beta=0.5
 evolve
 stability
 stability --set integrator.t_end=5.0
+stability --set x1=0.4 --set integrator.t_end=0.05
 evolve --set evolve.initial=soliton --set integrator.t_end=0.05
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
