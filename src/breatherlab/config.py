@@ -41,7 +41,7 @@ SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # Counts that a typo can blow up are refused the same way. spectrum solves
 # (phase_samples if phase_sweep else 1) + 2 eigenproblems, about 20 ms each
-# at N=512; evolve and stability take t_end / dt steps, about 150-170 us each
+# at N=512; evolve and stability take t_end / dt steps, about 180-270 us each
 # at N=2048 on a 2-core Xeon with one BLAS thread (t_end=50 at the default dt
 # is 400000 steps).
 EIGENSOLVE_BUDGET = 1000

@@ -21,11 +21,13 @@ structure counts the negative eigenvalues; wronskian_analysis cross-checks
 the closed form against spectral derivatives and locates the single root of
 the monotone root function.
 
-Every scalar root (mu*, nu0, the Wronskian root) comes from _brentq, a
-step-for-step port of scipy.optimize.brentq that returns bitwise its roots.
-The package thus uses scipy.linalg only: importing scipy.optimize added
-0.2-0.3 s and 20 MB to the start of every command, on a 2-core x86-64
-machine, also to those that never solve for a root.
+Every scalar root (mu*, nu0, the Wronskian root) is that of an increasing
+function with a sign change, and _bisect finds it by bisection to adjacent
+floats: it returns a zero of f, or the float at which f turns positive, with
+no tolerance and no iteration cap. The package thus uses scipy.linalg only:
+importing scipy.optimize added 0.2-0.3 s and 20 MB to the start of every
+command, on a 2-core x86-64 machine, also to those that never solve for a
+root.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ _ROOT_SCAN_SAMPLES = 2048
 # classification reads the lowest eigenvalues only: the negative one, the
 # kernel pair and the lowest of the rest, which bounds all others from below
 _CLASSIFY_COUNT = 4
-
-# scipy.optimize.brentq's defaults, which _brentq reproduces step for step
-_BRENT_XTOL = 2e-12
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
 
 
 class AssemblyError(ScientificError):
@@ -346,14 +343,14 @@ def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray, kernel_span:
         )
     # if c_1 = 0 (d_1 = 0), phi (psi) stays finite up to lam_1: take lam_1
     hi = lam[1] * (1.0 - 1e-12)
-    mu_star = _brentq(phi, 0.0, hi) if phi(hi) > 0.0 else hi
+    mu_star = _bisect(phi, 0.0, hi) if phi(hi) > 0.0 else hi
     mu0 = 0.99 * mu_star
 
     lo = lam[0] * (1.0 - 1e-12)
     if not psi(lo) < 0.0:
         raise ClassificationError("negative eigenvector misses the constrained "
                                   "pencil's negative direction", np.array([psi(lo)]))
-    nu0 = _brentq(psi, lo, hi) if psi(hi) > 0.0 else hi
+    nu0 = _bisect(psi, lo, hi) if psi(hi) > 0.0 else hi
 
     m = lred - mu0 * gred + (h / mu0) * np.outer(bred, bred)
     _certify_positive(0.5 * (m + m.T), f"compensated quadratic form is not positive at "
@@ -403,69 +400,34 @@ def _reflect_both_sides(a: np.ndarray, reflectors: list[tuple[np.ndarray, float]
     return a
 
 
-def _brentq(f, a: float, b: float) -> float:
-    """Root of f in the sign-change bracket [a, b] by Brent's method.
+def _bisect(f, a: float, b: float) -> float:
+    """Root of the increasing f in [a, b], exact to adjacent floats.
 
-    A step-for-step port of scipy.optimize.brentq (scipy's C loop, its
-    default tolerances and iteration limit), so every root is bitwise the
-    one scipy returns, without importing scipy.optimize (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 4). An endpoint where f
-    is zero is returned as is. Raises ValueError when f(a) and f(b) have the
-    same sign or f returns NaN, RuntimeError when the iterations run out.
+    An endpoint where f is zero is returned as is. Otherwise [a, b] is halved
+    until f is zero at a midpoint, which is returned, or until a and b are
+    adjacent floats with f(a) < 0 < f(b), and b is returned. Raises ValueError
+    unless f(a) < 0 < f(b), or when f returns NaN.
     """
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+            raise ValueError(f"the function value at x={x} is NaN")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        bisect = True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            # in C a zero den gives an infinite or NaN step, which always bisects
-            if den != 0.0:
-                stry = num / den
-                if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                    spre, scur = scur, stry
-                    bisect = False
-        if bisect:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur:f}")
+    a, b = float(a), float(b)
+    fa, fb = value(a), value(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if not fa < 0.0 < fb:
+        raise ValueError(f"f(a) = {fa} and f(b) = {fb} do not bracket an increasing root")
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        fm = value(mid)
+        if fm == 0.0:
+            return mid
+        a, b = (mid, b) if fm < 0.0 else (a, mid)
+    return b
 
 
 def root_function(p: cf.BreatherParams, t: float, y2):
@@ -506,7 +468,7 @@ def wronskian_analysis(p: cf.BreatherParams, t: float) -> WronskianReport:
     if changes:
         flips = np.nonzero(np.diff(np.sign(vals)))[0]
         lo, hi = ys[flips[0]], ys[flips[0] + 1]
-        location = _brentq(lambda y: root_function(p, t, y), lo, hi)
+        location = _bisect(lambda y: root_function(p, t, y), lo, hi)
     elif root_count:
         location = float(ys[np.nonzero(signs == 0.0)[0][0]])
     else:

@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same fourteen CLI invocations in each checkout, with one BLAS thread
+# Runs the same fifteen CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
 # Each side's 12-hex config hash is then replaced by HASH in file names, in
 # the JSON and CSV files and in stdout, so a change to the config defaults still
@@ -25,8 +25,10 @@ fi
 
 # One invocation per line; the last is the modulation_dense benchmark call
 # (seed 0). The two at beta = 0.5 cover the min(beta, 1) branch of the grid
-# rule; every other one runs at beta = 1. The two at x1 = 0.4 cover the
-# breather's one phase key.
+# rule; every other one runs at beta = 1. The three at x1 = 0.4 cover the
+# breather's one phase key; the spectrum one is the only invocation whose
+# Wronskian root is not at 0 (about 1e-16 at x1 = 0), so it alone checks a
+# generic root of the scalar root finder.
 INVOCATIONS='verify
 verify --set seed=7
 verify --set alpha=2 --set beta=0.5
@@ -35,6 +37,7 @@ spectrum
 spectrum --set spectrum.phase_sweep=true
 spectrum --set spectrum.phase_sweep=true --set spectrum.phase_samples=3 --set spectrum.n_points=1024
 spectrum --set alpha=2 --set beta=0.5
+spectrum --set x1=0.4
 evolve
 stability
 stability --set integrator.t_end=5.0
