@@ -99,6 +99,15 @@ def test_verify_detects_wrong_velocity(tmp_path, monkeypatch):
     assert failed == ["stationary"]
 
 
+def test_verify_soliton_grid_ignores_the_breather_beta(verify_out, tmp_path):
+    # the c = 1 soliton has no beta: its residual grid is sized by sqrt(c)
+    _, beta_one = _read(verify_out[0], ".report.json")
+    main(["verify", "--set", "alpha=1", "--set", "beta=0.1", "--out", str(tmp_path)])
+    _, beta_tenth = _read(tmp_path, ".report.json")
+    assert beta_tenth["checks"]["soliton_ode"] == beta_one["checks"]["soliton_ode"]
+    assert beta_tenth["checks"]["soliton_ode"]["pass"] is True
+
+
 def test_verify_and_spectrum_report_one_wronskian_residual(verify_out, tmp_path):
     # both commands run functionals.wronskian_residual on grid.residual_grid
     _, verify_report = _read(verify_out[0], ".report.json")
@@ -116,6 +125,7 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "integrator.monitor_stride=[1]",
     "stability.eta_sweep=[[0.01]]",
+    "stability.eta_sweep=[]",
     "alpha=1e400",
     "integrator.dt=NaN",
     "grid.half_length=Infinity",
@@ -131,12 +141,15 @@ def test_malformed_override_exits_one(tmp_path, override):
 
 # gamma was never a key; the others are the keys a config held before its
 # tolerances became constants, its residual grid fixed, its flux band part of
-# the scheme and its integration frame and boundary guard derived, at their
-# former defaults. A manifest carrying one is refused.
+# the scheme, its integration frame and boundary guard derived, its single
+# eta folded into stability.eta_sweep and its phase-sweep size fixed, at
+# their former defaults. A manifest carrying one is refused.
 _UNKNOWN_KEYS = {
     "gamma": 1.0,
     "t": 0.0,
     "x2": 0.0,
+    "stability.eta": 1e-3,
+    "spectrum.phase_samples": 8,
     "integrator.frame_speed": None,
     "integrator.boundary_margin": None,
     "integrator.dealias": True,
@@ -188,9 +201,9 @@ def test_spectrum_defaults_pass(tmp_path):
         "lambda0_sq_positive", "wronskian_closed_form"}
 
 
-def test_spectrum_phase_sweep(tmp_path):
-    code = main(["spectrum", "--set", "spectrum.phase_sweep=true",
-                 "--set", "spectrum.phase_samples=4", "--out", str(tmp_path)])
+def test_spectrum_phase_sweep(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "PHASE_SAMPLES", 4)
+    code = main(["spectrum", "--set", "spectrum.phase_sweep=true", "--out", str(tmp_path)])
     assert code == 0
     _, report = _read(tmp_path, ".report.json")
     assert len(report["sweep"]["lambda0_sq"]) == 4
@@ -214,8 +227,8 @@ def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, caps
         return out if len(calls) < 3 else out.with_values(2.0 * out.values)
 
     monkeypatch.setattr(sp, "apply_operator", wrong_in_sweep)
-    code = main(["spectrum", "--set", "spectrum.phase_sweep=true",
-                 "--set", "spectrum.phase_samples=4", "--out", str(tmp_path)])
+    monkeypatch.setattr(cli, "PHASE_SAMPLES", 4)
+    code = main(["spectrum", "--set", "spectrum.phase_sweep=true", "--out", str(tmp_path)])
     assert code == 2
     assert len(calls) == 3
     assert capsys.readouterr().err.startswith(
@@ -252,8 +265,8 @@ def _spy_dense_work(monkeypatch):
 @pytest.mark.parametrize("n_samples", [4, 1])
 def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_samples):
     assembled, built, solves = _spy_dense_work(monkeypatch)
-    code = main(["spectrum", "--set", "spectrum.phase_sweep=true",
-                 "--set", f"spectrum.phase_samples={n_samples}", "--out", str(tmp_path)])
+    monkeypatch.setattr(cli, "PHASE_SAMPLES", n_samples)
+    code = main(["spectrum", "--set", "spectrum.phase_sweep=true", "--out", str(tmp_path)])
     assert code == 0
     # the first sample is the spectrum's own operator, assembled once
     assert len(assembled) == n_samples
@@ -425,7 +438,7 @@ def test_stability_domain_exit_exits_two(tmp_path, capsys):
 
 
 def test_stability_eta_zero_reports_null_a0(tmp_path):
-    code = main(["stability", "--set", "stability.eta=0",
+    code = main(["stability", "--set", "stability.eta_sweep=[0]",
                  "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
     assert code == 0
     _, report = _read(tmp_path, ".report.json")
@@ -444,6 +457,19 @@ def test_stability_checks_read_the_cli_tolerances(tmp_path, monkeypatch, constan
     assert code == 2
     _, manifest = _read(tmp_path, ".manifest.json")
     assert [k for k, ok in manifest["pass_fail"].items() if not ok] == [failed]
+
+
+def test_stability_linearity_ratios_are_the_runs_a0(tmp_path):
+    # the sweep's sup ||z||_H2 / eta is each run's a0_observed, null at eta 0
+    code = main(["stability", "--set", "stability.eta_sweep=[0.01, 0]",
+                 "--set", "integrator.t_end=0.02", "--out", str(tmp_path)])
+    assert code == 0
+    _, report = _read(tmp_path, ".report.json")
+    assert report["sweep"]["linearity_ratios"] == [
+        run["a0_observed"] for run in report["runs"]]
+    ratio, null = report["sweep"]["linearity_ratios"]
+    assert ratio == report["sweep"]["sup_z_h2"][0] / 0.01
+    assert null is None
 
 
 def test_stability_sweep_monotone_in_any_eta_order(tmp_path):
@@ -623,6 +649,19 @@ def test_out_directory_is_created(tmp_path):
                  "--set", "integrator.dt=0.0001", "--out", str(nested)])
     assert code == 0
     assert nested.is_dir()
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+def test_out_that_cannot_be_a_directory_exits_one(tmp_path, out):
+    # in a fresh interpreter, so an uncaught exception shows as a traceback
+    (tmp_path / "a_file").write_text("kept\n")
+    proc = _run_entry_point(["verify", "--out", out], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+    assert (tmp_path / "a_file").read_text() == "kept\n"
 
 
 def test_config_file_with_override_precedence(tmp_path):

@@ -27,8 +27,8 @@ def test_config_surface():
         "grid.half_length", "grid.n_points",
         "integrator.dt", "integrator.monitor_stride", "integrator.t_end",
         "seed",
-        "spectrum.n_points", "spectrum.phase_samples", "spectrum.phase_sweep",
-        "stability.eta", "stability.eta_sweep", "stability.n_points", "stability.perturbation",
+        "spectrum.n_points", "spectrum.phase_sweep",
+        "stability.eta_sweep", "stability.n_points", "stability.perturbation",
         "x1",
     ]
 
@@ -132,11 +132,10 @@ def test_nullable_paths_accept_null():
     ("integrator.dt=0", "dt must be positive"),
     ("integrator.t_end=-1", "t_end must be positive"),
     ("integrator.monitor_stride=0", "monitor_stride"),
-    ("spectrum.phase_samples=0", "phase_samples"),
     ("evolve.initial=vortex", "breather"),
     ("evolve.soliton_c=0", "soliton_c"),
-    ("stability.eta=0.2", "eta must lie"),
-    ("stability.eta_sweep=[0.0]", "eta_sweep"),
+    ("stability.eta_sweep=[]", "at least one eta"),
+    ("stability.eta_sweep=[-0.001]", "eta_sweep"),
     ("stability.eta_sweep=[0.06]", "eta_sweep"),
     ("stability.perturbation=spike", "perturbation"),
 ])
@@ -166,19 +165,10 @@ def test_spectrum_refused_before_anything_runs(tmp_path, capsys):
 
 
 def test_counts_beyond_budget_are_refused():
-    # arithmetic only: spectrum solves phase_samples + 2 eigenproblems with
-    # the sweep on and 3 without, evolve and stability take t_end / dt steps
+    # arithmetic only: evolve and stability take t_end / dt steps
     assert 50.0 / 1.25e-4 <= cfg.STEP_BUDGET
-    budget = cfg.EIGENSOLVE_BUDGET
-    for assignments in (["spectrum.phase_sweep=true", f"spectrum.phase_samples={budget - 2}"],
-                        [f"spectrum.phase_samples={100 * budget}"],
-                        ["integrator.t_end=50"]):
-        cfg.validate_config(cfg.apply_overrides(cfg.default_config(), assignments))
+    cfg.validate_config(cfg.apply_overrides(cfg.default_config(), ["integrator.t_end=50"]))
     refused = [
-        (["spectrum.phase_sweep=true", f"spectrum.phase_samples={budget - 1}"],
-         f"spectrum.phase_samples={budget - 1} needs about {budget + 1} dense eigensolves"),
-        (["spectrum.phase_sweep=true", "spectrum.phase_samples=1000000"],
-         "spectrum.phase_samples=1000000 needs about 1000002 dense eigensolves"),
         (["integrator.t_end=1e6"],
          r"integrator.t_end=1000000.0 at integrator.dt=0.000125 needs about 8e\+09 steps"),
         (["integrator.dt=1e-300", "integrator.t_end=1e300"], "needs about inf steps"),
@@ -191,12 +181,10 @@ def test_counts_beyond_budget_are_refused():
 
 @pytest.mark.parametrize("command,assignment,message", [
     ("evolve", "integrator.t_end=1e6", "integrator.t_end=1000000.0 at integrator.dt"),
-    ("spectrum", "spectrum.phase_samples=5000", "spectrum.phase_samples=5000 needs about"),
 ])
 def test_counts_refused_before_anything_runs(tmp_path, capsys, command, assignment, message):
     out = tmp_path / "out"
-    code = main([command, "--set", "spectrum.phase_sweep=true", "--set", assignment,
-                 "--out", str(out)])
+    code = main([command, "--set", assignment, "--out", str(out)])
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -215,15 +203,14 @@ def test_identity_invocations_pass_the_dense_guard():
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
                         "--set", "integrator.t_end=5.0"])
-    steps, solves = [], []
+    steps = []
     for args in invocations:
         overrides = [args[i + 1] for i, arg in enumerate(args) if arg == "--set"]
         c = cfg.apply_overrides(cfg.default_config(), overrides)
-        # the dense-array, eigensolve and step guards
+        # the dense-array and step guards
         cfg.validate_config(c)
         steps.append(c["integrator"]["t_end"] / c["integrator"]["dt"])
-        solves.append((c["spectrum"]["phase_samples"] if c["spectrum"]["phase_sweep"] else 1) + 2)
-    assert max(steps) == 40000.0 and max(solves) == 10
+    assert max(steps) == 40000.0
 
 
 def test_breather_params_and_grid():

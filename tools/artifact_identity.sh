@@ -5,6 +5,8 @@
 #
 # Runs the same fifteen CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
+# An invocation may set only config keys that both checkouts accept: a side
+# that refuses one exits 1, and the check stops there.
 # Each side's 12-hex config hash is then replaced by HASH in file names, in
 # the JSON and CSV files and in stdout, so a change to the config defaults still
 # compares like with like. The two output trees are compared file by file
@@ -24,9 +26,10 @@ if [ "$#" -ne 2 ]; then
 fi
 
 # One invocation per line; the last is the modulation_dense benchmark call
-# (seed 0). The two at beta = 0.5 cover the min(beta, 1) branch of the grid
-# rule; every other one runs at beta = 1. The three at x1 = 0.4 cover the
-# breather's one phase key; the spectrum one is the only invocation whose
+# (seed 0). The two phase sweeps run the CLI's fixed 8 samples, at the
+# default N = 512 and at N = 1024. The two at beta = 0.5 cover the
+# min(beta, 1) branch of the grid rule; every other one runs at beta = 1.
+# The three at x1 = 0.4 cover the breather's one phase key; the spectrum one is the only invocation whose
 # Wronskian root is not at 0 (about 1e-16 at x1 = 0), so it alone checks a
 # generic root of the scalar root finder.
 INVOCATIONS='verify
@@ -35,7 +38,7 @@ verify --set alpha=2 --set beta=0.5
 verify --set x1=0.4
 spectrum
 spectrum --set spectrum.phase_sweep=true
-spectrum --set spectrum.phase_sweep=true --set spectrum.phase_samples=3 --set spectrum.n_points=1024
+spectrum --set spectrum.phase_sweep=true --set spectrum.n_points=1024
 spectrum --set alpha=2 --set beta=0.5
 spectrum --set x1=0.4
 evolve
