@@ -87,7 +87,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     energy_exact = (4.0 / 3.0) * beta * gamma
     add("energy_closed_form", abs(energy - energy_exact) / max(abs(energy_exact), 1e-12), 1e-8)
 
-    wein = fn.weinstein_derivatives(p, quad_grid)
+    wein = fn.weinstein_derivatives(b, p)
     wein_dev = max(
         abs(wein["dmass_dalpha"]),
         abs(wein["dmass_dbeta"] - 4.0),

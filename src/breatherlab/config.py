@@ -44,6 +44,11 @@ DENSE_BUDGET_BYTES = 2 * 1024**3
 # 2-core Xeon with one BLAS thread (t_end=50 at the default dt is 400000
 # steps).
 STEP_BUDGET = 2_000_000
+# alpha and beta above this bound are refused. Every command already fails at
+# 20 (exit 1 or 2), and evolve and stability refuse 1e3 on the ETDRK4 budget;
+# far above it the closed forms overflow, into a NaN report value at
+# alpha=1e70 and an OverflowError at 1e80.
+MAX_FREQUENCY = 1e3
 
 # fields where null is a meaningful value (auto-derived at run time)
 _NULLABLE = {("grid", "half_length")}
@@ -147,10 +152,11 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    if not config["alpha"] > 0.0:
-        raise ConfigError("alpha > 0 required")
-    if not config["beta"] > 0.0:
-        raise ConfigError("beta > 0 required")
+    for key in ("alpha", "beta"):
+        if not config[key] > 0.0:
+            raise ConfigError(f"{key} > 0 required")
+        if config[key] > MAX_FREQUENCY:
+            raise ConfigError(f"{key}={config[key]!r} is above the bound {MAX_FREQUENCY:g}")
     for path in (("grid", "n_points"), ("spectrum", "n_points"), ("stability", "n_points")):
         n = config[path[0]][path[1]]
         if not gr.PeriodicGrid.is_dyadic(n):

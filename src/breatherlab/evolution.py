@@ -101,17 +101,6 @@ class EvolutionTrace:
     sup_series: np.ndarray
     max_drift: tuple[float, float, float]
 
-    def __post_init__(self):
-        n = self.times.shape[0]
-        same = (
-            self.mass_series.shape[0] == n
-            and self.energy_series.shape[0] == n
-            and self.f_series.shape[0] == n
-            and self.sup_series.shape[0] == n
-        )
-        if not same:
-            raise ValueError("trace series must all have the same length")
-
 
 class _Stepper:
     """Precomputed propagator tables for one (grid, config) pair.
@@ -212,11 +201,7 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
     if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, abs(cfg.t_end)):
         raise ValueError("t_end must be a positive integer multiple of dt")
 
-    times: list[float] = []
-    masses: list[float] = []
-    energies: list[float] = []
-    f_values: list[float] = []
-    sups: list[float] = []
+    rows: list[tuple] = []  # one (t, mass, energy, f, sup|u|) per checkpoint
 
     def record(step_index: int, vals: np.ndarray) -> gr.GridField:
         t = step_index * cfg.dt
@@ -233,12 +218,7 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
                     time=t,
                     centroid=centroid,
                 )
-        times.append(t)
-        m, e, f = fn.invariants(field)
-        masses.append(m)
-        energies.append(e)
-        f_values.append(f)
-        sups.append(sup)
+        rows.append((t, *fn.invariants(field), sup))
         return field
 
     field = record(0, u0.values)
@@ -255,13 +235,14 @@ def evolve(u0: gr.GridField, cfg: IntegratorConfig, observe=lambda field: None) 
         stop = observe(field)
         done = checkpoint
 
+    times, masses, energies, f_values, sups = map(np.asarray, zip(*rows))
     return EvolutionTrace(
-        times=np.asarray(times),
+        times=times,
         final=field,
-        mass_series=np.asarray(masses),
-        energy_series=np.asarray(energies),
-        f_series=np.asarray(f_values),
-        sup_series=np.asarray(sups),
+        mass_series=masses,
+        energy_series=energies,
+        f_series=f_values,
+        sup_series=sups,
         max_drift=(relative_drift(masses), relative_drift(energies), relative_drift(f_values)),
     )
 

@@ -27,8 +27,6 @@ test the closed-form derivative relations rather than assume them.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import closed_forms as cf
@@ -250,32 +248,20 @@ def soliton_ode_residual(s: cf.SolitonParams, grid: PeriodicGrid, t: float = 0.0
     return GridField(grid, res, time_tag=t)
 
 
-def _richardson(fn, h: float):
-    """One Richardson level over central differences; elementwise on arrays."""
-    d1 = (fn(h) - fn(-h)) / (2.0 * h)
-    d2 = (fn(0.5 * h) - fn(-0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def weinstein_derivatives(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> dict:
+def weinstein_derivatives(b: GridField, p: cf.BreatherParams) -> dict:
     """Parameter derivatives of mass and energy along the breather family.
 
-    Central differences with one Richardson level, step 1e-4, on (M, E) from
-    one sample per perturbed parameter point. Expected values:
-    dM/dalpha = 0, dM/dbeta = 4, dE/dalpha = 8 alpha beta,
-    dE/dbeta = 4 (alpha^2 - beta^2).
+    b is the breather of p sampled at time b.time_tag. With dB the exact
+    complex-step derivative d/dalpha or d/dbeta of the closed form
+    (cf.scaling_derivative), dM = int B dB and dE = int B_x (dB)_x - B^3 dB,
+    with spectral x-derivatives. Expected values: dM/dalpha = 0,
+    dM/dbeta = 4, dE/dalpha = 8 alpha beta, dE/dbeta = 4 (alpha^2 - beta^2).
     """
-    h = 1e-4
-
-    def mass_energy(q: cf.BreatherParams) -> np.ndarray:
-        m, e, _ = invariants(sample(lambda tt, xx: cf.breather(q, tt, xx), grid, t))
-        return np.array([m, e])
-
-    dm_da, de_da = _richardson(lambda eps: mass_energy(replace(p, alpha=p.alpha + eps)), h)
-    dm_db, de_db = _richardson(lambda eps: mass_energy(replace(p, beta=p.beta + eps)), h)
-    return {
-        "dmass_dalpha": float(dm_da),
-        "dmass_dbeta": float(dm_db),
-        "denergy_dalpha": float(de_da),
-        "denergy_dbeta": float(de_db),
-    }
+    grid, bv = b.grid, b.values
+    da, db = (cf.scaling_derivative(p, b.time_tag, grid.nodes, w) for w in ("alpha", "beta"))
+    bx, dax, dbx = spectral_derivatives(np.stack([bv, da, db]), grid, (1,))[0]
+    out = {}
+    for which, d, dx in (("alpha", da, dax), ("beta", db, dbx)):
+        out[f"dmass_d{which}"] = integrate(bv * d, grid)
+        out[f"denergy_d{which}"] = integrate(bx * dx - bv**3 * d, grid)
+    return out

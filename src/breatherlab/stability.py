@@ -97,20 +97,6 @@ class StabilityRunReport:
     audit: LyapunovAudit
     failure_time: float | None = None
 
-    def __post_init__(self):
-        n = self.times.shape[0]
-        same = (
-            self.z_h2_series.shape[0] == n
-            and self.x1_series.shape[0] == n
-            and self.x2_series.shape[0] == n
-            and self.sign_branches.shape[0] == n
-            and self.audit.h_u.shape[0] == n
-        )
-        if not same:
-            raise ValueError("report series must all have the same length")
-        if not np.isfinite(self.a0_observed):
-            raise ValueError("a0_observed must be finite")
-
 
 def _shift_fit_parts(u_vals: np.ndarray, p: cf.BreatherParams, t: float, x: np.ndarray, h: float):
     jet = cf.breather_jet(p, t, x)
@@ -241,7 +227,8 @@ def stability_experiment(
     invariant series; H[B], Q[z], N[z] and |integral z B| from the fitted
     state.  A modulation failure at the first checkpoint is raised; a later
     one ends the evolution at that checkpoint, sets failure_time to its time
-    and truncates the series to the fitted checkpoints before it.
+    and truncates the series to the fitted checkpoints before it.  An eta so
+    small that a0 = sup_z_h2 / eta overflows raises ValueError.
     """
     h2 = gr.h2_norm(perturbation)
     if abs(h2 - 1.0) > 1e-6:
@@ -254,15 +241,9 @@ def stability_experiment(
     u0 = b0.with_values(b0.values + eta * perturbation.values)
 
     c = cfg.frame_speed
-    times: list[float] = []
-    z_h2s: list[float] = []
-    lab1: list[float] = []
-    lab2: list[float] = []
-    branches: list[int] = []
-    h_b: list[float] = []
-    q_z: list[float] = []
-    n_z: list[float] = []
-    pairing: list[float] = []
+    # one row per fitted checkpoint: t, z_h2, lab x1, lab x2, sign branch,
+    # H[B], Q[z], N[z] and |integral z B|
+    rows: list[tuple] = []
     ortho_max = 0.0
     failure_time = None
     guess1, guess2 = p.x1, p.x2
@@ -277,39 +258,32 @@ def stability_experiment(
         try:
             state = modulate(field, guess, t)
         except ModulationError:
-            if not times:
+            if not rows:
                 raise
             failure_time = t
             return True
-        times.append(t)
-        z_h2s.append(state.z_h2)
-        lab1.append(state.x1 - c * t)
-        lab2.append(state.x2 - c * t)
-        branches.append(state.sign_branch)
         ortho_max = max(ortho_max, abs(state.ortho_residuals[0]), abs(state.ortho_residuals[1]))
         b = state.b
-        h_b.append(fn.h_value(b, p))
         q, nz = fn.expansion_terms(state.z, state.z_x, state.z_xx, state.jet, p)
-        q_z.append(q)
-        n_z.append(nz)
-        pairing.append(abs(gr.inner_product(state.z, b)))
+        rows.append((t, state.z_h2, state.x1 - c * t, state.x2 - c * t, state.sign_branch,
+                     fn.h_value(b, p), q, nz, abs(gr.inner_product(state.z, b))))
         guess1, guess2, prev_t = state.x1, state.x2, t
 
     # after a failure the trace holds one more checkpoint than the series
     trace = ev.evolve(u0, cfg, observe)
-    n = len(times)
-    t_arr = np.asarray(times)
-    z_h2_arr = np.asarray(z_h2s)
+    t_arr, z_h2_arr, lab1, lab2, branches, h_b_arr, q_arr, n_arr, pairing_arr = map(
+        np.asarray, zip(*rows))
     sup_z = float(np.max(z_h2_arr))
     a0 = sup_z / eta if eta > 0.0 else 0.0
+    if not np.isfinite(a0):
+        raise ValueError(f"eta = {eta!r} is too small: a0_observed = sup_z_h2 / eta overflows")
     rate = None
-    if n >= 3:
-        r1 = np.gradient(np.asarray(lab1), t_arr)
-        r2 = np.gradient(np.asarray(lab2), t_arr)
+    if len(rows) >= 3:
+        r1 = np.gradient(lab1, t_arr)
+        r2 = np.gradient(lab2, t_arr)
         rate = float(np.max(np.abs(r1) + np.abs(r2)))
 
-    h_u = fn.h_from_parts(p, trace.mass_series, trace.energy_series, trace.f_series)[:n]
-    h_b_arr, q_arr, n_arr = np.asarray(h_b), np.asarray(q_z), np.asarray(n_z)
+    h_u = fn.h_from_parts(p, trace.mass_series, trace.energy_series, trace.f_series)[:len(rows)]
     closure = np.abs(h_u - h_b_arr - 0.5 * q_arr - n_arr) / np.maximum(np.abs(h_u), 1e-30)
     # growth-bound constants: Q[z](t) - Q[z](0) against the cubes of the H^2
     # norms, and the mass pairing against eta + eta^2 a0^2
@@ -317,7 +291,6 @@ def stability_experiment(
     growth = q_arr - q_arr[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         q_const = float(np.max(np.where(cubes > 0.0, growth / cubes, 0.0)))
-    pairing_arr = np.asarray(pairing)
     pairing_scale = eta + eta**2 * a0**2
     p_const = float(np.max(pairing_arr) / pairing_scale) if pairing_scale > 0.0 else 0.0
     audit = LyapunovAudit(
@@ -337,9 +310,9 @@ def stability_experiment(
         shift_rate_sup=rate,
         times=t_arr,
         z_h2_series=z_h2_arr,
-        x1_series=np.asarray(lab1),
-        x2_series=np.asarray(lab2),
-        sign_branches=np.asarray(branches, dtype=int),
+        x1_series=lab1,
+        x2_series=lab2,
+        sign_branches=branches,
         ortho_max=ortho_max,
         frame_speed=c,
         audit=audit,

@@ -108,6 +108,23 @@ def test_verify_soliton_grid_ignores_the_breather_beta(verify_out, tmp_path):
     assert beta_tenth["checks"]["soliton_ode"]["pass"] is True
 
 
+def test_verify_makes_eight_closed_form_passes(tmp_path, monkeypatch):
+    # one shared trig pass each: the jets on the quadrature and residual
+    # grids, the two mass profiles, the Wronskian determinant, the stationary
+    # check's extended-precision sample and one complex-step pass per
+    # Weinstein parameter derivative
+    calls = []
+    parts = cf._quotient_parts
+
+    def counting(*args):
+        calls.append(args)
+        return parts(*args)
+
+    monkeypatch.setattr(cf, "_quotient_parts", counting)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 8
+
+
 def test_verify_and_spectrum_report_one_wronskian_residual(verify_out, tmp_path):
     # both commands run functionals.wronskian_residual on grid.residual_grid
     _, verify_report = _read(verify_out[0], ".report.json")
@@ -137,6 +154,26 @@ def test_malformed_override_exits_one(tmp_path, override):
     assert proc.returncode == 1, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--set", "alpha=1e70"],
+    ["verify", "--set", "alpha=1e80"],
+    ["spectrum", "--set", "alpha=1e80"],
+    ["stability", "--set", "alpha=1e200"],
+    ["evolve", "--set", "beta=1000.5"],
+], ids=lambda args: f"{args[0]}-{args[2]}")
+def test_extreme_frequency_exits_one(tmp_path, args):
+    # the closed forms overflow far above the bound; in a fresh interpreter,
+    # so an uncaught exception shows as a traceback
+    proc = _run_entry_point([*args, "--out", "out"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    key = args[2].partition("=")[0]
+    assert proc.stderr.startswith(f"config error: {key}=")
+    assert "is above the bound 1000" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # gamma was never a key; the others are the keys a config held before its
@@ -444,6 +481,18 @@ def test_stability_eta_zero_reports_null_a0(tmp_path):
     _, report = _read(tmp_path, ".report.json")
     assert report["runs"][0]["a0_observed"] is None
     assert report["runs"][0]["failure_time"] is None
+
+
+def test_stability_denormal_eta_exits_one(tmp_path):
+    # sup ||z||_H2 / eta overflows to inf at eta = 1e-320; in a fresh
+    # interpreter, so an uncaught exception shows as a traceback
+    proc = _run_entry_point(["stability", "--set", "stability.eta_sweep=[1e-320]",
+                             "--set", "integrator.t_end=0.01", "--out", "out"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: ") and "a0_observed" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("constant,failed", [

@@ -127,6 +127,8 @@ def test_nullable_paths_accept_null():
     ("alpha=-1", "alpha > 0"),
     ("alpha=0", "alpha > 0"),
     ("beta=0", "beta > 0"),
+    ("alpha=1e70", "alpha=1e\\+70 is above the bound 1000"),
+    ("beta=1000.5", "beta=1000.5 is above the bound 1000"),
     ("grid.n_points=1000", "power of two"),
     ("spectrum.n_points=8", "power of two"),
     ("integrator.dt=0", "dt must be positive"),
@@ -143,6 +145,10 @@ def test_validate_config_rejections(assignment, message):
     c = cfg.apply_overrides(cfg.default_config(), [assignment])
     with pytest.raises(cfg.ConfigError, match=message):
         cfg.validate_config(c)
+
+
+def test_frequency_bound_admits_its_value():
+    cfg.validate_config(cfg.apply_overrides(cfg.default_config(), ["alpha=1e3", "beta=1e3"]))
 
 
 def test_spectrum_dense_arrays_beyond_budget_are_refused():
@@ -198,7 +204,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 15
+    assert len(invocations) == 16
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

@@ -6,8 +6,6 @@ a parameter-family pattern emerged, fit to exact rationals before being
 frozen here.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -247,41 +245,13 @@ def test_remainder_leading_order_is_cubic():
 
 
 def test_weinstein_derivatives():
+    # exact complex-step derivatives leave only the quadrature's roundoff
     p = cf.BreatherParams(1.5, 1.0, 0.2, 0.1)
-    got = fn.weinstein_derivatives(p, _grid_for(p, 2048), t=0.1)
-    assert got["dmass_dalpha"] == pytest.approx(0.0, abs=1e-6)
-    assert got["dmass_dbeta"] == pytest.approx(4.0, rel=1e-6)
-    assert got["denergy_dalpha"] == pytest.approx(8.0 * p.alpha * p.beta, rel=1e-6)
-    assert got["denergy_dbeta"] == pytest.approx(
-        4.0 * (p.alpha**2 - p.beta**2), rel=1e-6)
-
-
-def test_weinstein_derivatives_sample_each_point_once(monkeypatch):
-    p = cf.BreatherParams(1.5, 1.0, 0.2, 0.1)
-    grid = _grid_for(p, 256)
-    calls = []
-    breather = cf.breather
-
-    def counting(q, t, x):
-        calls.append(q)
-        return breather(q, t, x)
-
-    monkeypatch.setattr(cf, "breather", counting)
-    got = fn.weinstein_derivatives(p, grid, t=0.1)
-    assert len(calls) == 8 and len(set(calls)) == 8
-    monkeypatch.undo()
-
-    # the (M, E) pair takes the same Richardson steps as each scalar alone
-    h = 1e-4
-    for which in ("alpha", "beta"):
-        def at(eps, index):
-            q = replace(p, **{which: getattr(p, which) + eps})
-            return fn.invariants(gr.sample(lambda tt, xx: cf.breather(q, tt, xx), grid, 0.1))[index]
-
-        for name, index in (("mass", 0), ("energy", 1)):
-            d1 = (at(h, index) - at(-h, index)) / (2.0 * h)
-            d2 = (at(0.5 * h, index) - at(-0.5 * h, index)) / h
-            assert got[f"d{name}_d{which}"] == (4.0 * d2 - d1) / 3.0
+    got = fn.weinstein_derivatives(_breather_field(p, _grid_for(p, 2048), 0.1), p)
+    assert got["dmass_dalpha"] == pytest.approx(0.0, abs=1e-12)
+    assert got["dmass_dbeta"] == pytest.approx(4.0, abs=1e-12)
+    assert got["denergy_dalpha"] == pytest.approx(8.0 * p.alpha * p.beta, abs=1e-12)
+    assert got["denergy_dbeta"] == pytest.approx(4.0 * (p.alpha**2 - p.beta**2), abs=1e-12)
 
 
 IDENTITY_CASES = [

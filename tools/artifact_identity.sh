@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same fifteen CLI invocations in each checkout, with one BLAS thread
+# Runs the same sixteen CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
 # An invocation may set only config keys that both checkouts accept: a side
 # that refuses one exits 1, and the check stops there.
@@ -31,7 +31,8 @@ fi
 # min(beta, 1) branch of the grid rule; every other one runs at beta = 1.
 # The three at x1 = 0.4 cover the breather's one phase key; the spectrum one is the only invocation whose
 # Wronskian root is not at 0 (about 1e-16 at x1 = 0), so it alone checks a
-# generic root of the scalar root finder.
+# generic root of the scalar root finder. The run at eta = 0 covers the
+# report's null a0_observed and a pairing constant of 0.
 INVOCATIONS='verify
 verify --set seed=7
 verify --set alpha=2 --set beta=0.5
@@ -46,6 +47,7 @@ stability
 stability --set integrator.t_end=5.0
 stability --set x1=0.4 --set integrator.t_end=0.05
 evolve --set evolve.initial=soliton --set integrator.t_end=0.05
+stability --set stability.eta_sweep=[0.01,0] --set integrator.t_end=0.05
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
 tools=$(cd "$(dirname "$0")" && pwd)
