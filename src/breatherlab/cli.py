@@ -16,6 +16,13 @@ import shutil
 import sys
 from dataclasses import asdict
 
+# One BLAS thread, set before numpy loads: the dense eigensolver's summation
+# order depends on the thread count, so this makes a spectrum report replay
+# byte for byte, and more threads do not pay here. A caller that imported
+# numpy first keeps its own setting.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 import numpy as np
 
 from . import __version__
@@ -167,9 +174,9 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid)
         frame_speed = soliton.c
-    integ = config["integrator"]
-    cfg = ev.IntegratorConfig(dt=integ["dt"], t_end=integ["t_end"], frame_speed=frame_speed,
-                              monitor_stride=integ["monitor_stride"])
+    dt, stride = cfgmod.run_steps(config)
+    cfg = ev.IntegratorConfig(dt=dt, t_end=config["integrator"]["t_end"],
+                              frame_speed=frame_speed, monitor_stride=stride)
     # each checkpoint is written as evolve reaches it, into a staging
     # directory that becomes <prefix>_checkpoints only once the run is done
     ckpt_dir = f"{prefix}_checkpoints"
@@ -213,8 +220,8 @@ def _cmd_stability(config: dict, outdir: str, prefix: str):
     stab = config["stability"]
     grid = cfgmod.make_grid(config, n_points=stab["n_points"])
     perturbation = st.perturbation(grid, stab["perturbation"], config["seed"])
-    integ = config["integrator"]
-    cfg = st.default_stability_config(p, integ["dt"], integ["t_end"], integ["monitor_stride"])
+    dt, stride = cfgmod.run_steps(config)
+    cfg = st.default_stability_config(p, dt, config["integrator"]["t_end"], stride)
     etas = stab["eta_sweep"]
     runs = st.stability_sweep(p, perturbation, etas, cfg)
 
@@ -285,6 +292,25 @@ def _finish(command: str, config: dict, outdir: str, prefix: str,
     return 0 if all(pass_fail.values()) else 2
 
 
+# the config section whose n_points sizes each command's breather grid;
+# verify also samples the breather on residual_grid's fixed 2048 points
+_GRID_SECTIONS = {"verify": "grid", "spectrum": "spectrum", "evolve": "grid",
+                  "stability": "stability"}
+
+
+def _check_command(command: str, config: dict) -> None:
+    """The refusals that depend on the command, before anything is allocated:
+    a breather grid too coarse for alpha, and a stepping run over the step
+    budget."""
+    section = _GRID_SECTIONS[command]
+    grid = cfgmod.make_grid(config, config[section]["n_points"])
+    cfgmod.check_resolution(config, grid, f"{section}.n_points")
+    if command == "verify":
+        cfgmod.check_resolution(config, gr.residual_grid(config["beta"]), None)
+    if command in ("evolve", "stability"):
+        cfgmod.run_steps(config)
+
+
 _RUNNERS = {
     "verify": _cmd_verify,
     "spectrum": _cmd_spectrum,
@@ -299,6 +325,7 @@ def main(argv=None) -> int:
         config = cfgmod.load_config(args.config)
         cfgmod.apply_overrides(config, args.overrides)
         cfgmod.validate_config(config)
+        _check_command(args.command, config)
         os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ DEFAULTS: dict = {
     "beta": 1.0,
     "x1": 0.0,
     "seed": 20406,
-    "grid": {"half_length": None, "n_points": 1024},
+    "grid": {"n_points": 1024},
     "integrator": {"dt": 1.25e-4, "t_end": 0.5, "monitor_stride": 80},
     "spectrum": {"n_points": 512, "phase_sweep": False},
     "evolve": {"initial": "breather", "soliton_c": 1.0},
@@ -40,18 +40,25 @@ DEFAULTS: dict = {
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # A step count that a typo can blow up is refused the same way: evolve and
-# stability take t_end / dt steps, about 180-270 us each at N=2048 on a
-# 2-core Xeon with one BLAS thread (t_end=50 at the default dt is 400000
-# steps).
+# stability take m * t_end / dt steps (see run_steps), about 180-270 us each
+# at N=2048 on a 2-core Xeon with one BLAS thread (t_end=50 at the default dt
+# and beta <= 1 is 400000 steps).
 STEP_BUDGET = 2_000_000
-# alpha and beta above this bound are refused. Every command already fails at
-# 20 (exit 1 or 2), and evolve and stability refuse 1e3 on the ETDRK4 budget;
-# far above it the closed forms overflow, into a NaN report value at
-# alpha=1e70 and an OverflowError at 1e80.
+# alpha and beta above this bound are refused: far above it the closed forms
+# overflow, into a NaN report value at alpha=1e70 and an OverflowError at
+# 1e80, which the resolution bound below does not catch.
 MAX_FREQUENCY = 1e3
-
-# fields where null is a meaningful value (auto-derived at run time)
-_NULLABLE = {("grid", "half_length")}
+# h*alpha above these bounds is refused, h the spacing of a grid the breather
+# is sampled on (check_resolution). Under the grid rule h*alpha is
+# 60 alpha/(beta N) on a config grid and 88 alpha/(2048 beta) on verify's
+# residual grid, so each bound limits alpha/beta, and by the scaling symmetry
+# it was measured along beta = 1. On the 512-point spectrum grid, mu0 at
+# N = 512 is within 3.0e-5 relative of mu0 at N = 1024 up to h*alpha = 0.47,
+# 9.0e-5 at 0.50 and 2.2e-4 at 0.53 (alpha = 4, 4.25, 4.5). verify's residual
+# checks pass at h*alpha = 0.258 (alpha = 6) and fail `mixed` from 0.269
+# (alpha = 6.25), while its quadrature checks at N = 1024 still pass at 0.70.
+MAX_H_ALPHA = 0.5
+RESIDUAL_MAX_H_ALPHA = 0.25
 
 
 class ConfigError(ValueError):
@@ -93,8 +100,6 @@ def _finite_float(value, joined: str, kind: str) -> float:
 def _coerce(value, default, path: tuple):
     joined = ".".join(path)
     if value is None:
-        if path in _NULLABLE:
-            return None
         raise ConfigError(f"{joined} may not be null")
     if isinstance(default, bool):
         if not isinstance(value, bool):
@@ -106,7 +111,7 @@ def _coerce(value, default, path: tuple):
                 isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
             raise ConfigError(f"{joined} must be an integer")
         return int(value)
-    if isinstance(default, float) or (default is None and isinstance(value, (int, float))):
+    if isinstance(default, float):
         return _finite_float(value, joined, "a number")
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -167,9 +172,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError(
             f"spectrum.n_points={n_eig} needs about {dense_bytes} bytes of dense "
             f"{n_eig}x{n_eig} arrays, above the budget of {DENSE_BUDGET_BYTES} bytes")
-    half = config["grid"]["half_length"]
-    if half is not None and not half > 0.0:
-        raise ConfigError("grid.half_length must be positive")
     integ = config["integrator"]
     if not integ["dt"] > 0.0:
         raise ConfigError("integrator.dt must be positive")
@@ -177,11 +179,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError("integrator.t_end must be positive")
     if integ["monitor_stride"] < 1:
         raise ConfigError("integrator.monitor_stride must be >= 1")
-    steps = integ["t_end"] / integ["dt"]
-    if steps > STEP_BUDGET:
-        raise ConfigError(
-            f"integrator.t_end={integ['t_end']!r} at integrator.dt={integ['dt']!r} needs "
-            f"about {steps:.6g} steps, above the budget of {STEP_BUDGET}")
     if config["evolve"]["initial"] not in ("breather", "soliton"):
         raise ConfigError("evolve.initial must be 'breather' or 'soliton'")
     if not config["evolve"]["soliton_c"] > 0.0:
@@ -203,10 +200,42 @@ def breather_params(config: dict) -> cf.BreatherParams:
 
 
 def make_grid(config: dict, n_points: int | None = None) -> gr.PeriodicGrid:
-    half = config["grid"]["half_length"]
-    if half is None:
-        half = gr.quadrature_half_length(config["beta"])
-    return gr.PeriodicGrid(half, n_points if n_points is not None else config["grid"]["n_points"])
+    return gr.PeriodicGrid(gr.quadrature_half_length(config["beta"]),
+                           n_points if n_points is not None else config["grid"]["n_points"])
+
+
+def check_resolution(config: dict, grid: gr.PeriodicGrid, key: str | None) -> None:
+    """Refuse a grid too coarse for the breather's oscillation: ConfigError
+    when h*alpha is above its bound, naming the key whose points to raise.
+    key None is verify's residual grid, whose fixed 2048 points no key sets
+    and whose sup-norm checks need RESIDUAL_MAX_H_ALPHA. Building the grid
+    allocates nothing, so this runs before any array exists."""
+    alpha, beta = config["alpha"], config["beta"]
+    h_alpha = grid.spacing * alpha
+    bound = MAX_H_ALPHA if key else RESIDUAL_MAX_H_ALPHA
+    if h_alpha > bound:
+        remedy = f"raise {key}" if key else "no key applies to verify's fixed residual grid"
+        raise ConfigError(
+            f"alpha/beta = {alpha / beta:.6g} (beta={beta!r}) gives h*alpha = {h_alpha:.3g} "
+            f"on the {grid.n_points}-point grid of half-length {grid.half_length:.6g}, above "
+            f"the bound {bound}; {remedy}")
+
+
+def run_steps(config: dict) -> tuple[float, int]:
+    """The step and the monitor stride a run takes: dt/m and stride*m with
+    m = ceil(max(beta, 1)^3), so the checkpoint times are those of the
+    configured dt and stride. The scaling that maps B(1, 1) to B(beta, beta)
+    shrinks time by beta^3, and at beta <= 1 m is 1. ConfigError when the
+    m * t_end / dt steps are above STEP_BUDGET."""
+    integ = config["integrator"]
+    m = math.ceil(max(config["beta"], 1.0) ** 3)
+    steps = m * integ["t_end"] / integ["dt"]
+    if steps > STEP_BUDGET:
+        raise ConfigError(
+            f"integrator.t_end={integ['t_end']!r} at integrator.dt={integ['dt']!r} needs "
+            f"about {steps:.6g} steps (m = {m} per dt at beta={config['beta']!r}), above the "
+            f"budget of {STEP_BUDGET}")
+    return integ["dt"] / m, integ["monitor_stride"] * m
 
 
 def _scalar_json(value) -> str:

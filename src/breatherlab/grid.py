@@ -215,12 +215,15 @@ def read_binary(path: str | Path) -> GridField:
 
 
 def quadrature_half_length(beta: float) -> float:
-    """30/min(beta, 1): keeps exp(-2*beta*L) below quadrature tolerances."""
-    return 30.0 / min(beta, 1.0)
+    """30/beta: keeps exp(-2*beta*L) below quadrature tolerances. mKdV's scaling
+    u -> lam*u(lam^3 t, lam x) maps B(alpha, beta) to B(lam*alpha, lam*beta)
+    and shrinks space by 1/lam, so one rule serves the whole family: h*beta is
+    fixed on an N-point grid and only h*alpha = 60*alpha/(beta*N) varies."""
+    return 30.0 / beta
 
 
 def residual_grid(beta: float) -> PeriodicGrid:
-    """The grid of the sup-norm residual checks: half-length 44/min(beta, 1),
-    wider than the quadrature box so the breather tails sit below the
-    residual floor at the boundary, and 2048 points."""
-    return PeriodicGrid(44.0 / min(beta, 1.0), 2048)
+    """The grid of the sup-norm residual checks: half-length 44/beta, wider
+    than the quadrature box so the breather tails sit below the residual
+    floor at the boundary, and 2048 points."""
+    return PeriodicGrid(44.0 / beta, 2048)

@@ -20,6 +20,7 @@ from breatherlab import closed_forms as cf
 from breatherlab import config as cfgmod
 from breatherlab import evolution as ev
 from breatherlab import functionals as fn
+from breatherlab import grid as gr
 from breatherlab import spectral as sp
 from breatherlab import stability as st
 from breatherlab.cli import main
@@ -102,10 +103,10 @@ def test_verify_detects_wrong_velocity(tmp_path, monkeypatch):
 def test_verify_soliton_grid_ignores_the_breather_beta(verify_out, tmp_path):
     # the c = 1 soliton has no beta: its residual grid is sized by sqrt(c)
     _, beta_one = _read(verify_out[0], ".report.json")
-    main(["verify", "--set", "alpha=1", "--set", "beta=0.1", "--out", str(tmp_path)])
-    _, beta_tenth = _read(tmp_path, ".report.json")
-    assert beta_tenth["checks"]["soliton_ode"] == beta_one["checks"]["soliton_ode"]
-    assert beta_tenth["checks"]["soliton_ode"]["pass"] is True
+    main(["verify", "--set", "alpha=1", "--set", "beta=0.25", "--out", str(tmp_path)])
+    _, beta_quarter = _read(tmp_path, ".report.json")
+    assert beta_quarter["checks"]["soliton_ode"] == beta_one["checks"]["soliton_ode"]
+    assert beta_quarter["checks"]["soliton_ode"]["pass"] is True
 
 
 def test_verify_makes_eight_closed_form_passes(tmp_path, monkeypatch):
@@ -179,8 +180,9 @@ def test_extreme_frequency_exits_one(tmp_path, args):
 # gamma was never a key; the others are the keys a config held before its
 # tolerances became constants, its residual grid fixed, its flux band part of
 # the scheme, its integration frame and boundary guard derived, its single
-# eta folded into stability.eta_sweep and its phase-sweep size fixed, at
-# their former defaults. A manifest carrying one is refused.
+# eta folded into stability.eta_sweep, its phase-sweep size fixed and its
+# grid half-length derived, at their former defaults. A manifest carrying
+# one is refused.
 _UNKNOWN_KEYS = {
     "gamma": 1.0,
     "t": 0.0,
@@ -189,6 +191,7 @@ _UNKNOWN_KEYS = {
     "spectrum.phase_samples": 8,
     "integrator.frame_speed": None,
     "integrator.boundary_margin": None,
+    "grid.half_length": None,
     "integrator.dealias": True,
     "verify.gamma_scale": 1.0,
     "verify.residual_n_points": 2048,
@@ -330,8 +333,7 @@ def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypa
 
 
 def test_spectrum_manifest_replay(tmp_path):
-    # one process, so one BLAS thread count: the report must replay byte for
-    # byte (across thread counts the eigenvalues differ in the last digits)
+    # the report must replay byte for byte
     first = tmp_path / "first"
     assert main(["spectrum", "--out", str(first)]) == 0
     man_path, _ = _read(first, ".manifest.json")
@@ -461,11 +463,11 @@ def test_evolve_failed_checkpoint_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_stability_domain_exit_exits_two(tmp_path, capsys):
+def test_stability_domain_exit_exits_two(tmp_path, capsys, monkeypatch):
     # the stability guard is 5/beta: a 4.5 half-length box puts the
     # breather's centroid inside it at t = 0
-    code = main(["stability", "--set", "grid.half_length=4.5",
-                 "--set", "stability.n_points=256",
+    monkeypatch.setattr(gr, "quadrature_half_length", lambda beta: 4.5)
+    code = main(["stability", "--set", "stability.n_points=256",
                  "--set", "integrator.t_end=0.01", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -750,6 +752,73 @@ def _run_entry_point(args, cwd):
                PYTHONPATH=str(Path(breatherlab.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_spectrum_report_ignores_the_blas_thread_setting(tmp_path, monkeypatch):
+    # the CLI pins one BLAS thread before numpy loads; with two threads the
+    # eigensolver sums in another order and the eigenvalues' last digits move
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = _run_entry_point(["spectrum", "--out", threads], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(_read(tmp_path / threads, ".report.json")[0].read_bytes())
+    assert reports[0] == reports[1]
+
+
+# The breather family under the grid rule (half-length 30/beta) and the step
+# rule (dt/m, m = ceil(max(beta, 1)^3)): each point above beta = 1 passes, and
+# a point too coarse for alpha/beta exits 1 naming the key to raise, never 2.
+_FAMILY = [
+    (["spectrum", "alpha=1", "beta=2"], 0, None),
+    (["verify", "alpha=1", "beta=2"], 0, None),
+    (["spectrum", "alpha=3", "beta=3"], 0, None),
+    (["verify", "alpha=3", "beta=3"], 0, None),
+    (["spectrum", "alpha=10", "beta=10"], 0, None),
+    (["verify", "alpha=10", "beta=10"], 0, None),
+    (["evolve", "beta=2", "integrator.t_end=0.01"], 0, None),
+    (["stability", "beta=2", "integrator.t_end=0.02"], 0, None),
+    (["stability", "beta=1.3", "integrator.t_end=0.02"], 0, None),
+    (["spectrum", "alpha=1", "beta=0.1"], 1,
+     "alpha/beta = 10 (beta=0.1) gives h*alpha = 1.17 on the 512-point grid of half-length 300, "
+     "above the bound 0.5; raise spectrum.n_points"),
+    (["verify", "alpha=1", "beta=0.1"], 1,
+     "alpha/beta = 10 (beta=0.1) gives h*alpha = 0.586 on the 1024-point grid of half-length "
+     "300, above the bound 0.5; raise grid.n_points"),
+    (["verify", "alpha=7"], 1,
+     "alpha/beta = 7 (beta=1.0) gives h*alpha = 0.301 on the 2048-point grid of half-length 44, "
+     "above the bound 0.25; no key applies to verify's fixed residual grid"),
+    (["evolve", "alpha=3", "grid.n_points=256"], 1, "; raise grid.n_points"),
+    (["stability", "alpha=3", "stability.n_points=256"], 1, "; raise stability.n_points"),
+]
+
+
+@pytest.mark.parametrize("args,code,message", _FAMILY, ids=[" ".join(a) for a, _, _ in _FAMILY])
+def test_breather_family_runs_or_is_refused(tmp_path, capsys, args, code, message):
+    command, *sets = args
+    out = tmp_path / "out"
+    argv = [command, *(arg for key in sets for arg in ("--set", key)), "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("config error: ") and err.endswith(f"{message}\n")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_verify_below_every_mode_of_the_perturbation_band_exits_one(tmp_path):
+    # at beta = 1e-4 the 30/beta box is too coarse for alpha by far, and
+    # below the perturbation's band: refused before any field exists, in a
+    # fresh interpreter, so a warning or a traceback would show
+    proc = _run_entry_point(["verify", "--set", "beta=1e-4", "--out", "out"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        "config error: alpha/beta = 15000 (beta=0.0001) gives h*alpha = 879 on the 1024-point "
+        "grid of half-length 300000, above the bound 0.5; raise grid.n_points\n")
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_script_runs(tmp_path):

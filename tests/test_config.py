@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from breatherlab import config as cfg
-from breatherlab.cli import main
+from breatherlab.cli import _check_command, main
 
 _IDENTITY_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "artifact_identity.sh"
 
@@ -24,7 +24,7 @@ def test_config_surface():
     assert sorted(_leaf_keys(cfg.DEFAULTS)) == [
         "alpha", "beta",
         "evolve.initial", "evolve.soliton_c",
-        "grid.half_length", "grid.n_points",
+        "grid.n_points",
         "integrator.dt", "integrator.monitor_stride", "integrator.t_end",
         "seed",
         "spectrum.n_points", "spectrum.phase_sweep",
@@ -82,13 +82,11 @@ def test_apply_overrides():
         "integrator.dt=0.0005",
         "stability.eta_sweep=[0.01, 0.001]",
         "stability.perturbation=sech_cos",  # bare word falls back to a string
-        "grid.half_length=null",
     ])
     assert c["alpha"] == 2.5
     assert c["integrator"]["dt"] == 5e-4
     assert c["stability"]["eta_sweep"] == [0.01, 0.001]
     assert c["stability"]["perturbation"] == "sech_cos"
-    assert c["grid"]["half_length"] is None
 
 
 def test_apply_overrides_rejects_malformed():
@@ -107,20 +105,10 @@ def test_apply_overrides_rejects_malformed():
     ("stability.eta_sweep=0.01", "must be a list"),
     ("x1=NaN", "must be finite"),
     ("integrator.dt=true", "must be a number"),
-    # null means "derive at run time"; otherwise the key is a number
-    ("grid.half_length=true", "must be a number"),
 ])
 def test_coercion_rejects_wrong_types(assignment, message):
     with pytest.raises(cfg.ConfigError, match=message):
         cfg.apply_overrides(cfg.default_config(), [assignment])
-
-
-def test_nullable_paths_accept_null():
-    c = cfg.default_config()
-    cfg.apply_overrides(c, ["grid.half_length=25.0"])
-    assert c["grid"]["half_length"] == 25.0
-    cfg.apply_overrides(c, ["grid.half_length=null"])
-    assert c["grid"]["half_length"] is None
 
 
 @pytest.mark.parametrize("assignment,message", [
@@ -171,22 +159,37 @@ def test_spectrum_refused_before_anything_runs(tmp_path, capsys):
 
 
 def test_counts_beyond_budget_are_refused():
-    # arithmetic only: evolve and stability take t_end / dt steps
+    # arithmetic only: evolve and stability take m * t_end / dt steps
     assert 50.0 / 1.25e-4 <= cfg.STEP_BUDGET
-    cfg.validate_config(cfg.apply_overrides(cfg.default_config(), ["integrator.t_end=50"]))
+    cfg.run_steps(cfg.apply_overrides(cfg.default_config(), ["integrator.t_end=50"]))
     refused = [
         (["integrator.t_end=1e6"],
          r"integrator.t_end=1000000.0 at integrator.dt=0.000125 needs about 8e\+09 steps"),
         (["integrator.dt=1e-300", "integrator.t_end=1e300"], "needs about inf steps"),
+        # 8 steps per dt at beta = 2: 50 / dt is within the budget, 8 times it is not
+        (["beta=2", "integrator.t_end=50"], r"about 3.2e\+06 steps \(m = 8 per dt at beta=2"),
     ]
     for assignments, message in refused:
         c = cfg.apply_overrides(cfg.default_config(), assignments)
+        cfg.validate_config(c)  # the budget depends on the command, not the config alone
         with pytest.raises(cfg.ConfigError, match=message):
-            cfg.validate_config(c)
+            cfg.run_steps(c)
+
+
+@pytest.mark.parametrize("beta,m", [(0.5, 1), (1.0, 1), (1.3, 3), (2.0, 8), (10.0, 1000)])
+def test_run_steps_take_m_steps_per_dt(beta, m):
+    # m = ceil(max(beta, 1)^3): the checkpoint times stay those of dt and stride
+    c = cfg.apply_overrides(cfg.default_config(), [f"beta={beta}", "integrator.t_end=0.05"])
+    dt, stride = cfg.run_steps(c)
+    assert (dt, stride) == (1.25e-4 / m, 80 * m)
 
 
 @pytest.mark.parametrize("command,assignment,message", [
     ("evolve", "integrator.t_end=1e6", "integrator.t_end=1000000.0 at integrator.dt"),
+    # the defaults' 4000 steps per run are 4e6 at beta = 10, m = 1000; verify
+    # and spectrum, which do not step, run there (tests/test_cli.py)
+    ("evolve", "beta=10", "about 4e+06 steps (m = 1000 per dt at beta=10"),
+    ("stability", "beta=10", "about 4e+06 steps (m = 1000 per dt at beta=10"),
 ])
 def test_counts_refused_before_anything_runs(tmp_path, capsys, command, assignment, message):
     out = tmp_path / "out"
@@ -204,7 +207,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 16
+    assert len(invocations) == 18
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
@@ -213,9 +216,11 @@ def test_identity_invocations_pass_the_dense_guard():
     for args in invocations:
         overrides = [args[i + 1] for i, arg in enumerate(args) if arg == "--set"]
         c = cfg.apply_overrides(cfg.default_config(), overrides)
-        # the dense-array and step guards
+        # the dense-array, resolution and step guards
         cfg.validate_config(c)
-        steps.append(c["integrator"]["t_end"] / c["integrator"]["dt"])
+        _check_command(args[0], c)
+        dt, _ = cfg.run_steps(c)
+        steps.append(c["integrator"]["t_end"] / dt)
     assert max(steps) == 40000.0
 
 
@@ -225,8 +230,8 @@ def test_breather_params_and_grid():
     assert (p.alpha, p.beta, p.x1, p.x2) == (1.5, 0.5, 0.3, 0.0)
     assert cfg.make_grid(c).half_length == 60.0
     assert cfg.make_grid(c, 256).n_points == 256
-    c2 = cfg.apply_overrides(c, ["grid.half_length=35.0"])
-    assert cfg.make_grid(c2).half_length == 35.0
+    c2 = cfg.apply_overrides(c, ["beta=2"])
+    assert cfg.make_grid(c2).half_length == 15.0
 
 
 def test_canonical_json_is_sorted_and_stable():

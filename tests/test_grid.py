@@ -245,7 +245,8 @@ def test_binary_rejects_corrupt_files(tmp_path):
 
 
 def test_half_length_rules():
-    assert gr.quadrature_half_length(2.0) == 30.0
+    # one rule for the whole family, above beta = 1 as below it
+    assert gr.quadrature_half_length(2.0) == 15.0
     assert gr.quadrature_half_length(0.5) == 60.0
-    assert gr.residual_grid(2.0) == gr.PeriodicGrid(44.0, 2048)
+    assert gr.residual_grid(2.0) == gr.PeriodicGrid(22.0, 2048)
     assert gr.residual_grid(0.5) == gr.PeriodicGrid(88.0, 2048)

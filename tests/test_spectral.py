@@ -629,3 +629,21 @@ def test_bisection_is_exact_to_adjacent_floats():
               lambda x: math.nan):                                  # NaN at a
         with pytest.raises(ValueError):
             sp._bisect(f, 0.0, 1.0)
+
+
+def test_spectrum_is_homogeneous_of_degree_four_under_scaling():
+    # mKdV's scaling maps B(alpha, beta, x1) to B(lam alpha, lam beta, x1/lam)
+    # and the grid rule maps the box with it, so the operator is lam^4 times
+    # the original: at lam = 2 and 1/2 every scaling is by a power of two,
+    # and lambda0^2 and the continuum edge scale bitwise
+    def spectrum_at(lam):
+        config = cfgmod.apply_overrides(cfgmod.default_config(), [
+            f"alpha={1.5 * lam!r}", f"beta={lam!r}", f"x1={0.4 / lam!r}"])
+        grid = cfgmod.make_grid(config, config["spectrum"]["n_points"])
+        return sp.spectrum(cfgmod.breather_params(config), grid, 0.0)[0]
+
+    base = spectrum_at(1.0)
+    for lam in (2.0, 0.5):
+        scaled = spectrum_at(lam)
+        assert scaled.lambda0_sq == lam**4 * base.lambda0_sq
+        assert scaled.continuum_edge == lam**4 * base.continuum_edge
