@@ -164,7 +164,8 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
 
 
 def _cmd_evolve(config: dict, outdir: str, prefix: str):
-    grid = cfgmod.make_grid(config)
+    sized = _sizing_config("evolve", config)
+    grid = cfgmod.make_grid(sized)
     # the initial profile's own co-moving frame, and no boundary guard
     if config["evolve"]["initial"] == "breather":
         p = cfgmod.breather_params(config)
@@ -174,7 +175,7 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
         soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid)
         frame_speed = soliton.c
-    dt, stride = cfgmod.run_steps(config)
+    dt, stride = cfgmod.run_steps(sized)
     cfg = ev.IntegratorConfig(dt=dt, t_end=config["integrator"]["t_end"],
                               frame_speed=frame_speed, monitor_stride=stride)
     # each checkpoint is written as evolve reaches it, into a staging
@@ -298,10 +299,22 @@ _GRID_SECTIONS = {"verify": "grid", "spectrum": "spectrum", "evolve": "grid",
                   "stability": "stability"}
 
 
+def _sizing_config(command: str, config: dict) -> dict:
+    """The config whose alpha and beta size the command's grid, step and
+    resolution guard. evolve's soliton decays at its own rate sqrt(c),
+    whatever the breather's beta, so it is sized as the breather with
+    alpha = beta = sqrt(c), as verify's soliton_ode grid is."""
+    if command == "evolve" and config["evolve"]["initial"] == "soliton":
+        rate = math.sqrt(config["evolve"]["soliton_c"])
+        return {**config, "alpha": rate, "beta": rate}
+    return config
+
+
 def _check_command(command: str, config: dict) -> None:
     """The refusals that depend on the command, before anything is allocated:
-    a breather grid too coarse for alpha, and a stepping run over the step
-    budget."""
+    a grid too coarse for the initial profile, and a stepping run over the
+    step budget."""
+    config = _sizing_config(command, config)
     section = _GRID_SECTIONS[command]
     grid = cfgmod.make_grid(config, config[section]["n_points"])
     cfgmod.check_resolution(config, grid, f"{section}.n_points")

@@ -36,7 +36,9 @@ DEFAULTS: dict = {
 # and N=1024, with or without the phase sweep, reached both while assembling
 # beside the differentiation matrices and in the coercivity pencil. A
 # spectrum.n_points whose arrays would pass the budget is refused before
-# anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB.
+# anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB. The budget
+# counts the calling process: a pooled phase sweep's workers each hold about
+# 3 N^2 more of their own, beside the 3 N^2 matrices they inherit.
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # A step count that a typo can blow up is refused the same way: evolve and

@@ -7,6 +7,8 @@ calculus is closed under composition (D^a D^b = D^(a+b)) and summation by
 parts is exact; resolved fields carry machine-zero Nyquist content anyway.
 A grid builds its nodes, wavenumbers and multipliers once, on first use, and
 hands out read-only arrays; equality and hashing stay those of its fields.
+The module also holds what the sweeps share: the error type of a failed
+scientific check and the forked pool that both sweeps run their samples on.
 
 Quadrature is the trapezoid rule, which is spectrally accurate for periodic
 integrands. Fields whose real-line integrals are approximated on the
@@ -15,7 +17,9 @@ truncated domain should have negligible boundary values.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -33,6 +37,72 @@ class ScientificError(RuntimeError):
     def __reduce__(self):
         # rebuilt from the final text, which a subclass __init__ may have formatted
         return RuntimeError.__new__, (type(self), str(self)), self.__dict__
+
+
+# a pool worker's task, set by the pool's initializer in the worker only
+_TASK = None
+
+
+def _install_task(task) -> None:
+    global _TASK
+    _TASK = task
+
+
+def _run_task(item):
+    return _TASK(item)
+
+
+@contextmanager
+def _forked_map(task, items):
+    """Run task(item) for each item; yields a function that returns the
+    results in listed order.
+
+    With more than one item and more than one usable core, min(len(items),
+    cores) forked workers run the items while the with block's body runs
+    here; otherwise they run here, in order, on entry. task reaches the
+    workers by fork inheritance, never pickled, so only items and results
+    cross the pipe. The results are collected before the block is left, so
+    an item's error wins over the body's, and the first listed item's error
+    over the others': it is raised once the items before it have finished,
+    and the workers still running are stopped. A worker lost without an
+    error (killed by a signal, say) raises ScientificError.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cores)
+    if workers < 2:
+        results = [task(item) for item in items]
+        yield lambda: results
+        return
+    # imported here: a run without a pool does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a worker starts with numpy, scipy and this package
+    # already imported instead of importing them again, and the pool forks
+    # every worker at the first submit, before it starts its own thread
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_install_task, initargs=(task,)) as pool:
+        futures = [pool.submit(_run_task, item) for item in items]
+
+        def collect() -> list:
+            return [future.result() for future in futures]
+
+        try:
+            try:
+                yield collect
+            finally:
+                collect()
+        except BaseException as exc:
+            # the executor has no way to stop a running task, and leaving
+            # the with block would wait for every one of them; the lab
+            # starts no child process but the pool's workers
+            for process in multiprocessing.active_children():
+                process.terminate()
+            if isinstance(exc, BrokenProcessPool):
+                raise ScientificError(f"a worker process was lost: {exc}") from exc
+            raise
 
 
 @dataclass(frozen=True)

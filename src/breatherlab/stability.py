@@ -10,7 +10,6 @@ energy-functional expansion that controls that growth.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -320,12 +319,6 @@ def stability_experiment(
     )
 
 
-def _run_eta(task: tuple) -> StabilityRunReport:
-    # the pool's task: stability_experiment is looked up when the task runs,
-    # so a worker forked from a patched module runs the patched function
-    return stability_experiment(*task)
-
-
 def stability_sweep(
     p: cf.BreatherParams,
     perturbation: gr.GridField,
@@ -334,42 +327,15 @@ def stability_sweep(
 ) -> list[StabilityRunReport]:
     """stability_experiment at each eta; the reports come in listed order.
 
-    The runs share nothing, so with more than one eta and more than one
-    usable core they go to min(len(etas), cores) forked worker processes,
-    and otherwise run here one after the other.  Either way each report is
-    the same computation and comes out bitwise equal.  A run that raises
-    raises here; when several do, the first listed eta's error wins, and it
-    is raised as soon as every eta listed before it has finished: the
-    workers still running are stopped, not waited for.  A worker lost
-    without an error (killed by a signal, say) raises ScientificError.
+    The runs share nothing, so grid._forked_map runs them in forked workers,
+    one per eta up to the usable cores, or here one after the other; each
+    report is bitwise the same either way.
     """
-    tasks = [(p, perturbation, eta, cfg) for eta in etas]
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(tasks), cores)
-    if workers < 2:
-        return [_run_eta(task) for task in tasks]
-    # imported here: set-up of a single-eta run does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    def run(eta: float) -> StabilityRunReport:
+        return stability_experiment(p, perturbation, eta, cfg)
 
-    # fork, not spawn: a worker starts with numpy, scipy and this package
-    # already imported instead of importing them again, and the pool forks
-    # every worker before it starts its own thread
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(_run_eta, task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BaseException as exc:
-            # the executor has no way to stop a running task, and leaving
-            # the with block would wait for every one of them; the lab
-            # starts no child process but the pool's workers
-            for process in multiprocessing.active_children():
-                process.terminate()
-            if isinstance(exc, BrokenProcessPool):
-                raise gr.ScientificError(f"a worker process was lost: {exc}") from exc
-            raise
+    with gr._forked_map(run, etas) as collect:
+        return collect()
 
 
 def write_stability_csv(run: StabilityRunReport, path) -> None:

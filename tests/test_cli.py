@@ -9,6 +9,7 @@ import sys
 import sysconfig
 import time
 import tracemalloc
+from concurrent import futures
 from pathlib import Path
 
 import pytest
@@ -256,8 +257,14 @@ def test_spectrum_phase_sweep(tmp_path, monkeypatch):
 
 
 
+def _one_core(monkeypatch):
+    # spies count calls in this process: on one core every sample runs here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, capsys):
     # the first assembly (the full spectrum) checks out; a sweep sample does not
+    _one_core(monkeypatch)
     calls = []
     real = sp.apply_operator
 
@@ -276,8 +283,8 @@ def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 def _spy_dense_work(monkeypatch):
-    """Record each assemble's x1 and each _derivative_matrices' orders, and
-    count the scipy.linalg.eigh and scipy.linalg.cholesky calls."""
+    """Record each assemble's x1 and each _derivative_matrices' grid size,
+    and count the scipy.linalg.eigh and scipy.linalg.cholesky calls."""
     assembled, built, solves = [], [], {"eigh": 0, "cholesky": 0}
     real_assemble, real_build = sp.assemble, sp._derivative_matrices
 
@@ -285,9 +292,9 @@ def _spy_dense_work(monkeypatch):
         assembled.append(p.x1)
         return real_assemble(p, grid, t, matrices=matrices)
 
-    def build(grid, orders=(1, 2, 4)):
-        built.append(tuple(orders))
-        return real_build(grid, orders)
+    def build(grid):
+        built.append(grid.n_points)
+        return real_build(grid)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -304,14 +311,15 @@ def _spy_dense_work(monkeypatch):
 
 @pytest.mark.parametrize("n_samples", [4, 1])
 def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_samples):
+    _one_core(monkeypatch)
     assembled, built, solves = _spy_dense_work(monkeypatch)
     monkeypatch.setattr(cli, "PHASE_SAMPLES", n_samples)
     code = main(["spectrum", "--set", "spectrum.phase_sweep=true", "--out", str(tmp_path)])
     assert code == 0
     # the first sample is the spectrum's own operator, assembled once
     assert len(assembled) == n_samples
-    # one D1, D2, D4 build for every operator, then the pencil's own Gram
-    assert built == [(1, 2, 4), (2, 4)]
+    # one D1, D2, D4 build for every operator and the pencil's Gram
+    assert built == [512]
     # the operator's four lowest pairs, one four-value solve per other
     # sample, the pencil and the full list; one Cholesky certifies mu0
     assert solves == {"eigh": n_samples + 2, "cholesky": 1}
@@ -321,7 +329,13 @@ def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_sample
 
 
 def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypatch, capsys):
-    # at N=256 the base spectrum does not classify
+    # at N=256 the base spectrum does not classify: on two cores, no pool starts
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assembled, _, solves = _spy_dense_work(monkeypatch)
     code = main(["spectrum", "--set", "spectrum.n_points=256", "--set", "spectrum.phase_sweep=true",
                  "--out", str(tmp_path)])
@@ -330,6 +344,78 @@ def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypa
     assert solves == {"eigh": 1, "cholesky": 0}
     assert capsys.readouterr().err.startswith("check failed: expected exactly")
     assert list(tmp_path.iterdir()) == []
+
+
+_SWEEP = ["spectrum", "--set", "spectrum.phase_sweep=true"]
+
+
+def test_spectrum_sweep_worker_self_check_failure_exits_two(tmp_path, monkeypatch, capsys):
+    # every sample after the base fails its self-check; in a worker, the
+    # first listed one's error crosses the process boundary and exits 2 as
+    # it does on one core, leaving no worker
+    parent = os.getpid()
+    real = sp.apply_operator
+
+    def wrong_in_samples(z, p, t):
+        out = real(z, p, t)
+        if p.x1 == 0.0:
+            return out
+        if cores > 1 and os.getpid() == parent:
+            raise AssertionError("the sample was not sent to a worker")
+        return out.with_values(2.0 * out.values)
+
+    monkeypatch.setattr(sp, "apply_operator", wrong_in_samples)
+    monkeypatch.setattr(cli, "PHASE_SAMPLES", 4)
+    first_lines = []
+    for cores in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        out = tmp_path / f"cores{cores}"
+        assert main(_SWEEP + ["--out", str(out)]) == 2
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
+        first_lines.append(capsys.readouterr().err.splitlines()[0])
+    assert first_lines[0] == first_lines[1]
+    assert first_lines[0].startswith(
+        "check failed: matrix application disagrees with operator action")
+
+
+def test_spectrum_sweep_killed_worker_exits_two(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    real = sp.assemble
+
+    def killed(p, grid, t=0.0, *, matrices=None):
+        if p.x1 != 0.0:
+            if os.getpid() == parent:
+                raise AssertionError("the sample was not sent to a worker")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(p, grid, t, matrices=matrices)
+
+    monkeypatch.setattr(sp, "assemble", killed)
+    monkeypatch.setattr(cli, "PHASE_SAMPLES", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = main(_SWEEP + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("check failed: a worker process was lost: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_runs_without_a_pool_leave_multiprocessing_unimported(tmp_path):
+    # a spectrum without the sweep and a one-eta stability run start no pool,
+    # so their set-up does not pay for multiprocessing
+    runs = [["spectrum", "--out", str(tmp_path / "spectrum")],
+            ["stability", "--set", "integrator.t_end=0.01", "--out", str(tmp_path / "stability")]]
+    code = ("import sys, breatherlab.cli; "
+            f"codes = [breatherlab.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(breatherlab.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_spectrum_manifest_replay(tmp_path):
@@ -402,6 +488,21 @@ def test_evolve_soliton_steady(tmp_path):
     assert report["steady_deviation"] < 1e-6
     _, manifest = _read(tmp_path, ".manifest.json")
     assert manifest["pass_fail"]["steady"] is True
+
+
+def test_evolve_soliton_is_sized_by_its_own_rate(tmp_path):
+    # the soliton has no beta: its grid, step and guard follow sqrt(c), so
+    # its run is the same whatever the breather's beta
+    produced = []
+    for beta in ("1", "3", "0.25"):
+        out = tmp_path / beta
+        code = main(["evolve", "--set", "evolve.initial=soliton", "--set", f"beta={beta}",
+                     "--set", "integrator.t_end=0.05", "--out", str(out)])
+        assert code == 0, beta
+        produced.append([path.read_bytes() for suffix in (".report.json", "_trace.csv")
+                         for path in out.glob(f"*{suffix}")])
+    assert len(produced[0]) == 2
+    assert produced[1] == produced[0] and produced[2] == produced[0]
 
 
 def test_evolve_soliton_steady_reads_the_cli_tolerance(tmp_path, monkeypatch):

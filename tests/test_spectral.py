@@ -2,6 +2,9 @@
 
 import json
 import math
+import multiprocessing
+import os
+from concurrent import futures
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -292,7 +295,8 @@ def _kernel_parts(op):
 def _coercivity(op, b_neg=None):
     if b_neg is None:
         b_neg = sp.eigensystem(op)[1][:, 0]
-    return sp._coercivity_from_parts(op, b_neg, *_kernel_parts(op))
+    gram = sp._gram_matrix(*sp._derivative_matrices(op.grid)[1:])
+    return sp._coercivity_from_parts(op, gram, b_neg, *_kernel_parts(op))
 
 
 def _projected_pencil(op, constraints):
@@ -317,8 +321,9 @@ def test_reflector_reduction_is_the_projected_pencil(x1, n):
     unit_kernel = kernel_span / np.linalg.norm(kernel_span, axis=0)
     assert np.max(np.abs(unit_kernel.T @ basis)) <= 1e-13
 
-    lred = sp._reflect_both_sides(op.matrix, reflectors)[2:, 2:]
-    gred = sp._reflect_both_sides(sp._gram_matrix(op.grid), reflectors)[2:, 2:]
+    lred = sp._reflect_both_sides(op.matrix.copy(), reflectors)[2:, 2:]
+    gred = sp._reflect_both_sides(sp._gram_matrix(*sp._derivative_matrices(op.grid)[1:]),
+                                  reflectors)[2:, 2:]
     np.testing.assert_array_equal(lred, lred.T)
     np.testing.assert_allclose(sp._reflect(b, reflectors)[2:], basis.T @ b, rtol=0,
                                atol=1e-13 * np.linalg.norm(b))
@@ -528,7 +533,55 @@ def test_derivative_matrices_equal_the_column_build(n):
         assert built.tobytes() == reference.tobytes()
 
 
+def _one_core(monkeypatch):
+    # spies count calls in this process: on one core every sample runs here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def test_phase_sweep_in_workers_is_bitwise_the_one_core_sweep(monkeypatch):
+    shifts = _sweep_shifts(P, 8)
+    _one_core(monkeypatch)
+    here, swept_here = sp.spectrum(P, GRID, 0.0, shifts)
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled, swept_pooled = sp.spectrum(P, GRID, 0.0, shifts)
+    assert [(kw["max_workers"], kw["mp_context"].get_start_method()) for kw in pools] == [
+        (2, "fork")]
+    assert [v.hex() for v in swept_pooled] == [v.hex() for v in swept_here]
+    assert pooled.eigenvalues.tobytes() == here.eigenvalues.tobytes()
+    assert repr(replace(pooled, eigenvalues=None)) == repr(replace(here, eigenvalues=None))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_a_failing_sample_wins_over_the_pencil(monkeypatch, cores):
+    shifts = _sweep_shifts(P, 4)
+    real = sp.apply_operator
+
+    def wrong_in_last(z, p, t=0.0):
+        out = real(z, p, t)
+        return out.with_values(2.0 * out.values) if p.x1 == shifts[-1] else out
+
+    def no_pencil(*args):
+        raise sp.ClassificationError("injected pencil failure", np.zeros(1))
+
+    monkeypatch.setattr(sp, "apply_operator", wrong_in_last)
+    monkeypatch.setattr(sp, "_coercivity_from_parts", no_pencil)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    with pytest.raises(sp.AssemblyError):
+        sp.spectrum(P, GRID, 0.0, shifts)
+    assert multiprocessing.active_children() == []
+
+
 def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch):
+    _one_core(monkeypatch)
     seen = []
     real = sp.assemble
 
@@ -546,6 +599,7 @@ def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch):
 
 
 def test_phase_sweep_checks_every_sample(monkeypatch):
+    _one_core(monkeypatch)
     calls = []
     real = sp.apply_operator
 
