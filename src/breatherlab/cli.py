@@ -16,16 +16,19 @@ import shutil
 import sys
 from dataclasses import asdict
 
+from . import BLAS_THREAD_VARS, __version__
+
 # One BLAS thread, set before numpy loads: the dense eigensolver's summation
 # order depends on the thread count, so this makes a spectrum report replay
 # byte for byte, and more threads do not pay here. A caller that imported
-# numpy first keeps its own setting.
-os.environ.update(dict.fromkeys(
-    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+# numpy first with the variables unset keeps numpy's own BLAS threads, which
+# the phase sweep's forked workers would inherit.
+_NUMPY_BLAS_UNPINNED = "numpy" in sys.modules and not all(
+    os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 import numpy as np
 
-from . import __version__
 from . import closed_forms as cf
 from . import config as cfgmod
 from . import evolution as ev
@@ -33,6 +36,10 @@ from . import functionals as fn
 from . import grid as gr
 from . import spectral as sp
 from . import stability as st
+
+if _NUMPY_BLAS_UNPINNED:
+    # spectral read the variables after they were set here
+    sp._ONE_BLAS_THREAD = False
 
 # Pass/fail tolerances. evolve: the relative drift of mass, energy and f, and
 # the soliton's sup-norm deviation from its initial profile. stability: the

@@ -36,9 +36,11 @@ DEFAULTS: dict = {
 # and N=1024, with or without the phase sweep, reached both while assembling
 # beside the differentiation matrices and in the coercivity pencil. A
 # spectrum.n_points whose arrays would pass the budget is refused before
-# anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB. The budget
-# counts the calling process: a pooled phase sweep's workers each hold about
-# 3 N^2 more of their own, beside the 3 N^2 matrices they inherit.
+# anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB. A pooled
+# phase sweep's workers, each holding about 3 N^2 more of their own beside
+# the 3 N^2 matrices they inherit, are started only as far as the budget has
+# room for them (spectral._sweep_workers): at 4096 points the sweep runs in
+# the calling process.
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # A step count that a typo can blow up is refused the same way: evolve and

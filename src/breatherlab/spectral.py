@@ -33,12 +33,15 @@ root.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
+from . import BLAS_THREAD_VARS
 from . import closed_forms as cf
+from .config import DENSE_BUDGET_BYTES, SPECTRUM_DENSE_ARRAYS
 from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
 from .grid import (GridField, PeriodicGrid, ScientificError, _forked_map, _read_only,
                    residual_grid, spectral_derivatives)
@@ -50,6 +53,17 @@ _ROOT_SCAN_SAMPLES = 2048
 # classification reads the lowest eigenvalues only: the negative one, the
 # kernel pair and the lowest of the rest, which bounds all others from below
 _CLASSIFY_COUNT = 4
+# A phase-sweep worker inherits the BLAS that numpy and scipy loaded, with
+# its thread count, and cannot lower it: with numpy's BLAS threads unset, the
+# parent and 2 workers on 2 cores made the pooled sweep slower than the
+# sequential one. The variables are read here, just after scipy.linalg
+# loads; cli.py clears this when numpy had loaded before it set them.
+_ONE_BLAS_THREAD = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+# Each phase-sweep worker holds about this many dense N x N arrays of its
+# own while it assembles and solves a sample (traced in the workers: 3.0 N^2
+# doubles at N=512 and N=1024), and the workers together keep the 3
+# differentiation matrices alive after the calling process drops them.
+_SAMPLE_DENSE_ARRAYS = 3
 
 
 class AssemblyError(ScientificError):
@@ -255,7 +269,9 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
     self-check and is classified from its four lowest eigenvalues, without
     vectors; grid._forked_map runs them in forked workers while the kernel
     comparison, the coercivity constants and the full eigenvalue list are
-    computed here, or here before those on one core. The matrices are
+    computed here, or here before those on one core, when BLAS may run more
+    than one thread, or when the dense budget has no room for two workers
+    (_sweep_workers). The matrices are
     dropped before the pencil, so its arrays never sit beside them; a
     failing sample's error wins over the pencil's.
     """
@@ -273,7 +289,7 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
         _classify(lowest, edge)
         return float(-lowest[0])
 
-    with _forked_map(sample, shifts[1:]) as collect:
+    with _forked_map(sample, shifts[1:], _sweep_workers(grid.n_points)) as collect:
         # forked workers keep their own copies; dropping D1 before the Gram
         # matrix is built measured 2 MB less peak RSS at N=512
         d2, d4 = matrices[1:]
@@ -296,6 +312,18 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
         nu0_estimate=nu0,
         mu0_estimate=mu0,
     ), sweep
+
+
+def _sweep_workers(n_points: int) -> int:
+    """The most forked workers a phase sweep on n_points may run: one (none
+    forked) unless BLAS runs one thread, else as many as the dense budget has
+    room for beside the calling process's SPECTRUM_DENSE_ARRAYS and the
+    differentiation matrices the workers keep alive. At the largest admitted
+    N, 4096, that leaves room for one."""
+    if not _ONE_BLAS_THREAD:
+        return 1
+    room = DENSE_BUDGET_BYTES // (8 * n_points**2) - SPECTRUM_DENSE_ARRAYS - 3
+    return room // _SAMPLE_DENSE_ARRAYS
 
 
 def _coercivity_from_parts(op: DiscreteOperator, gram: np.ndarray, b_neg: np.ndarray,

@@ -257,14 +257,8 @@ def test_spectrum_phase_sweep(tmp_path, monkeypatch):
 
 
 
-def _one_core(monkeypatch):
-    # spies count calls in this process: on one core every sample runs here
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, capsys):
+def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, capsys, one_core):
     # the first assembly (the full spectrum) checks out; a sweep sample does not
-    _one_core(monkeypatch)
     calls = []
     real = sp.apply_operator
 
@@ -310,8 +304,7 @@ def _spy_dense_work(monkeypatch):
 
 
 @pytest.mark.parametrize("n_samples", [4, 1])
-def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_samples):
-    _one_core(monkeypatch)
+def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, one_core, n_samples):
     assembled, built, solves = _spy_dense_work(monkeypatch)
     monkeypatch.setattr(cli, "PHASE_SAMPLES", n_samples)
     code = main(["spectrum", "--set", "spectrum.phase_sweep=true", "--out", str(tmp_path)])
@@ -328,7 +321,8 @@ def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, n_sample
     assert len(report["sweep"]["lambda0_sq"]) == n_samples
 
 
-def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypatch, capsys):
+def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypatch, capsys,
+                                                              one_blas_thread):
     # at N=256 the base spectrum does not classify: on two cores, no pool starts
     class NoPool:
         def __init__(self, *args, **kwargs):
@@ -349,7 +343,8 @@ def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypa
 _SWEEP = ["spectrum", "--set", "spectrum.phase_sweep=true"]
 
 
-def test_spectrum_sweep_worker_self_check_failure_exits_two(tmp_path, monkeypatch, capsys):
+def test_spectrum_sweep_worker_self_check_failure_exits_two(tmp_path, monkeypatch, capsys,
+                                                            one_blas_thread):
     # every sample after the base fails its self-check; in a worker, the
     # first listed one's error crosses the process boundary and exits 2 as
     # it does on one core, leaving no worker
@@ -379,7 +374,8 @@ def test_spectrum_sweep_worker_self_check_failure_exits_two(tmp_path, monkeypatc
         "check failed: matrix application disagrees with operator action")
 
 
-def test_spectrum_sweep_killed_worker_exits_two(tmp_path, monkeypatch, capsys):
+def test_spectrum_sweep_killed_worker_exits_two(tmp_path, monkeypatch, capsys,
+                                                one_blas_thread):
     parent = os.getpid()
     real = sp.assemble
 
@@ -657,6 +653,27 @@ def test_stability_modulation_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert report["runs"][0]["stable_flag"] is False
     rows = (tmp_path / report["runs"][0]["csv"]).read_text().splitlines()
     assert len(rows) == 3  # header and the two fitted checkpoints
+
+
+@pytest.mark.parametrize("first,blas_threads,pooled", [
+    ("numpy", None, False), ("numpy", "1", True), ("breatherlab.cli", None, True)])
+def test_phase_sweep_pools_only_under_one_blas_thread(tmp_path, first, blas_threads, pooled):
+    # BLAS reads its thread count when numpy loads it, and a forked worker
+    # keeps it: a caller that loaded numpy with the variables unset gets its
+    # sweep in process; the variables set from the start, or the CLI's pin
+    # before numpy loads, let it pool
+    code = (f"import os, sys, {first}, breatherlab.cli; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            f"code = breatherlab.cli.main({_SWEEP + ['--out', str(tmp_path)]!r}); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if k not in breatherlab.BLAS_THREAD_VARS}
+    if blas_threads:
+        env.update(dict.fromkeys(breatherlab.BLAS_THREAD_VARS, blas_threads))
+    env["PYTHONPATH"] = str(Path(breatherlab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {pooled}"
 
 
 def test_stability_sweep_worker_failure_exits_two(tmp_path, monkeypatch, capsys):

@@ -533,14 +533,9 @@ def test_derivative_matrices_equal_the_column_build(n):
         assert built.tobytes() == reference.tobytes()
 
 
-def _one_core(monkeypatch):
-    # spies count calls in this process: on one core every sample runs here
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def test_phase_sweep_in_workers_is_bitwise_the_one_core_sweep(monkeypatch):
+def test_phase_sweep_in_workers_is_bitwise_the_one_core_sweep(monkeypatch, one_core,
+                                                              one_blas_thread):
     shifts = _sweep_shifts(P, 8)
-    _one_core(monkeypatch)
     here, swept_here = sp.spectrum(P, GRID, 0.0, shifts)
     pools = []
 
@@ -561,7 +556,7 @@ def test_phase_sweep_in_workers_is_bitwise_the_one_core_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize("cores", [2, 1])
-def test_a_failing_sample_wins_over_the_pencil(monkeypatch, cores):
+def test_a_failing_sample_wins_over_the_pencil(monkeypatch, one_blas_thread, cores):
     shifts = _sweep_shifts(P, 4)
     real = sp.apply_operator
 
@@ -580,8 +575,32 @@ def test_a_failing_sample_wins_over_the_pencil(monkeypatch, cores):
     assert multiprocessing.active_children() == []
 
 
-def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch):
-    _one_core(monkeypatch)
+def test_phase_sweep_forks_only_the_workers_the_dense_budget_holds(monkeypatch, one_blas_thread):
+    # at the largest admitted N the budget holds one worker's arrays beside
+    # the calling process's: the sweep runs here, however many cores there are
+    cfgmod.validate_config(cfgmod.apply_overrides(cfgmod.load_config(None),
+                                                  ["spectrum.n_points=4096"]))
+    assert sp._sweep_workers(4096) == 1
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    shifts = _sweep_shifts(P, 3)
+    for workers in (1, 2):
+        arrays = cfgmod.SPECTRUM_DENSE_ARRAYS + 3 + workers * sp._SAMPLE_DENSE_ARRAYS
+        monkeypatch.setattr(sp, "DENSE_BUDGET_BYTES", arrays * 8 * GRID.n_points**2)
+        assert sp._sweep_workers(GRID.n_points) == workers
+        sp.spectrum(P, GRID, 0.0, shifts)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch, one_core):
     seen = []
     real = sp.assemble
 
@@ -598,8 +617,7 @@ def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch):
             m[0, 0] = 1.0
 
 
-def test_phase_sweep_checks_every_sample(monkeypatch):
-    _one_core(monkeypatch)
+def test_phase_sweep_checks_every_sample(monkeypatch, one_core):
     calls = []
     real = sp.apply_operator
 
