@@ -60,13 +60,13 @@ def _forked_map(task, items, max_workers: int | None = None):
     With more than one item, more than one usable core and max_workers
     (None for no cap) above one, min(len(items), cores, max_workers) forked
     workers run the items while the with block's body runs here; otherwise
-    they run here, in order, on entry. task reaches the
-    workers by fork inheritance, never pickled, so only items and results
-    cross the pipe. The results are collected before the block is left, so
-    an item's error wins over the body's, and the first listed item's error
-    over the others': it is raised once the items before it have finished,
-    and the workers still running are stopped. A worker lost without an
-    error (killed by a signal, say) raises ScientificError.
+    they run here, in order, on entry. task reaches the workers by fork
+    inheritance, never pickled, so only items and results cross the pipe.
+    The results are collected before the block is left, so an item's error
+    wins over the body's, and the first listed item's error over the
+    others': it is raised once the items before it have finished, and the
+    workers still running are stopped. A worker lost without an error
+    (killed by a signal, say) raises ScientificError.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(items), cores, len(items) if max_workers is None else max_workers)

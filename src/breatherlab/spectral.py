@@ -271,9 +271,9 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
     comparison, the coercivity constants and the full eigenvalue list are
     computed here, or here before those on one core, when BLAS may run more
     than one thread, or when the dense budget has no room for two workers
-    (_sweep_workers). The matrices are
-    dropped before the pencil, so its arrays never sit beside them; a
-    failing sample's error wins over the pencil's.
+    (_sweep_workers). The matrices are dropped before the pencil, so its
+    arrays never sit beside them; a failing sample's error wins over the
+    pencil's.
     """
     if shifts and shifts[0] != p.x1:
         raise ValueError(f"a phase sweep starts at x1 = {p.x1!r}, not at {shifts[0]!r}")
