@@ -44,10 +44,14 @@ DEFAULTS: dict = {
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # A step count that a typo can blow up is refused the same way: evolve and
-# stability take m * t_end / dt steps (see run_steps), about 180-270 us each
-# at N=2048 on a 2-core Xeon with one BLAS thread (t_end=50 at the default dt
-# and beta <= 1 is 400000 steps).
+# stability take m * t_end / dt steps (see run_steps), about 140-150 us each
+# at N=2048 on a 2-core Xeon with one BLAS thread (t_end=50 at the default dt,
+# beta <= 1 and alpha <= 3 is 400000 steps).
 STEP_BUDGET = 2_000_000
+# alpha's weight in the step rule. Along beta = 1 at the default dt, evolve
+# exits 2 at alpha = 3.5 and 4 with one step per dt and at alpha = 5 and 6
+# with two; any weight in (2/7, 1/3] keeps m = 1 up to alpha = 3 there.
+STEP_ALPHA_SCALE = 0.3
 # alpha and beta above this bound are refused: far above it the closed forms
 # overflow, into a NaN report value at alpha=1e70 and an OverflowError at
 # 1e80, which the resolution bound below does not catch.
@@ -227,18 +231,20 @@ def check_resolution(config: dict, grid: gr.PeriodicGrid, key: str | None) -> No
 
 def run_steps(config: dict) -> tuple[float, int]:
     """The step and the monitor stride a run takes: dt/m and stride*m with
-    m = ceil(max(beta, 1)^3), so the checkpoint times are those of the
-    configured dt and stride. The scaling that maps B(1, 1) to B(beta, beta)
-    shrinks time by beta^3, and at beta <= 1 m is 1. ConfigError when the
-    m * t_end / dt steps are above STEP_BUDGET."""
+    m = ceil(max(beta, STEP_ALPHA_SCALE * alpha)^3), so the checkpoint times
+    are those of the configured dt and stride. The scaling that maps B(1, 1)
+    to B(beta, beta) shrinks time by beta^3, and alpha sets the internal
+    oscillation the step must resolve as well; m is 1 at beta <= 1 and
+    alpha <= 1 / STEP_ALPHA_SCALE. ConfigError when the m * t_end / dt steps
+    are above STEP_BUDGET."""
     integ = config["integrator"]
-    m = math.ceil(max(config["beta"], 1.0) ** 3)
+    m = math.ceil(max(config["beta"], STEP_ALPHA_SCALE * config["alpha"]) ** 3)
     steps = m * integ["t_end"] / integ["dt"]
     if steps > STEP_BUDGET:
         raise ConfigError(
             f"integrator.t_end={integ['t_end']!r} at integrator.dt={integ['dt']!r} needs "
-            f"about {steps:.6g} steps (m = {m} per dt at beta={config['beta']!r}), above the "
-            f"budget of {STEP_BUDGET}")
+            f"about {steps:.6g} steps (m = {m} per dt at beta={config['beta']!r}, "
+            f"alpha={config['alpha']!r}), above the budget of {STEP_BUDGET}")
     return integ["dt"] / m, integ["monitor_stride"] * m
 
 

@@ -885,8 +885,10 @@ def test_spectrum_report_ignores_the_blas_thread_setting(tmp_path, monkeypatch):
 
 
 # The breather family under the grid rule (half-length 30/beta) and the step
-# rule (dt/m, m = ceil(max(beta, 1)^3)): each point above beta = 1 passes, and
-# a point too coarse for alpha/beta exits 1 naming the key to raise, never 2.
+# rule (dt/m, m = ceil(max(beta, 0.3 alpha)^3)): each point above beta = 1
+# passes, as does evolve at alpha = 3.5 and 5 (m = 2 and 4, which exit 2 at
+# one and two steps per dt), and a point too coarse for alpha/beta exits 1
+# naming the key to raise, never 2.
 _FAMILY = [
     (["spectrum", "alpha=1", "beta=2"], 0, None),
     (["verify", "alpha=1", "beta=2"], 0, None),
@@ -897,6 +899,8 @@ _FAMILY = [
     (["evolve", "beta=2", "integrator.t_end=0.01"], 0, None),
     (["stability", "beta=2", "integrator.t_end=0.02"], 0, None),
     (["stability", "beta=1.3", "integrator.t_end=0.02"], 0, None),
+    (["evolve", "alpha=3.5"], 0, None),
+    (["evolve", "alpha=5"], 0, None),
     (["spectrum", "alpha=1", "beta=0.1"], 1,
      "alpha/beta = 10 (beta=0.1) gives h*alpha = 1.17 on the 512-point grid of half-length 300, "
      "above the bound 0.5; raise spectrum.n_points"),

@@ -168,6 +168,9 @@ def test_counts_beyond_budget_are_refused():
         (["integrator.dt=1e-300", "integrator.t_end=1e300"], "needs about inf steps"),
         # 8 steps per dt at beta = 2: 50 / dt is within the budget, 8 times it is not
         (["beta=2", "integrator.t_end=50"], r"about 3.2e\+06 steps \(m = 8 per dt at beta=2"),
+        # and 4 at alpha = 5
+        (["alpha=5", "integrator.t_end=100"],
+         r"about 3.2e\+06 steps \(m = 4 per dt at beta=1.0, alpha=5.0\)"),
     ]
     for assignments, message in refused:
         c = cfg.apply_overrides(cfg.default_config(), assignments)
@@ -178,8 +181,21 @@ def test_counts_beyond_budget_are_refused():
 
 @pytest.mark.parametrize("beta,m", [(0.5, 1), (1.0, 1), (1.3, 3), (2.0, 8), (10.0, 1000)])
 def test_run_steps_take_m_steps_per_dt(beta, m):
-    # m = ceil(max(beta, 1)^3): the checkpoint times stay those of dt and stride
+    # m = ceil(max(beta, 0.3 alpha)^3): the checkpoint times stay those of dt
+    # and stride; at the default alpha = 1.5 beta alone sets m
     c = cfg.apply_overrides(cfg.default_config(), [f"beta={beta}", "integrator.t_end=0.05"])
+    dt, stride = cfg.run_steps(c)
+    assert (dt, stride) == (1.25e-4 / m, 80 * m)
+
+
+@pytest.mark.parametrize("alpha,beta,m", [
+    (1.5, 1.0, 1), (3.0, 1.0, 1), (2.0, 0.5, 1), (3.5, 1.0, 2), (5.0, 1.0, 4), (1.0, 2.0, 8),
+])
+def test_run_steps_weigh_alpha(alpha, beta, m):
+    # every identity point, alpha <= 3 at beta = 1 included, takes one step
+    # per dt; above that alpha sets m along beta = 1
+    c = cfg.apply_overrides(cfg.default_config(),
+                            [f"alpha={alpha}", f"beta={beta}", "integrator.t_end=0.05"])
     dt, stride = cfg.run_steps(c)
     assert (dt, stride) == (1.25e-4 / m, 80 * m)
 
@@ -207,7 +223,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 18
+    assert len(invocations) == 20
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

@@ -412,3 +412,21 @@ def test_stepper_build_holds_no_whole_circle_table():
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024
+
+
+def test_step_allocates_only_the_spectrum_it_returns():
+    # after the first step has built the workspace, a step's traced peak is
+    # the returned (n//2+1)-mode spectrum, below two such arrays, and the
+    # argument it was given is unchanged
+    g = gr.PeriodicGrid(30.0, 2048)
+    stepper = ev._Stepper(g, ev.IntegratorConfig(dt=1e-4, t_end=1.0, frame_speed=-P.gamma))
+    vhat = stepper.advance(np.fft.rfft(_breather_field(P, g).values))
+    before = vhat.tobytes()
+    tracemalloc.start()
+    try:
+        stepper.advance(vhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vhat.tobytes() == before
+    assert peak < 2 * vhat.nbytes

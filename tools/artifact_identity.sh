@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same eighteen CLI invocations in each checkout, with one BLAS thread
+# Runs the same twenty CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
 # An invocation may set only config keys that both checkouts accept: a side
 # that refuses one exits 1, and the check stops there.
@@ -28,10 +28,11 @@ fi
 # One invocation per line; the last is the modulation_dense benchmark call
 # (seed 0). The two phase sweeps run the CLI's fixed 8 samples, at the
 # default N = 512 and at N = 1024. The grid rule is 30/beta for every beta
-# and the step rule takes m = ceil(max(beta, 1)^3) steps per dt: the two at
-# beta = 0.5 cover a box wider than the default, the two at beta = 2 a
+# and the step rule takes m = ceil(max(beta, 0.3 alpha)^3) steps per dt: the
+# two at beta = 0.5 cover a box wider than the default, the two at beta = 2 a
 # narrower one, and the stability run there m = 8; every other one runs at
-# beta = 1.
+# beta = 1. The two at alpha = 3 are the largest alpha at beta = 1 that keeps
+# m = 1, where a rule that ignored alpha and one that weighs it agree.
 # The three at x1 = 0.4 cover the breather's one phase key; the spectrum one is the only invocation whose
 # Wronskian root is not at 0 (about 1e-16 at x1 = 0), so it alone checks a
 # generic root of the scalar root finder. The run at eta = 0 covers the
@@ -53,6 +54,8 @@ evolve --set evolve.initial=soliton --set integrator.t_end=0.05
 stability --set stability.eta_sweep=[0.01,0] --set integrator.t_end=0.05
 spectrum --set alpha=1 --set beta=2
 stability --set beta=2 --set integrator.t_end=0.05
+evolve --set alpha=3
+stability --set alpha=3 --set integrator.t_end=0.05
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
 tools=$(cd "$(dirname "$0")" && pwd)
