@@ -108,10 +108,10 @@ class _Stepper:
 
     Only the K kept modes enter the flux, so every table but e_full covers
     that band alone, and so do the stage values advance computes. A step is
-    8 transforms, about 108 us at N=2048 on a 2-core Xeon with one BLAS
-    thread, and about 35 us of cubing and band arithmetic. Every
-    intermediate is written into a workspace built at the first step for
-    the band then kept, so a step allocates only the spectrum it returns.
+    8 transforms, about 110 us at N=2048 on a 2-core Xeon with one BLAS
+    thread, and about 30 us of cubing and band arithmetic. Every
+    intermediate is written into a workspace the stepper keeps, so a step
+    allocates only the spectrum it returns.
     """
 
     def __init__(self, grid: gr.PeriodicGrid, cfg: IntegratorConfig):
@@ -154,33 +154,35 @@ class _Stepper:
             self.w1[rows] = dt * np.mean((-4.0 - lr + (4.0 - 3.0 * lr + lr**2) * elr) / lr**3, axis=1)
             self.w2x2[rows] = 2.0 * (dt * np.mean((2.0 + lr + (lr - 2.0) * elr) / lr**3, axis=1))
             self.w3[rows] = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + (4.0 - lr) * elr) / lr**3, axis=1)
-        self._work = None
+        # the step's workspace: the physical field, its cube and the rfft
+        # output here, and the band arrays at the first step, sized for the
+        # band then kept (see _band_work)
+        self._u, self._u3 = np.empty(self.n), np.empty(self.n)
+        self._spec = np.empty(self.n // 2 + 1, dtype=complex)
+        self._band = ()
 
-    def _workspace(self) -> tuple:
-        """The step's buffers, built for the current band: seven complex band
-        arrays (stages a and b, fluxes nv, na, nb, nc, and a temporary), then
-        the physical field, its cube and the full rfft output."""
-        if self._work is None or self._work[0].shape[0] != self.keep:
-            band = [np.empty(self.keep, dtype=complex) for _ in range(7)]
-            spec = np.empty(self.n // 2 + 1, dtype=complex)
-            self._work = (*band, np.empty(self.n), np.empty(self.n), spec)
-        return self._work
+    def _band_work(self) -> tuple:
+        """Seven complex arrays of the kept band: stages a and b, fluxes nv,
+        na, nb, nc, and a temporary."""
+        if not self._band or self._band[0].shape[0] != self.keep:
+            self._band = tuple(np.empty(self.keep, dtype=complex) for _ in range(7))
+        return self._band
 
     def flux(self, vk: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Kept band of the cubic flux -(u^3)_x of the field whose kept band is
         vk, written into out when given."""
-        *_, u, u3, spec = self._workspace()
+        u, u3 = self._u, self._u3
         np.fft.irfft(vk, self.n, out=u)
         np.multiply(u, u, out=u3)
         np.multiply(u3, u, out=u3)
-        np.fft.rfft(u3, out=spec)
-        return np.multiply(self.minus_ik, spec[:self.keep], out=out)
+        np.fft.rfft(u3, out=self._spec)
+        return np.multiply(self.minus_ik, self._spec[:self.keep], out=out)
 
     def advance(self, vhat: np.ndarray) -> np.ndarray:
         # every complex product keeps its operand order and every sum its
         # association: numpy's complex multiply need not commute bitwise.
         # half is held in b's buffer until b is written over it, c in a's.
-        a, b, nv, na, nb, nc, t, *_ = self._workspace()
+        a, b, nv, na, nb, nc, t = self._band_work()
         e_half, q = self.e_half, self.q
         vk = vhat[:self.keep]
         self.flux(vk, nv)
