@@ -44,7 +44,7 @@ DEFAULTS: dict = {
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # A step count that a typo can blow up is refused the same way: evolve and
-# stability take m * t_end / dt steps (see run_steps), about 140-150 us each
+# stability take m * t_end / dt steps (see run_steps), about 135 us each
 # at N=2048 on a 2-core Xeon with one BLAS thread (t_end=50 at the default dt,
 # beta <= 1 and alpha <= 3 is 400000 steps).
 STEP_BUDGET = 2_000_000

@@ -108,8 +108,8 @@ class _Stepper:
 
     Only the K kept modes enter the flux, so every table but e_full covers
     that band alone, and so do the stage values advance computes. A step is
-    8 transforms, about 110 us at N=2048 on a 2-core Xeon with one BLAS
-    thread, and about 30 us of cubing and band arithmetic. Every
+    8 transforms, about 102 us at N=2048 on a 2-core Xeon with one BLAS
+    thread, and about 32 us of cubing and band arithmetic. Every
     intermediate is written into a workspace the stepper keeps, so a step
     allocates only the spectrum it returns.
     """
@@ -137,7 +137,12 @@ class _Stepper:
         # a complex Nyquist coefficient has no real-signal preimage, so the
         # propagator annihilates that mode, matching the derivative tables
         self.e_full[-1] = 0.0
-        self.minus_ik = -grid.multiplier(1)[:keep]
+        # flux takes irfft without its 1/n (norm="forward"), which skips a
+        # scaling pass, and applies 1/n^3 to the cube here instead. n is a
+        # power of two (PeriodicGrid), so moving the scaling is exact unless
+        # a value leaves the normal float range, and the flux is the same to
+        # the bit (see the tests).
+        self.flux_factor = -grid.multiplier(1)[:keep] / float(self.n) ** 3
         # weights via circle means: the integrands are entire, so the mean of
         # each over a unit circle centered at z equals its value at z. They
         # are taken a block of rows at a time, so no (modes x 32) table is
@@ -172,11 +177,11 @@ class _Stepper:
         """Kept band of the cubic flux -(u^3)_x of the field whose kept band is
         vk, written into out when given."""
         u, u3 = self._u, self._u3
-        np.fft.irfft(vk, self.n, out=u)
+        np.fft.irfft(vk, self.n, norm="forward", out=u)
         np.multiply(u, u, out=u3)
         np.multiply(u3, u, out=u3)
         np.fft.rfft(u3, out=self._spec)
-        return np.multiply(self.minus_ik, self._spec[:self.keep], out=out)
+        return np.multiply(self.flux_factor, self._spec[:self.keep], out=out)
 
     def advance(self, vhat: np.ndarray) -> np.ndarray:
         # every complex product keeps its operand order and every sum its

@@ -340,7 +340,7 @@ def test_cubic_dealiasing_band_leaves_stability_results(monkeypatch, kind):
     def quarter_band(grid, cfg):
         stepper = built(grid, cfg)
         keep = stepper.keep = stepper.n // 4 + 1
-        for name in ("e_half", "q", "w1", "w2x2", "w3", "minus_ik"):
+        for name in ("e_half", "q", "w1", "w2x2", "w3", "flux_factor"):
             setattr(stepper, name, getattr(stepper, name)[:keep])
         bands.append(keep)
         return stepper
