@@ -159,23 +159,16 @@ class _Stepper:
             self.w1[rows] = dt * np.mean((-4.0 - lr + (4.0 - 3.0 * lr + lr**2) * elr) / lr**3, axis=1)
             self.w2x2[rows] = 2.0 * (dt * np.mean((2.0 + lr + (lr - 2.0) * elr) / lr**3, axis=1))
             self.w3[rows] = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + (4.0 - lr) * elr) / lr**3, axis=1)
-        # the step's workspace: the physical field, its cube and the rfft
-        # output here, and the band arrays at the first step, sized for the
-        # band then kept (see _band_work)
+        # the step's workspace: the physical field, its cube, the rfft output,
+        # and seven arrays of the kept band (stages a and b, fluxes nv, na,
+        # nb, nc, and a temporary)
         self._u, self._u3 = np.empty(self.n), np.empty(self.n)
         self._spec = np.empty(self.n // 2 + 1, dtype=complex)
-        self._band = ()
+        self._band = tuple(np.empty(keep, dtype=complex) for _ in range(7))
 
-    def _band_work(self) -> tuple:
-        """Seven complex arrays of the kept band: stages a and b, fluxes nv,
-        na, nb, nc, and a temporary."""
-        if not self._band or self._band[0].shape[0] != self.keep:
-            self._band = tuple(np.empty(self.keep, dtype=complex) for _ in range(7))
-        return self._band
-
-    def flux(self, vk: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def flux(self, vk: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Kept band of the cubic flux -(u^3)_x of the field whose kept band is
-        vk, written into out when given."""
+        vk, written into out and returned."""
         u, u3 = self._u, self._u3
         np.fft.irfft(vk, self.n, norm="forward", out=u)
         np.multiply(u, u, out=u3)
@@ -187,7 +180,7 @@ class _Stepper:
         # every complex product keeps its operand order and every sum its
         # association: numpy's complex multiply need not commute bitwise.
         # half is held in b's buffer until b is written over it, c in a's.
-        a, b, nv, na, nb, nc, t = self._band_work()
+        a, b, nv, na, nb, nc, t = self._band
         e_half, q = self.e_half, self.q
         vk = vhat[:self.keep]
         self.flux(vk, nv)
