@@ -16,19 +16,9 @@ import shutil
 import sys
 from dataclasses import asdict
 
-from . import BLAS_THREAD_VARS, __version__
-
-# One BLAS thread, set before numpy loads: the dense eigensolver's summation
-# order depends on the thread count, so this makes a spectrum report replay
-# byte for byte, and more threads do not pay here. A caller that imported
-# numpy first with the variables unset keeps numpy's own BLAS threads, which
-# the phase sweep's forked workers would inherit.
-_NUMPY_BLAS_UNPINNED = "numpy" in sys.modules and not all(
-    os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
-os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-
 import numpy as np
 
+from . import __version__
 from . import closed_forms as cf
 from . import config as cfgmod
 from . import evolution as ev
@@ -36,10 +26,6 @@ from . import functionals as fn
 from . import grid as gr
 from . import spectral as sp
 from . import stability as st
-
-if _NUMPY_BLAS_UNPINNED:
-    # spectral read the variables after they were set here
-    sp._ONE_BLAS_THREAD = False
 
 # Pass/fail tolerances. evolve: the relative drift of mass, energy and f, and
 # the soliton's sup-norm deviation from its initial profile. stability: the
@@ -324,9 +310,11 @@ def _check_command(command: str, config: dict) -> None:
     config = _sizing_config(command, config)
     section = _GRID_SECTIONS[command]
     grid = cfgmod.make_grid(config, config[section]["n_points"])
-    cfgmod.check_resolution(config, grid, f"{section}.n_points")
+    bound = cfgmod.EVOLVE_MAX_H_ALPHA if command == "evolve" else cfgmod.MAX_H_ALPHA
+    cfgmod.check_resolution(config, grid, f"{section}.n_points", bound)
     if command == "verify":
-        cfgmod.check_resolution(config, gr.residual_grid(config["beta"]), None)
+        cfgmod.check_resolution(config, gr.residual_grid(config["beta"]), None,
+                                cfgmod.RESIDUAL_MAX_H_ALPHA)
     if command in ("evolve", "stability"):
         cfgmod.run_steps(config)
 

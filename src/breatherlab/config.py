@@ -43,6 +43,15 @@ DEFAULTS: dict = {
 # the calling process.
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
+# The other commands hold at most this many float64 arrays of the N points
+# of grid.n_points or stability.n_points at once: the traced peak is 30 N
+# doubles for verify at N=16384, 31 N for evolve and 45 N for stability at
+# N=2048, and from the smaller traced size (N/4, N/2, N/2) each grew by at
+# most 43 doubles per added point. An N whose arrays would pass the same
+# budget is refused before anything is allocated: 2^22 points need 1.5 GiB,
+# 2^23 need 3 GiB. The budget counts one process; a stability eta sweep's
+# forked workers each hold one run's arrays.
+GRID_ARRAYS = 48
 # A step count that a typo can blow up is refused the same way: evolve and
 # stability take m * t_end / dt steps (see run_steps), about 135 us each
 # at N=2048 on a 2-core Xeon with one BLAS thread (t_end=50 at the default dt,
@@ -65,7 +74,12 @@ MAX_FREQUENCY = 1e3
 # 9.0e-5 at 0.50 and 2.2e-4 at 0.53 (alpha = 4, 4.25, 4.5). verify's residual
 # checks pass at h*alpha = 0.258 (alpha = 6) and fail `mixed` from 0.269
 # (alpha = 6.25), while its quadrature checks at N = 1024 still pass at 0.70.
+# evolve's invariants need a tighter bound, for f: its drift at N = 1024 is
+# 1.0e-9 at h*alpha = 0.352 (alpha = 6), 2.8e-9 at 0.360 (alpha = 6.14, and
+# 3.3e-9 at beta = 0.5, alpha = 3.07), 5.3e-9 at 0.366 (alpha = 6.25), and
+# fails the 1e-8 tolerance from 0.381 (alpha = 6.5: 2.7e-8; 6.75: 8.0e-8).
 MAX_H_ALPHA = 0.5
+EVOLVE_MAX_H_ALPHA = 0.36
 RESIDUAL_MAX_H_ALPHA = 0.25
 
 
@@ -174,6 +188,12 @@ def validate_config(config: dict) -> None:
         n = config[path[0]][path[1]]
         if not gr.PeriodicGrid.is_dyadic(n):
             raise ConfigError(f"{'.'.join(path)} must be a power of two >= 16, got {n}")
+    for key in ("grid", "stability"):
+        n = config[key]["n_points"]
+        if GRID_ARRAYS * 8 * n > DENSE_BUDGET_BYTES:
+            raise ConfigError(
+                f"{key}.n_points={n} needs about {GRID_ARRAYS * 8 * n} bytes of {n}-point "
+                f"arrays, above the budget of {DENSE_BUDGET_BYTES} bytes")
     n_eig = config["spectrum"]["n_points"]
     dense_bytes = SPECTRUM_DENSE_ARRAYS * 8 * n_eig**2
     if dense_bytes > DENSE_BUDGET_BYTES:
@@ -212,15 +232,15 @@ def make_grid(config: dict, n_points: int | None = None) -> gr.PeriodicGrid:
                            n_points if n_points is not None else config["grid"]["n_points"])
 
 
-def check_resolution(config: dict, grid: gr.PeriodicGrid, key: str | None) -> None:
+def check_resolution(config: dict, grid: gr.PeriodicGrid, key: str | None,
+                     bound: float) -> None:
     """Refuse a grid too coarse for the breather's oscillation: ConfigError
-    when h*alpha is above its bound, naming the key whose points to raise.
-    key None is verify's residual grid, whose fixed 2048 points no key sets
-    and whose sup-norm checks need RESIDUAL_MAX_H_ALPHA. Building the grid
-    allocates nothing, so this runs before any array exists."""
+    when h*alpha is above bound, naming the key whose points to raise. key
+    None is verify's residual grid, whose fixed 2048 points no key sets.
+    Building the grid allocates nothing, so this runs before any array
+    exists."""
     alpha, beta = config["alpha"], config["beta"]
     h_alpha = grid.spacing * alpha
-    bound = MAX_H_ALPHA if key else RESIDUAL_MAX_H_ALPHA
     if h_alpha > bound:
         remedy = f"raise {key}" if key else "no key applies to verify's fixed residual grid"
         raise ConfigError(

@@ -115,7 +115,6 @@ class _Stepper:
     """
 
     def __init__(self, grid: gr.PeriodicGrid, cfg: IntegratorConfig):
-        self.grid = grid
         self.n = grid.n_points
         k = grid.wavenumbers
         z = 1j * cfg.dt * (k**3 + cfg.frame_speed * k)

@@ -33,13 +33,12 @@ root.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from . import BLAS_THREAD_VARS
+from . import _ONE_BLAS_THREAD
 from . import closed_forms as cf
 from .config import DENSE_BUDGET_BYTES, SPECTRUM_DENSE_ARRAYS
 from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
@@ -56,9 +55,8 @@ _CLASSIFY_COUNT = 4
 # A phase-sweep worker inherits the BLAS that numpy and scipy loaded, with
 # its thread count, and cannot lower it: with numpy's BLAS threads unset, the
 # parent and 2 workers on 2 cores made the pooled sweep slower than the
-# sequential one. The variables are read here, just after scipy.linalg
-# loads; cli.py clears this when numpy had loaded before it set them.
-_ONE_BLAS_THREAD = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+# sequential one. So the sweep pools only under _ONE_BLAS_THREAD, which the
+# package records as it pins one thread (breatherlab/__init__.py).
 # Each phase-sweep worker holds about this many dense N x N arrays of its
 # own while it assembles and solves a sample (traced in the workers: 3.0 N^2
 # doubles at N=512 and N=1024), and the workers together keep the 3

@@ -16,6 +16,6 @@ def one_core(monkeypatch):
 
 @pytest.fixture
 def one_blas_thread(monkeypatch):
-    """BLAS known to run one thread, as under the CLI's pin: the phase sweep
-    pools only then, and the test process may have loaded numpy without it."""
+    """BLAS known to run one thread, as under the package's pin: the phase
+    sweep pools only then, whatever loaded numpy first in the test process."""
     monkeypatch.setattr(sp, "_ONE_BLAS_THREAD", True)

@@ -466,6 +466,38 @@ def test_evolve_memory_is_flat_in_monitor_stride(tmp_path, capsys):
     assert abs(peaks[1] - peaks[40]) < 4 * 8 * 1024
 
 
+@pytest.mark.parametrize("command,key,n,extra", [
+    ("verify", "grid", 4096, []),
+    ("evolve", "grid", 2048, ["integrator.t_end=0.01"]),
+    ("stability", "stability", 2048, ["integrator.t_end=0.01"])])
+def test_grid_arrays_hold_the_traced_peak(tmp_path, command, key, n, extra):
+    # the grid budget's GRID_ARRAYS doubles per point cover what each
+    # command holds at once
+    argv = [command, "--set", f"{key}.n_points={n}"]
+    for assignment in extra:
+        argv += ["--set", assignment]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < cfgmod.GRID_ARRAYS * 8 * n
+
+
+@pytest.mark.parametrize("command,key", [
+    ("verify", "grid"), ("evolve", "grid"), ("stability", "stability")])
+def test_grid_beyond_budget_refused_before_anything_runs(tmp_path, capsys, command, key):
+    # 2^40 points: the first array would fail to allocate at once
+    out = tmp_path / "out"
+    assert main([command, "--set", f"{key}.n_points={2**40}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {key}.n_points=1099511627776 needs about 422212465065984 bytes of "
+        "1099511627776-point arrays, above the budget of 2147483648 bytes\n")
+    assert not out.exists()
+
+
 def test_evolve_rerun_replaces_its_checkpoints(tmp_path, capsys):
     assert main(_SHORT_EVOLVE + ["--out", str(tmp_path)]) == 0
     first = {p.name: p.read_bytes() for p in tmp_path.glob("*_checkpoints/*")}
@@ -656,12 +688,13 @@ def test_stability_modulation_failure_exits_two(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("first,blas_threads,pooled", [
-    ("numpy", None, False), ("numpy", "1", True), ("breatherlab.cli", None, True)])
+    ("numpy", None, False), ("numpy", "1", True), ("breatherlab.cli", None, True),
+    ("breatherlab.spectral", None, True)])
 def test_phase_sweep_pools_only_under_one_blas_thread(tmp_path, first, blas_threads, pooled):
     # BLAS reads its thread count when numpy loads it, and a forked worker
     # keeps it: a caller that loaded numpy with the variables unset gets its
-    # sweep in process; the variables set from the start, or the CLI's pin
-    # before numpy loads, let it pool
+    # sweep in process; the variables set from the start, or the package's
+    # pin before numpy loads, whichever module is imported first, let it pool
     code = (f"import os, sys, {first}, breatherlab.cli; "
             "os.sched_getaffinity = lambda pid: {0, 1}; "
             f"code = breatherlab.cli.main({_SWEEP + ['--out', str(tmp_path)]!r}); "
@@ -873,7 +906,7 @@ def _run_entry_point(args, cwd):
 
 
 def test_spectrum_report_ignores_the_blas_thread_setting(tmp_path, monkeypatch):
-    # the CLI pins one BLAS thread before numpy loads; with two threads the
+    # the package pins one BLAS thread before numpy loads; with two threads the
     # eigensolver sums in another order and the eigenvalues' last digits move
     reports = []
     for threads in ("1", "2"):
@@ -888,7 +921,8 @@ def test_spectrum_report_ignores_the_blas_thread_setting(tmp_path, monkeypatch):
 # rule (dt/m, m = ceil(max(beta, 0.3 alpha)^3)): each point above beta = 1
 # passes, as does evolve at alpha = 3.5 and 5 (m = 2 and 4, which exit 2 at
 # one and two steps per dt), and a point too coarse for alpha/beta exits 1
-# naming the key to raise, never 2.
+# naming the key to raise, never 2: evolve at alpha = 7 on its own, tighter
+# bound, where its f drift failed.
 _FAMILY = [
     (["spectrum", "alpha=1", "beta=2"], 0, None),
     (["verify", "alpha=1", "beta=2"], 0, None),
@@ -910,6 +944,9 @@ _FAMILY = [
     (["verify", "alpha=7"], 1,
      "alpha/beta = 7 (beta=1.0) gives h*alpha = 0.301 on the 2048-point grid of half-length 44, "
      "above the bound 0.25; no key applies to verify's fixed residual grid"),
+    (["evolve", "alpha=7"], 1,
+     "alpha/beta = 7 (beta=1.0) gives h*alpha = 0.41 on the 1024-point grid of half-length 30, "
+     "above the bound 0.36; raise grid.n_points"),
     (["evolve", "alpha=3", "grid.n_points=256"], 1, "; raise grid.n_points"),
     (["stability", "alpha=3", "stability.n_points=256"], 1, "; raise stability.n_points"),
 ]

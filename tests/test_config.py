@@ -151,6 +151,19 @@ def test_spectrum_dense_arrays_beyond_budget_are_refused():
             cfg.validate_config(c)
 
 
+def test_grid_arrays_beyond_budget_are_refused():
+    # arithmetic only: the guard compares 48 * 8 N bytes with the budget
+    assert cfg.GRID_ARRAYS * 8 * 2**22 <= cfg.DENSE_BUDGET_BYTES
+    assert cfg.GRID_ARRAYS * 8 * 2**23 > cfg.DENSE_BUDGET_BYTES
+    for key in ("grid", "stability"):
+        cfg.validate_config(cfg.apply_overrides(cfg.default_config(), [f"{key}.n_points={2**22}"]))
+        for n in (2**23, 2**40):
+            c = cfg.apply_overrides(cfg.default_config(), [f"{key}.n_points={n}"])
+            with pytest.raises(cfg.ConfigError,
+                               match=f"{key}.n_points={n} needs about {384 * n} bytes"):
+                cfg.validate_config(c)
+
+
 def test_spectrum_refused_before_anything_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["spectrum", "--set", "spectrum.n_points=8192", "--out", str(out)]) == 1
@@ -223,7 +236,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 20
+    assert len(invocations) == 21
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

@@ -4,13 +4,17 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent import futures
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import breatherlab
 from breatherlab import closed_forms as cf
 from breatherlab import config as cfgmod
 from breatherlab import functionals as fn
@@ -719,3 +723,24 @@ def test_spectrum_is_homogeneous_of_degree_four_under_scaling():
         scaled = spectrum_at(lam)
         assert scaled.lambda0_sq == lam**4 * base.lambda0_sq
         assert scaled.continuum_edge == lam**4 * base.continuum_edge
+
+
+def test_library_spectrum_ignores_the_blas_thread_setting():
+    # a library caller that imports the package before numpy gets its one
+    # BLAS thread too: under two threads the eigensolver would sum in another
+    # order and move the eigenvalues' and mu0's last digits
+    code = ("from breatherlab import config as c, spectral as sp; "
+            "config = c.default_config(); "
+            "report = sp.spectrum(c.breather_params(config), "
+            "c.make_grid(config, config['spectrum']['n_points']))[0]; "
+            "print(report.eigenvalues.tobytes().hex(), repr(report.mu0_estimate))")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in breatherlab.BLAS_THREAD_VARS}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = str(Path(breatherlab.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

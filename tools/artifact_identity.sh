@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same twenty CLI invocations in each checkout, with one BLAS thread
+# Runs the same twenty-one CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
 # An invocation may set only config keys that both checkouts accept: a side
 # that refuses one exits 1, and the check stops there.
@@ -32,7 +32,9 @@ fi
 # two at beta = 0.5 cover a box wider than the default, the two at beta = 2 a
 # narrower one, and the stability run there m = 8; every other one runs at
 # beta = 1. The two at alpha = 3 are the largest alpha at beta = 1 that keeps
-# m = 1, where a rule that ignored alpha and one that weighs it agree.
+# m = 1, where a rule that ignored alpha and one that weighs it agree. The
+# evolve at alpha = 6 (m = 6, h*alpha = 0.352) sits just under evolve's own
+# resolution bound, 0.36, on the default grid.
 # The three at x1 = 0.4 cover the breather's one phase key; the spectrum one is the only invocation whose
 # Wronskian root is not at 0 (about 1e-16 at x1 = 0), so it alone checks a
 # generic root of the scalar root finder. The run at eta = 0 covers the
@@ -55,6 +57,7 @@ stability --set stability.eta_sweep=[0.01,0] --set integrator.t_end=0.05
 spectrum --set alpha=1 --set beta=2
 stability --set beta=2 --set integrator.t_end=0.05
 evolve --set alpha=3
+evolve --set alpha=6
 stability --set alpha=3 --set integrator.t_end=0.05
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
