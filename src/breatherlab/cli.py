@@ -10,7 +10,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import shutil
 import sys
@@ -67,11 +66,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_verify(config: dict, outdir: str, prefix: str):
+def _cmd_verify(config: dict, plan: tuple, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
-    quad_grid = cfgmod.make_grid(config)
-    res_grid = gr.residual_grid(beta)
+    (quad_grid, res_grid, soliton_grid), _ = plan
 
     # one jet on the quadrature grid feeds the functionals and the expansion
     jet = cf.breather_jet(p, 0.0, quad_grid.nodes)
@@ -103,9 +101,7 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
               "mass_profile": 1e-8, "wronskian": 1e-8}
     for name, (res, scale) in residuals.items():
         add(name, res / scale, bounds[name])
-    # the soliton decays at its own rate sqrt(c), whatever the breather's beta
     soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
-    soliton_grid = gr.residual_grid(math.sqrt(soliton.c))
     soliton_res = fn.soliton_ode_residual(soliton, soliton_grid).values
     add("soliton_ode", float(np.max(np.abs(soliton_res))), 1e-8)
 
@@ -126,9 +122,9 @@ def _cmd_verify(config: dict, outdir: str, prefix: str):
     return report_doc, pass_fail, []
 
 
-def _cmd_spectrum(config: dict, outdir: str, prefix: str):
+def _cmd_spectrum(config: dict, plan: tuple, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
-    eig_grid = cfgmod.make_grid(config, n_points=config["spectrum"]["n_points"])
+    (eig_grid, _), _ = plan  # the other is the Wronskian check's residual grid
     shifts = []
     if config["spectrum"]["phase_sweep"]:
         half_period = np.pi / p.alpha
@@ -156,21 +152,14 @@ def _cmd_spectrum(config: dict, outdir: str, prefix: str):
     return report_doc, pass_fail, []
 
 
-def _cmd_evolve(config: dict, outdir: str, prefix: str):
-    sized = _sizing_config("evolve", config)
-    grid = cfgmod.make_grid(sized)
-    # the initial profile's own co-moving frame, and no boundary guard
+def _cmd_evolve(config: dict, plan: tuple, outdir: str, prefix: str):
+    (grid,), cfg = plan
     if config["evolve"]["initial"] == "breather":
         p = cfgmod.breather_params(config)
         u0 = gr.sample(lambda tt, xx: cf.breather(p, tt, xx), grid)
-        frame_speed = -p.gamma
     else:
         soliton = cf.SolitonParams(c=config["evolve"]["soliton_c"])
         u0 = gr.sample(lambda tt, xx: cf.soliton(soliton, tt, xx), grid)
-        frame_speed = soliton.c
-    dt, stride = cfgmod.run_steps(sized)
-    cfg = ev.IntegratorConfig(dt=dt, t_end=config["integrator"]["t_end"],
-                              frame_speed=frame_speed, monitor_stride=stride)
     # each checkpoint is written as evolve reaches it, into a staging
     # directory that becomes <prefix>_checkpoints only once the run is done
     ckpt_dir = f"{prefix}_checkpoints"
@@ -209,13 +198,11 @@ def _cmd_evolve(config: dict, outdir: str, prefix: str):
     return report_doc, pass_fail, outputs
 
 
-def _cmd_stability(config: dict, outdir: str, prefix: str):
+def _cmd_stability(config: dict, plan: tuple, outdir: str, prefix: str):
     p = cfgmod.breather_params(config)
     stab = config["stability"]
-    grid = cfgmod.make_grid(config, n_points=stab["n_points"])
+    (grid,), cfg = plan
     perturbation = st.perturbation(grid, stab["perturbation"], config["seed"])
-    dt, stride = cfgmod.run_steps(config)
-    cfg = st.default_stability_config(p, dt, config["integrator"]["t_end"], stride)
     etas = stab["eta_sweep"]
     runs = st.stability_sweep(p, perturbation, etas, cfg)
 
@@ -286,39 +273,6 @@ def _finish(command: str, config: dict, outdir: str, prefix: str,
     return 0 if all(pass_fail.values()) else 2
 
 
-# the config section whose n_points sizes each command's breather grid;
-# verify also samples the breather on residual_grid's fixed 2048 points
-_GRID_SECTIONS = {"verify": "grid", "spectrum": "spectrum", "evolve": "grid",
-                  "stability": "stability"}
-
-
-def _sizing_config(command: str, config: dict) -> dict:
-    """The config whose alpha and beta size the command's grid, step and
-    resolution guard. evolve's soliton decays at its own rate sqrt(c),
-    whatever the breather's beta, so it is sized as the breather with
-    alpha = beta = sqrt(c), as verify's soliton_ode grid is."""
-    if command == "evolve" and config["evolve"]["initial"] == "soliton":
-        rate = math.sqrt(config["evolve"]["soliton_c"])
-        return {**config, "alpha": rate, "beta": rate}
-    return config
-
-
-def _check_command(command: str, config: dict) -> None:
-    """The refusals that depend on the command, before anything is allocated:
-    a grid too coarse for the initial profile, and a stepping run over the
-    step budget."""
-    config = _sizing_config(command, config)
-    section = _GRID_SECTIONS[command]
-    grid = cfgmod.make_grid(config, config[section]["n_points"])
-    bound = cfgmod.EVOLVE_MAX_H_ALPHA if command == "evolve" else cfgmod.MAX_H_ALPHA
-    cfgmod.check_resolution(config, grid, f"{section}.n_points", bound)
-    if command == "verify":
-        cfgmod.check_resolution(config, gr.residual_grid(config["beta"]), None,
-                                cfgmod.RESIDUAL_MAX_H_ALPHA)
-    if command in ("evolve", "stability"):
-        cfgmod.run_steps(config)
-
-
 _RUNNERS = {
     "verify": _cmd_verify,
     "spectrum": _cmd_spectrum,
@@ -333,14 +287,14 @@ def main(argv=None) -> int:
         config = cfgmod.load_config(args.config)
         cfgmod.apply_overrides(config, args.overrides)
         cfgmod.validate_config(config)
-        _check_command(args.command, config)
+        plan = cfgmod.plan(args.command, config)
         os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     prefix = f"{args.command}_{cfgmod.config_hash(config)}"
     try:
-        report_doc, pass_fail, outputs = _RUNNERS[args.command](config, args.out, prefix)
+        report_doc, pass_fail, outputs = _RUNNERS[args.command](config, plan, args.out, prefix)
     except gr.ScientificError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2

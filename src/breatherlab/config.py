@@ -4,7 +4,8 @@ Every tunable of the command-line tools lives in one nested dictionary with
 a default for each field, so a config file (or a manifest from a previous
 run) plus --set overrides fully determines a run.  Serialization uses 17
 significant digits for floats and sorted keys, which makes the canonical
-form byte-stable and suitable for content hashing.
+form byte-stable and suitable for content hashing.  plan(command, config)
+checks and hands over each command's grids and step, before any field exists.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from . import closed_forms as cf
+from . import evolution as ev
 from . import grid as gr
 
 DEFAULTS: dict = {
@@ -65,22 +67,27 @@ STEP_ALPHA_SCALE = 0.3
 # overflow, into a NaN report value at alpha=1e70 and an OverflowError at
 # 1e80, which the resolution bound below does not catch.
 MAX_FREQUENCY = 1e3
-# h*alpha above these bounds is refused, h the spacing of a grid the breather
-# is sampled on (check_resolution). Under the grid rule h*alpha is
-# 60 alpha/(beta N) on a config grid and 88 alpha/(2048 beta) on verify's
-# residual grid, so each bound limits alpha/beta, and by the scaling symmetry
-# it was measured along beta = 1. On the 512-point spectrum grid, mu0 at
-# N = 512 is within 3.0e-5 relative of mu0 at N = 1024 up to h*alpha = 0.47,
-# 9.0e-5 at 0.50 and 2.2e-4 at 0.53 (alpha = 4, 4.25, 4.5). verify's residual
-# checks pass at h*alpha = 0.258 (alpha = 6) and fail `mixed` from 0.269
-# (alpha = 6.25), while its quadrature checks at N = 1024 still pass at 0.70.
-# evolve's invariants need a tighter bound, for f: its drift at N = 1024 is
-# 1.0e-9 at h*alpha = 0.352 (alpha = 6), 2.8e-9 at 0.360 (alpha = 6.14, and
-# 3.3e-9 at beta = 0.5, alpha = 3.07), 5.3e-9 at 0.366 (alpha = 6.25), and
-# fails the 1e-8 tolerance from 0.381 (alpha = 6.5: 2.7e-8; 6.75: 8.0e-8).
-MAX_H_ALPHA = 0.5
-EVOLVE_MAX_H_ALPHA = 0.36
-RESIDUAL_MAX_H_ALPHA = 0.25
+# plan's table: for each command, every grid it samples its initial profile
+# on, in the order plan hands them over, as (the section whose n_points sizes
+# it, or the name of the fixed residual grid; the profile that sizes it,
+# "initial" for evolve.initial's; the largest h*alpha; the largest h*beta).
+# Under the grid rule h*alpha is 60 alpha/(beta N) on a config grid and
+# 88 alpha/(2048 beta) on the residual grid, and h*beta is 60/N and 0.043.
+# Each bound was measured along beta = 1 (README, Conventions): the spectrum's
+# mu0 moves 9.0e-5 relative from N = 512 to 1024 at h*alpha = 0.50; verify's
+# quadrature checks at N = 1024 pass at 0.70, its residual checks fail from
+# 0.269, the Wronskian check from 0.395 and evolve's f drift from 0.381;
+# verify and spectrum fail at N = 256, evolve and stability at N = 512, at
+# every alpha tried.
+_GRIDS = {
+    "verify": (("grid", "breather", 0.5, 0.12),
+               ("verify's fixed residual grid", "breather", 0.25, 0.12),
+               ("verify's fixed residual grid", "soliton", 0.25, 0.12)),
+    "spectrum": (("spectrum", "breather", 0.5, 0.12),
+                 ("the Wronskian check's fixed residual grid", "breather", 0.38, 0.12)),
+    "evolve": (("grid", "initial", 0.36, 0.06),),
+    "stability": (("stability", "breather", 0.5, 0.06),),
+}
 
 
 class ConfigError(ValueError):
@@ -232,21 +239,59 @@ def make_grid(config: dict, n_points: int | None = None) -> gr.PeriodicGrid:
                            n_points if n_points is not None else config["grid"]["n_points"])
 
 
-def check_resolution(config: dict, grid: gr.PeriodicGrid, key: str | None,
-                     bound: float) -> None:
-    """Refuse a grid too coarse for the breather's oscillation: ConfigError
-    when h*alpha is above bound, naming the key whose points to raise. key
-    None is verify's residual grid, whose fixed 2048 points no key sets.
-    Building the grid allocates nothing, so this runs before any array
-    exists."""
+def check_resolution(config: dict, grid: gr.PeriodicGrid, max_h_alpha: float,
+                     max_h_beta: float, remedy: str) -> None:
+    """ConfigError, ending in remedy, when h*alpha or h*beta passes its bound."""
     alpha, beta = config["alpha"], config["beta"]
-    h_alpha = grid.spacing * alpha
-    if h_alpha > bound:
-        remedy = f"raise {key}" if key else "no key applies to verify's fixed residual grid"
-        raise ConfigError(
-            f"alpha/beta = {alpha / beta:.6g} (beta={beta!r}) gives h*alpha = {h_alpha:.3g} "
-            f"on the {grid.n_points}-point grid of half-length {grid.half_length:.6g}, above "
-            f"the bound {bound}; {remedy}")
+    for name, rate, bound in (("alpha", alpha, max_h_alpha), ("beta", beta, max_h_beta)):
+        h_rate = grid.spacing * rate
+        if h_rate > bound:
+            raise ConfigError(
+                f"alpha/beta = {alpha / beta:.6g} (beta={beta!r}) gives h*{name} = {h_rate:.3g} "
+                f"on the {grid.n_points}-point grid of half-length {grid.half_length:.6g}, above "
+                f"the bound {bound}; {remedy}")
+
+
+def plan(command: str, config: dict
+         ) -> tuple[tuple[gr.PeriodicGrid, ...], ev.IntegratorConfig | None]:
+    """The grids of command, one per _GRIDS entry, and the integrator of evolve
+    or stability, once every refusal that depends on the command has passed: a
+    grid over its bounds, a run over the step or the stepper's stability budget."""
+    grids = []
+    for where, profile, max_h_alpha, max_h_beta in _GRIDS[command]:
+        if profile == "initial":
+            profile = config["evolve"]["initial"]
+        sized = config
+        if profile == "soliton":  # it decays at its own rate sqrt(c), whatever beta
+            rate = math.sqrt(config["evolve"]["soliton_c"])
+            sized = {**config, "alpha": rate, "beta": rate}
+        if where in config:
+            grids.append(make_grid(sized, config[where]["n_points"]))
+            remedy = f"raise {where}.n_points"
+        else:
+            grids.append(gr.residual_grid(sized["beta"]))
+            remedy = f"no key applies to {where}"
+        check_resolution(sized, grids[-1], max_h_alpha, max_h_beta, remedy)
+    if command in ("verify", "spectrum"):
+        return tuple(grids), None
+    # evolve and stability step the one grid they sample, sized and named above
+    dt, stride = run_steps(sized)
+    t_end = config["integrator"]["t_end"]
+    p = breather_params(config)
+    if command == "stability":
+        # imported here: loaded above, before spectral's scipy, it raised the
+        # spectrum command's peak RSS from 79.2 to 82.6 MB
+        from . import stability as st
+        integrator = st.default_stability_config(p, dt, t_end, stride)
+    else:  # the initial profile's own co-moving frame, and no boundary guard
+        frame = {"breather": -p.gamma, "soliton": config["evolve"]["soliton_c"]}
+        integrator = ev.IntegratorConfig(dt, t_end, frame[config["evolve"]["initial"]], stride)
+    try:
+        ev.linear_exponent(grids[0], integrator)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (integrator.dt={config['integrator']['dt']!r}, "
+                          f"{where}.n_points={grids[0].n_points})") from None
+    return tuple(grids), integrator
 
 
 def run_steps(config: dict) -> tuple[float, int]:

@@ -58,7 +58,7 @@ class IntegratorConfig:
     the lab frame, -gamma keeps a breather's envelope centered, +c keeps the
     speed-c soliton steady.  boundary_margin, when set, aborts the run once
     the centroid of u^2 comes within that distance of the domain boundary.
-    The commands derive both from the run's parameters and offer neither as
+    config.plan derives both from the run's parameters and offers neither as
     a setting: evolve co-moves with its initial profile and sets no guard,
     stability co-moves with the breather and guards at 5/beta (see
     stability.default_stability_config).  The cubic flux is always truncated
@@ -116,14 +116,7 @@ class _Stepper:
 
     def __init__(self, grid: gr.PeriodicGrid, cfg: IntegratorConfig):
         self.n = grid.n_points
-        k = grid.wavenumbers
-        z = 1j * cfg.dt * (k**3 + cfg.frame_speed * k)
-        budget = float(np.max(np.abs(z)))
-        if budget > _STABILITY_BUDGET:
-            raise ValueError(
-                f"dt*max|k^3 + c k| = {budget:.3g} exceeds the stability budget "
-                f"{_STABILITY_BUDGET}; reduce dt or the grid resolution"
-            )
+        z = linear_exponent(grid, cfg)
         # 2/3 rule: irfft zero-pads the K = n//3 modes kept for cubing, and
         # the flux is truncated to the same band. K removes the aliasing of a
         # quadratic product only: u^3 reaches mode 3K ~ n, and its modes in
@@ -197,6 +190,17 @@ class _Stepper:
         band += np.multiply(self.w2x2, np.add(na, nb, out=t), out=t)
         band += np.multiply(self.w3, nc, out=t)
         return out
+
+
+def linear_exponent(grid: gr.PeriodicGrid, cfg: IntegratorConfig) -> np.ndarray:
+    """i dt (k^3 + c k), c the frame speed; ValueError above the stability budget."""
+    k = grid.wavenumbers
+    z = 1j * cfg.dt * (k**3 + cfg.frame_speed * k)
+    budget = float(np.max(np.abs(z)))
+    if budget > _STABILITY_BUDGET:
+        raise ValueError(f"dt*max|k^3 + c k| = {budget:.3g} exceeds the stability budget "
+                         f"{_STABILITY_BUDGET}; reduce dt or the grid resolution")
+    return z
 
 
 def energy_centroid(u: gr.GridField) -> float:

@@ -330,6 +330,10 @@ def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypa
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # the spectrum's h*beta bound refuses N = 256 (h*beta = 0.234); admit it here
+    monkeypatch.setitem(cfgmod._GRIDS, "spectrum", tuple(
+        (where, profile, max_h_alpha, 0.25)
+        for where, profile, max_h_alpha, _ in cfgmod._GRIDS["spectrum"]))
     assembled, _, solves = _spy_dense_work(monkeypatch)
     code = main(["spectrum", "--set", "spectrum.n_points=256", "--set", "spectrum.phase_sweep=true",
                  "--out", str(tmp_path)])
@@ -558,10 +562,12 @@ def test_evolve_invalid_number_exits_one_before_running(tmp_path, capsys, overri
 
 
 def test_evolve_unstable_dt_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
     code = main(["evolve", "--set", "integrator.dt=0.01",
-                 "--set", "integrator.t_end=0.1", "--out", str(tmp_path)])
+                 "--set", "integrator.t_end=0.1", "--out", str(out)])
     assert code == 1
     assert "stability budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_failed_checkpoint_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -922,7 +928,10 @@ def test_spectrum_report_ignores_the_blas_thread_setting(tmp_path, monkeypatch):
 # passes, as does evolve at alpha = 3.5 and 5 (m = 2 and 4, which exit 2 at
 # one and two steps per dt), and a point too coarse for alpha/beta exits 1
 # naming the key to raise, never 2: evolve at alpha = 7 on its own, tighter
-# bound, where its f drift failed.
+# bound, where its f drift failed. So do a grid too coarse for beta (each of
+# these exited 2), spectrum's Wronskian grid at alpha = 10 (its closed form
+# failed) and a step over the stepper's stability budget (which exited 1 only
+# once --out existed).
 _FAMILY = [
     (["spectrum", "alpha=1", "beta=2"], 0, None),
     (["verify", "alpha=1", "beta=2"], 0, None),
@@ -949,6 +958,30 @@ _FAMILY = [
      "above the bound 0.36; raise grid.n_points"),
     (["evolve", "alpha=3", "grid.n_points=256"], 1, "; raise grid.n_points"),
     (["stability", "alpha=3", "stability.n_points=256"], 1, "; raise stability.n_points"),
+    (["spectrum", "spectrum.n_points=2048", "alpha=10"], 1,
+     "alpha/beta = 10 (beta=1.0) gives h*alpha = 0.43 on the 2048-point grid of half-length 44, "
+     "above the bound 0.38; no key applies to the Wronskian check's fixed residual grid"),
+    (["spectrum", "spectrum.n_points=256"], 1,
+     "alpha/beta = 1.5 (beta=1.0) gives h*beta = 0.234 on the 256-point grid of half-length 30, "
+     "above the bound 0.12; raise spectrum.n_points"),
+    (["spectrum", "spectrum.n_points=256", "alpha=0.5"], 1, "; raise spectrum.n_points"),
+    (["verify", "grid.n_points=256", "alpha=0.5"], 1,
+     "alpha/beta = 0.5 (beta=1.0) gives h*beta = 0.234 on the 256-point grid of half-length 30, "
+     "above the bound 0.12; raise grid.n_points"),
+    (["evolve", "grid.n_points=512", "integrator.t_end=0.05"], 1,
+     "alpha/beta = 1.5 (beta=1.0) gives h*beta = 0.117 on the 512-point grid of half-length 30, "
+     "above the bound 0.06; raise grid.n_points"),
+    (["evolve", "grid.n_points=512", "alpha=0.5", "integrator.t_end=0.05"], 1,
+     "; raise grid.n_points"),
+    (["stability", "stability.n_points=512", "integrator.t_end=0.05"], 1,
+     "alpha/beta = 1.5 (beta=1.0) gives h*beta = 0.117 on the 512-point grid of half-length 30, "
+     "above the bound 0.06; raise stability.n_points"),
+    (["evolve", "grid.n_points=4096"], 1,
+     "dt*max|k^3 + c k| = 1.23e+03 exceeds the stability budget 200.0; reduce dt or the grid "
+     "resolution (integrator.dt=0.000125, grid.n_points=4096)"),
+    (["stability", "stability.n_points=4096"], 1,
+     "dt*max|k^3 + c k| = 1.23e+03 exceeds the stability budget 200.0; reduce dt or the grid "
+     "resolution (integrator.dt=0.000125, stability.n_points=4096)"),
 ]
 
 
@@ -965,6 +998,32 @@ def test_breather_family_runs_or_is_refused(tmp_path, capsys, args, code, messag
         assert err.startswith("config error: ") and err.endswith(f"{message}\n")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "evolve", "stability"])
+def test_every_breather_grid_is_a_checked_grid(tmp_path, monkeypatch, command):
+    # each grid the breather is evaluated on, at the defaults, is one whose
+    # resolution the command's refusals checked first
+    checked, evaluated = [], []
+    real_check = cfgmod.check_resolution
+
+    def check(config, grid, *args):
+        checked.append(grid)
+        return real_check(config, grid, *args)
+
+    def recorded(real):
+        def evaluate(p, t, x):
+            # the nodes of a grid of half-length L start at -L
+            evaluated.append(gr.PeriodicGrid(-float(x[0]), len(x)))
+            return real(p, t, x)
+        return evaluate
+
+    monkeypatch.setattr(cfgmod, "check_resolution", check)
+    for name in ("breather", "breather_jet"):
+        monkeypatch.setattr(cf, name, recorded(getattr(cf, name)))
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert evaluated
+    assert set(evaluated) <= set(checked)
 
 
 def test_verify_below_every_mode_of_the_perturbation_band_exits_one(tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from breatherlab import config as cfg
-from breatherlab.cli import _check_command, main
+from breatherlab.cli import main
 
 _IDENTITY_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "artifact_identity.sh"
 
@@ -236,7 +236,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 21
+    assert len(invocations) == 22
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",
@@ -247,9 +247,9 @@ def test_identity_invocations_pass_the_dense_guard():
         c = cfg.apply_overrides(cfg.default_config(), overrides)
         # the dense-array, resolution and step guards
         cfg.validate_config(c)
-        _check_command(args[0], c)
-        dt, _ = cfg.run_steps(c)
-        steps.append(c["integrator"]["t_end"] / dt)
+        _, integrator = cfg.plan(args[0], c)
+        if integrator is not None:  # evolve and stability step; verify and spectrum do not
+            steps.append(integrator.t_end / integrator.dt)
     assert max(steps) == 40000.0
 
 

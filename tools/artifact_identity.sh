@@ -3,7 +3,7 @@
 #
 # Usage: tools/artifact_identity.sh PARENT_CHECKOUT CHANGE_CHECKOUT
 #
-# Runs the same twenty-one CLI invocations in each checkout, with one BLAS thread
+# Runs the same twenty-two CLI invocations in each checkout, with one BLAS thread
 # and that checkout's src on PYTHONPATH, each into its own --out directory.
 # An invocation may set only config keys that both checkouts accept: a side
 # that refuses one exits 1, and the check stops there.
@@ -34,7 +34,9 @@ fi
 # beta = 1. The two at alpha = 3 are the largest alpha at beta = 1 that keeps
 # m = 1, where a rule that ignored alpha and one that weighs it agree. The
 # evolve at alpha = 6 (m = 6, h*alpha = 0.352) sits just under evolve's own
-# resolution bound, 0.36, on the default grid.
+# resolution bound, 0.36, on the default grid. The spectrum at N = 1024 and
+# alpha = 8 is the largest alpha there that the Wronskian check's bound on its
+# residual grid admits (h*alpha = 0.344 against 0.38).
 # The three at x1 = 0.4 cover the breather's one phase key; the spectrum one is the only invocation whose
 # Wronskian root is not at 0 (about 1e-16 at x1 = 0), so it alone checks a
 # generic root of the scalar root finder. The run at eta = 0 covers the
@@ -59,6 +61,7 @@ stability --set beta=2 --set integrator.t_end=0.05
 evolve --set alpha=3
 evolve --set alpha=6
 stability --set alpha=3 --set integrator.t_end=0.05
+spectrum --set spectrum.n_points=1024 --set alpha=8
 stability --set seed=20406 --set integrator.monitor_stride=8 --set stability.perturbation=random_band --set stability.eta_sweep=[0.01,0.001]'
 
 tools=$(cd "$(dirname "$0")" && pwd)
