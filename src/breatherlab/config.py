@@ -34,9 +34,9 @@ DEFAULTS: dict = {
 }
 
 # The spectrum command holds at most this many dense N x N float64 arrays at
-# once, N = spectrum.n_points: its traced peak is 7.06 N^2 doubles at N=512
-# and N=1024, with or without the phase sweep, reached both while assembling
-# beside the differentiation matrices and in the coercivity pencil. A
+# once, N = spectrum.n_points: its traced peak is 6.04 N^2 doubles at N=512,
+# 6.01 at N=1024, reached while assembling beside the differentiation matrices
+# (7.05 with an in-process phase sweep; the coercivity pencil peaks at 5.06). A
 # spectrum.n_points whose arrays would pass the budget is refused before
 # anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB. A pooled
 # phase sweep's workers, each holding about 3 N^2 more of their own beside
@@ -51,8 +51,8 @@ DENSE_BUDGET_BYTES = 2 * 1024**3
 # N=2048, and from the smaller traced size (N/4, N/2, N/2) each grew by at
 # most 43 doubles per added point. An N whose arrays would pass the same
 # budget is refused before anything is allocated: 2^22 points need 1.5 GiB,
-# 2^23 need 3 GiB. The budget counts one process; a stability eta sweep's
-# forked workers each hold one run's arrays.
+# 2^23 need 3 GiB. A stability eta sweep forks no more workers, each holding
+# one run's arrays, than the budget holds (stability.stability_sweep).
 GRID_ARRAYS = 48
 # A step count that a typo can blow up is refused the same way: evolve and
 # stability take m * t_end / dt steps (see run_steps), about 135 us each
@@ -75,18 +75,19 @@ MAX_FREQUENCY = 1e3
 # 88 alpha/(2048 beta) on the residual grid, and h*beta is 60/N and 0.043.
 # Each bound was measured along beta = 1 (README, Conventions): the spectrum's
 # mu0 moves 9.0e-5 relative from N = 512 to 1024 at h*alpha = 0.50; verify's
-# quadrature checks at N = 1024 pass at 0.70, its residual checks fail from
-# 0.269, the Wronskian check from 0.395 and evolve's f drift from 0.381;
+# quadrature checks at N = 512 fail from 0.398, its residual checks from
+# 0.269, the Wronskian check from 0.395, evolve's f drift from 0.381 and
+# stability's audit at N = 1024 from 0.352;
 # verify and spectrum fail at N = 256, evolve and stability at N = 512, at
 # every alpha tried.
 _GRIDS = {
-    "verify": (("grid", "breather", 0.5, 0.12),
+    "verify": (("grid", "breather", 0.38, 0.12),
                ("verify's fixed residual grid", "breather", 0.25, 0.12),
                ("verify's fixed residual grid", "soliton", 0.25, 0.12)),
     "spectrum": (("spectrum", "breather", 0.5, 0.12),
                  ("the Wronskian check's fixed residual grid", "breather", 0.38, 0.12)),
     "evolve": (("grid", "initial", 0.36, 0.06),),
-    "stability": (("stability", "breather", 0.5, 0.06),),
+    "stability": (("stability", "breather", 0.337, 0.06),),
 }
 
 

@@ -10,11 +10,12 @@ eigenvalues alone, and solves the full eigenvalue list only for its report.
 One build of the grid's differentiation matrices serves the operator and
 every sample, and the first sample is the operator itself, solved once.
 Both coercivity constants are roots of scalar secular equations on one
-pencil constrained to the complement of the kernel directions B1, B2, whose
-basis two Householder reflectors give: nu0 a Rayleigh minimum, mu0 0.99
-times the exact positive-semidefiniteness threshold of the compensated form,
-certified by a Cholesky factorization, so the advertised quadratic-form
-inequalities hold for every grid field by construction.
+pencil, the operator against the H^2 Gram matrix, whitened by the Gram
+matrix's Fourier multiplier into one standard symmetric problem and reduced
+by two Householder reflectors to the complement of the kernel directions
+B1, B2: nu0 a Rayleigh minimum, mu0 0.99 times the exact positive-
+semidefiniteness threshold of the compensated form, certified by a Cholesky
+factorization, so the quadratic-form inequalities hold for every grid field.
 
 The Wronskian of the two kernel directions has a closed form whose sign
 structure counts the negative eigenvalues; wronskian_analysis cross-checks
@@ -24,10 +25,10 @@ the monotone root function.
 Every scalar root (mu*, nu0, the Wronskian root) is that of an increasing
 function with a sign change, and _bisect finds it by bisection to adjacent
 floats: it returns a zero of f, or the float at which f turns positive, with
-no tolerance and no iteration cap. The package thus uses scipy.linalg only:
-importing scipy.optimize added 0.2-0.3 s and 20 MB to the start of every
-command, on a 2-core x86-64 machine, also to those that never solve for a
-root.
+no tolerance and no iteration cap. The package thus uses scipy.linalg.eigh
+only: importing scipy.optimize added 0.2-0.3 s and 20 MB to the start of
+every command, on a 2-core x86-64 machine, also to those that never solve
+for a root.
 """
 
 from __future__ import annotations
@@ -195,14 +196,6 @@ def _assemble_from_coefficients(p: cf.BreatherParams, b: np.ndarray, bx: np.ndar
     return 0.5 * (mat + mat.T)
 
 
-def _gram_matrix(d2: np.ndarray, d4: np.ndarray) -> np.ndarray:
-    """Discrete H^2 Gram from the grid's D2 and D4 of _derivative_matrices:
-    I + D1^T D1 + D2^T D2 = I - D2 + D4 (exact algebra)."""
-    g = d4 - d2
-    g[np.diag_indices_from(g)] += 1.0
-    return 0.5 * (g + g.T)
-
-
 def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     """The four lowest eigenpairs, ascending; eigenvectors are L2-normalized.
 
@@ -260,18 +253,17 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
     phase-sweep sample: the operator with x1 = shift, for shifts empty or
     starting at p.x1.
 
-    One build of the differentiation matrices serves every operator and the
-    pencil's Gram matrix. The operator's four lowest eigenpairs are
-    classified before any sample is assembled, and they are the first
-    sample. Every other sample runs the assembly's boundary check and
-    self-check and is classified from its four lowest eigenvalues, without
-    vectors; grid._forked_map runs them in forked workers while the kernel
-    comparison, the coercivity constants and the full eigenvalue list are
-    computed here, or here before those on one core, when BLAS may run more
-    than one thread, or when the dense budget has no room for two workers
-    (_sweep_workers). The matrices are dropped before the pencil, so its
-    arrays never sit beside them; a failing sample's error wins over the
-    pencil's.
+    One build of the differentiation matrices serves every operator. The
+    operator's four lowest eigenpairs are classified before any sample is
+    assembled, and they are the first sample. Every other sample runs the
+    assembly's boundary check and self-check and is classified from its four
+    lowest eigenvalues, without vectors; grid._forked_map runs them in
+    forked workers while the kernel comparison, the coercivity constants and
+    the full eigenvalue list are computed here, or here before those on one
+    core, when BLAS may run more than one thread, or when the dense budget
+    has no room for two workers (_sweep_workers). The matrices are dropped
+    before the pencil, so its arrays never sit beside them; a failing
+    sample's error wins over the pencil's.
     """
     if shifts and shifts[0] != p.x1:
         raise ValueError(f"a phase sweep starts at x1 = {p.x1!r}, not at {shifts[0]!r}")
@@ -288,16 +280,13 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
         return float(-lowest[0])
 
     with _forked_map(sample, shifts[1:], _sweep_workers(grid.n_points)) as collect:
-        # forked workers keep their own copies; dropping D1 before the Gram
-        # matrix is built measured 2 MB less peak RSS at N=512
-        d2, d4 = matrices[1:]
-        del matrices
-        gram = _gram_matrix(d2, d4)
-        del d2, d4
+        del matrices  # forked workers keep their own copies
         jet = cf.breather_jet(p, t, grid.nodes)
         kernel_span = np.column_stack([jet.dx1, jet.dx2])
-        angles = scipy.linalg.subspace_angles(evecs[:, ker_idx], kernel_span)
-        nu0, mu0 = _coercivity_from_parts(op, gram, evecs[:, 0], kernel_span, jet.b)
+        # the angles' sines: the singular values of the part outside B1, B2
+        outside = _reflect(evecs[:, ker_idx] * math.sqrt(grid.spacing),
+                           _complement_reflectors(kernel_span))[2:]
+        nu0, mu0 = _coercivity_from_parts(op, evecs[:, 0], kernel_span, jet.b)
         eigenvalues = scipy.linalg.eigh(op.matrix, eigvals_only=True)
         sweep = [float(-evals[0]), *collect()] if shifts else []
     return SpectrumReport(
@@ -305,7 +294,7 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
         negative_count=1,
         lambda0_sq=float(-evals[0]),
         kernel_defect=(float(evals[ker_idx[0]]), float(evals[ker_idx[1]])),
-        kernel_angle=float(np.max(angles)),
+        kernel_angle=math.asin(min(1.0, np.linalg.norm(outside, 2))),
         continuum_edge=edge,
         nu0_estimate=nu0,
         mu0_estimate=mu0,
@@ -324,43 +313,43 @@ def _sweep_workers(n_points: int) -> int:
     return room // _SAMPLE_DENSE_ARRAYS
 
 
-def _coercivity_from_parts(op: DiscreteOperator, gram: np.ndarray, b_neg: np.ndarray,
+def _coercivity_from_parts(op: DiscreteOperator, b_neg: np.ndarray,
                            kernel_span: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(nu0, mu0) from one pencil on the L2-complement of B1, B2.
 
-    gram is the H^2 Gram matrix of _gram_matrix, reduced in place, b_neg the
-    negative eigenvector, kernel_span holds B1, B2, b is B. The pencil
-    (L, G), G = gram, is diagonalized once on the
-    complement: W^T L W = diag(lam), W^T G W = I, and congruence keeps
-    inertia. Each constant is then the single root of an increasing secular
-    function (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and Sorensen, Numer.
-    Math. 31, 1978), or lam_1 itself when the lam_1 coefficient vanishes.
+    b_neg is the negative eigenvector, kernel_span holds B1, B2, b is B.
+    z = S y, S = G^(-1/2) (_whitened), turns the pencil (L, G), G the H^2
+    Gram matrix, into C = S L S on the complement of S B1, S B2 (Golub and
+    Van Loan, Matrix Computations, 4th ed., 8.7): W^T C W = diag(lam) there,
+    and congruence keeps inertia. Each constant is then the single root of an
+    increasing secular function (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and
+    Sorensen, Numer. Math. 31, 1978), or lam_1 when its coefficient vanishes.
 
     nu0, the minimum of Q[z]/||z||_H2^2 with z also L2-orthogonal to b_neg,
-    is that of diag(lam) on the hyperplane orthogonal to d = W^T b_neg: the
-    root in (lam_0, lam_1) of psi(nu) = sum_i d_i^2 / (lam_i - nu).
+    is that of diag(lam) on the hyperplane orthogonal to d = W^T S b_neg:
+    the root in (lam_0, lam_1) of psi(nu) = sum_i d_i^2 / (lam_i - nu).
 
     mu0 is 0.99 mu*, mu* the largest mu with Q[z] - mu ||z||_H2^2
     + (1/mu)(int z B)^2 >= 0 for every grid field z orthogonal to B1, B2.
     For mu in (0, lam_1) only one entry of diag(lam) - mu I is negative and
-    the rank-one term (h/mu) c c^T, c = W^T b, can only lift that one, so the
-    form is semidefinite exactly when phi(mu) = mu + h sum_i c_i^2 /
+    the rank-one term (h/mu) c c^T, c = W^T S b, can only lift that one, so
+    the form is semidefinite exactly when phi(mu) = mu + h sum_i c_i^2 /
     (lam_i - mu) <= 0: mu* is the root in (0, lam_1). A Cholesky
     factorization at mu0 certifies the form for arbitrary fields, not just
     sampled ones.
 
     The complement's basis is the last N-2 columns of Q = H_1 H_2, the two
-    Householder reflectors of the QR factorization of [B1 B2], so both
-    matrices of the pencil come from O(N^2) rank-two updates.
+    Householder reflectors of the QR factorization of [S B1, S B2], so C is
+    reduced by O(N^2) rank-two updates.
     """
-    h = op.grid.spacing
-    reflectors = _complement_reflectors(kernel_span)
-    lred = _reflect_both_sides(op.matrix.copy(), reflectors)[2:, 2:]
-    gred = _reflect_both_sides(gram, reflectors)[2:, 2:]
-    bred = _reflect(b, reflectors)[2:]
-    neg_red = _reflect(b_neg, reflectors)[2:]
+    grid = op.grid
+    h = grid.spacing
+    reflectors = _complement_reflectors(_whitened(kernel_span.T, grid).T)
+    cred = _reflect_both_sides(_whitened(_whitened(op.matrix, grid).T, grid), reflectors)[2:, 2:]
+    bred = _reflect(_whitened(b, grid), reflectors)[2:]
+    neg_red = _reflect(_whitened(b_neg, grid), reflectors)[2:]
 
-    lam, w = scipy.linalg.eigh(lred, gred)
+    lam, w = scipy.linalg.eigh(cred, driver="evd")
     c2 = h * (w.T @ bred) ** 2
     d2 = (w.T @ neg_red) ** 2
     del w
@@ -390,10 +379,18 @@ def _coercivity_from_parts(op: DiscreteOperator, gram: np.ndarray, b_neg: np.nda
                                   "pencil's negative direction", np.array([psi(lo)]))
     nu0 = _bisect(psi, lo, hi) if psi(hi) > 0.0 else hi
 
-    m = lred - mu0 * gred + (h / mu0) * np.outer(bred, bred)
+    m = cred + (h / mu0) * np.outer(bred, bred)
+    m[np.diag_indices_from(m)] -= mu0
     _certify_positive(0.5 * (m + m.T), f"compensated quadratic form is not positive at "
                                        f"mu0 = {mu0:.6g}")
     return float(nu0), float(mu0)
+
+
+def _whitened(a: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """S a along the last axis, S = (I - D2 + D4)^(-1/2): (1 + k^2 + k^4)^(-1/2), 1 at Nyquist."""
+    spec = np.fft.rfft(a)
+    spec *= (1.0 - grid.multiplier(2) + grid.multiplier(4)).real ** -0.5
+    return np.fft.irfft(spec, n=grid.n_points)
 
 
 def _certify_positive(m: np.ndarray, message: str) -> None:
@@ -402,7 +399,7 @@ def _certify_positive(m: np.ndarray, message: str) -> None:
     Loan, Matrix Computations, 4th ed., 4.2); only when it breaks down is the
     smallest eigenvalue solved for, for the error to carry."""
     try:
-        scipy.linalg.cholesky(m, check_finite=False)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         smallest = scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=(0, 0))
         raise ClassificationError(message, smallest) from None
@@ -413,8 +410,8 @@ def _complement_reflectors(kernel_span: np.ndarray) -> list[tuple[np.ndarray, fl
     H_2 H_1 kernel_span = [R; 0] (Golub and Van Loan, Matrix Computations,
     4th ed., 5.1-5.2). The rows 2: of H_2 H_1 are thus an orthonormal basis
     of the L2-complement of the columns of kernel_span."""
-    (packed, taus), _ = scipy.linalg.qr(kernel_span, mode="raw")
-    vs = np.tril(packed, -1).T.copy()  # v_j below the diagonal, v_j[j] = 1
+    packed, taus = np.linalg.qr(kernel_span, mode="raw")
+    vs = np.triu(packed, 1)  # the transposed layout: v_j right of the diagonal, v_j[j] = 1
     np.fill_diagonal(vs, 1.0)
     return list(zip(vs, taus))
 

@@ -18,6 +18,7 @@ from . import closed_forms as cf
 from . import evolution as ev
 from . import functionals as fn
 from . import grid as gr
+from .config import DENSE_BUDGET_BYTES, GRID_ARRAYS
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 50
@@ -328,13 +329,14 @@ def stability_sweep(
     """stability_experiment at each eta; the reports come in listed order.
 
     The runs share nothing, so grid._forked_map runs them in forked workers,
-    one per eta up to the usable cores, or here one after the other; each
-    report is bitwise the same either way.
+    one per eta up to the usable cores and the runs the dense budget holds,
+    or here one after the other; each report is bitwise the same either way.
     """
     def run(eta: float) -> StabilityRunReport:
         return stability_experiment(p, perturbation, eta, cfg)
 
-    with gr._forked_map(run, etas) as collect:
+    runs = DENSE_BUDGET_BYTES // (GRID_ARRAYS * 8 * perturbation.grid.n_points)
+    with gr._forked_map(run, etas, runs) as collect:
         return collect()
 
 

@@ -12,6 +12,7 @@ import tracemalloc
 from concurrent import futures
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -278,7 +279,7 @@ def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, caps
 
 def _spy_dense_work(monkeypatch):
     """Record each assemble's x1 and each _derivative_matrices' grid size,
-    and count the scipy.linalg.eigh and scipy.linalg.cholesky calls."""
+    and count the scipy.linalg.eigh and numpy.linalg.cholesky calls."""
     assembled, built, solves = [], [], {"eigh": 0, "cholesky": 0}
     real_assemble, real_build = sp.assemble, sp._derivative_matrices
 
@@ -298,8 +299,8 @@ def _spy_dense_work(monkeypatch):
 
     monkeypatch.setattr(sp, "assemble", assemble)
     monkeypatch.setattr(sp, "_derivative_matrices", build)
-    for name in solves:
-        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    for owner, name in ((scipy.linalg, "eigh"), (np.linalg, "cholesky")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     return assembled, built, solves
 
 
@@ -311,7 +312,7 @@ def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, one_core
     assert code == 0
     # the first sample is the spectrum's own operator, assembled once
     assert len(assembled) == n_samples
-    # one D1, D2, D4 build for every operator and the pencil's Gram
+    # one D1, D2, D4 build for every operator
     assert built == [512]
     # the operator's four lowest pairs, one four-value solve per other
     # sample, the pencil and the full list; one Cholesky certifies mu0
@@ -949,9 +950,12 @@ _FAMILY = [
      "above the bound 0.5; raise spectrum.n_points"),
     (["verify", "alpha=1", "beta=0.1"], 1,
      "alpha/beta = 10 (beta=0.1) gives h*alpha = 0.586 on the 1024-point grid of half-length "
-     "300, above the bound 0.5; raise grid.n_points"),
+     "300, above the bound 0.38; raise grid.n_points"),
     (["verify", "alpha=7"], 1,
-     "alpha/beta = 7 (beta=1.0) gives h*alpha = 0.301 on the 2048-point grid of half-length 44, "
+     "alpha/beta = 7 (beta=1.0) gives h*alpha = 0.41 on the 1024-point grid of half-length 30, "
+     "above the bound 0.38; raise grid.n_points"),
+    (["verify", "alpha=6.2"], 1,
+     "alpha/beta = 6.2 (beta=1.0) gives h*alpha = 0.266 on the 2048-point grid of half-length 44, "
      "above the bound 0.25; no key applies to verify's fixed residual grid"),
     (["evolve", "alpha=7"], 1,
      "alpha/beta = 7 (beta=1.0) gives h*alpha = 0.41 on the 1024-point grid of half-length 30, "
@@ -973,6 +977,14 @@ _FAMILY = [
      "above the bound 0.06; raise grid.n_points"),
     (["evolve", "grid.n_points=512", "alpha=0.5", "integrator.t_end=0.05"], 1,
      "; raise grid.n_points"),
+    # the edges of verify's quadrature bound at N = 512 and stability's at N = 1024
+    (["verify", "grid.n_points=512", "alpha=3"], 0, None),
+    (["verify", "grid.n_points=512", "alpha=3.5"], 1,
+     "alpha/beta = 3.5 (beta=1.0) gives h*alpha = 0.41 on the 512-point grid of half-length 30, "
+     "above the bound 0.38; raise grid.n_points"),
+    (["stability", "stability.n_points=1024", "alpha=6", "integrator.t_end=0.05"], 1,
+     "alpha/beta = 6 (beta=1.0) gives h*alpha = 0.352 on the 1024-point grid of half-length 30, "
+     "above the bound 0.337; raise stability.n_points"),
     (["stability", "stability.n_points=512", "integrator.t_end=0.05"], 1,
      "alpha/beta = 1.5 (beta=1.0) gives h*beta = 0.117 on the 512-point grid of half-length 30, "
      "above the bound 0.06; raise stability.n_points"),
@@ -1034,7 +1046,7 @@ def test_verify_below_every_mode_of_the_perturbation_band_exits_one(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == (
         "config error: alpha/beta = 15000 (beta=0.0001) gives h*alpha = 879 on the 1024-point "
-        "grid of half-length 300000, above the bound 0.5; raise grid.n_points\n")
+        "grid of half-length 300000, above the bound 0.38; raise grid.n_points\n")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -236,7 +236,7 @@ def _identity_invocations():
 
 def test_identity_invocations_pass_the_dense_guard():
     invocations = _identity_invocations()
-    assert len(invocations) == 22
+    assert len(invocations) == 24
     assert any("spectrum.n_points=1024" in args for args in invocations)
     # and the c12 configuration of tests/test_acceptance.py
     invocations.append(["stability", "--set", "stability.eta_sweep=[0.01, 0.001]",

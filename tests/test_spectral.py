@@ -299,8 +299,7 @@ def _kernel_parts(op):
 def _coercivity(op, b_neg=None):
     if b_neg is None:
         b_neg = sp.eigensystem(op)[1][:, 0]
-    gram = sp._gram_matrix(*sp._derivative_matrices(op.grid)[1:])
-    return sp._coercivity_from_parts(op, gram, b_neg, *_kernel_parts(op))
+    return sp._coercivity_from_parts(op, b_neg, *_kernel_parts(op))
 
 
 def _projected_pencil(op, constraints):
@@ -326,13 +325,23 @@ def test_reflector_reduction_is_the_projected_pencil(x1, n):
     assert np.max(np.abs(unit_kernel.T @ basis)) <= 1e-13
 
     lred = sp._reflect_both_sides(op.matrix.copy(), reflectors)[2:, 2:]
-    gred = sp._reflect_both_sides(sp._gram_matrix(*sp._derivative_matrices(op.grid)[1:]),
-                                  reflectors)[2:, 2:]
     np.testing.assert_array_equal(lred, lred.T)
     np.testing.assert_allclose(sp._reflect(b, reflectors)[2:], basis.T @ b, rtol=0,
                                atol=1e-13 * np.linalg.norm(b))
+
+    # the whitening S is G^(-1/2) for the Gram matrix built here, and the
+    # whitened operator reduced on the complement of S B1, S B2 has the
+    # eigenvalues of the pencil projected on the complement of B1, B2 (S G S
+    # is I to 1.1e-12 at N = 512, roundoff on G's largest entries, 5e5)
+    d2, d4 = _column_derivatives(op.grid, (2, 4))
+    gram = np.eye(n) - d2 + d4
+    np.testing.assert_allclose(sp._whitened(sp._whitened(gram, op.grid).T, op.grid), np.eye(n),
+                               rtol=0, atol=1e-11)
+    white = sp._complement_reflectors(sp._whitened(kernel_span.T, op.grid).T)
+    cred = sp._reflect_both_sides(sp._whitened(sp._whitened(op.matrix, op.grid).T, op.grid),
+                                  white)[2:, 2:]
     _, lref, gref = _projected_pencil(op, kernel_span.T)
-    lam = scipy.linalg.eigh(lred, gred, eigvals_only=True)
+    lam = scipy.linalg.eigh(cred, eigvals_only=True)
     lam_ref = scipy.linalg.eigh(lref, gref, eigvals_only=True)
     np.testing.assert_allclose(lam, lam_ref, rtol=1e-9)
 

@@ -349,6 +349,32 @@ def test_sweep_starts_no_worker_for_one_eta_or_one_core(monkeypatch):
     assert st.stability_sweep(P, pert, [0.01, 0.001], cfg) == [0.01, 0.001]
 
 
+def test_sweep_forks_only_the_workers_the_dense_budget_holds(monkeypatch):
+    # at the largest admitted N one run's arrays fill most of the budget: the
+    # etas run here, however many cores there are; a budget for two runs
+    # forks two workers for three etas on three cores
+    config.validate_config(config.apply_overrides(config.load_config(None),
+                                                  [f"stability.n_points={2**22}"]))
+    assert config.DENSE_BUDGET_BYTES // (config.GRID_ARRAYS * 8 * 2**22) == 1
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(st, "stability_experiment", lambda p, perturbation, eta, cfg: eta)
+    _cores(monkeypatch, 3)
+    pert = st.perturbation(GRID, "sech", SEED)
+    cfg = _stability_cfg(0.01)
+    for runs in (1, 2):
+        monkeypatch.setattr(st, "DENSE_BUDGET_BYTES", runs * config.GRID_ARRAYS * 8 * GRID.n_points)
+        assert st.stability_sweep(P, pert, [0.01, 0.001, 0.0], cfg) == [0.01, 0.001, 0.0]
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
 _ERROR_SAMPLES = {type(exc): exc for exc in [
     gr.ScientificError("a worker process was lost: pool broken"),
     st.ModulationError("no fit", residuals=(1e-3, -2e-3)),
