@@ -253,8 +253,6 @@ def _cmd_stability(config: dict, plan: tuple, outdir: str, prefix: str):
 def _finish(command: str, config: dict, outdir: str, prefix: str,
             report_doc: dict, pass_fail: dict, outputs: list[str]) -> int:
     report_name = f"{prefix}.report.json"
-    with open(os.path.join(outdir, report_name), "w", encoding="ascii") as handle:
-        handle.write(cfgmod.canonical_json(report_doc))
     manifest = {
         "command": command,
         "config": config,
@@ -264,8 +262,16 @@ def _finish(command: str, config: dict, outdir: str, prefix: str,
         "pass_fail": pass_fail,
     }
     manifest_name = f"{prefix}.manifest.json"
-    with open(os.path.join(outdir, manifest_name), "w", encoding="ascii") as handle:
-        handle.write(cfgmod.canonical_json(manifest))
+    # rendered before either file is opened: a non-finite value writes neither
+    try:
+        texts = {report_name: cfgmod.canonical_json(report_doc),
+                 manifest_name: cfgmod.canonical_json(manifest)}
+    except ValueError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 2
+    for name, text in texts.items():
+        with open(os.path.join(outdir, name), "w", encoding="ascii") as handle:
+            handle.write(text)
     for name in sorted(pass_fail):
         print(f"[{'PASS' if pass_fail[name] else 'FAIL'}] {name}")
     print(f"report: {os.path.join(outdir, report_name)}")

@@ -34,15 +34,13 @@ DEFAULTS: dict = {
 }
 
 # The spectrum command holds at most this many dense N x N float64 arrays at
-# once, N = spectrum.n_points: its traced peak is 6.04 N^2 doubles at N=512,
-# 6.01 at N=1024, reached while assembling beside the differentiation matrices
-# (7.05 with an in-process phase sweep; the coercivity pencil peaks at 5.06). A
-# spectrum.n_points whose arrays would pass the budget is refused before
-# anything is allocated: 4096 points need 1 GiB, 8192 need 4 GiB. A pooled
-# phase sweep's workers, each holding about 3 N^2 more of their own beside
-# the 3 N^2 matrices they inherit, are started only as far as the budget has
-# room for them (spectral._sweep_workers): at 4096 points the sweep runs in
-# the calling process.
+# once, N = spectrum.n_points: its traced peak is 5.06 N^2 doubles at N=512,
+# 5.02 at N=1024, reached in the coercivity pencil, with or without an
+# in-process phase sweep (an assembly peaks at 4.0). A spectrum.n_points whose
+# arrays would pass the budget is refused before anything is allocated: 4096
+# points need 1 GiB, 8192 need 4 GiB. A pooled phase sweep's workers, each
+# holding about 4 N^2 more, are started only as far as the budget has room
+# for them (spectral._sweep_workers): two at 4096 points.
 SPECTRUM_DENSE_ARRAYS = 8
 DENSE_BUDGET_BYTES = 2 * 1024**3
 # The other commands hold at most this many float64 arrays of the N points
@@ -192,6 +190,8 @@ def validate_config(config: dict) -> None:
             raise ConfigError(f"{key} > 0 required")
         if config[key] > MAX_FREQUENCY:
             raise ConfigError(f"{key}={config[key]!r} is above the bound {MAX_FREQUENCY:g}")
+    if config["seed"] < 0:
+        raise ConfigError(f"seed={config['seed']!r} must be non-negative")
     for path in (("grid", "n_points"), ("spectrum", "n_points"), ("stability", "n_points")):
         n = config[path[0]][path[1]]
         if not gr.PeriodicGrid.is_dyadic(n):
@@ -217,8 +217,12 @@ def validate_config(config: dict) -> None:
         raise ConfigError("integrator.monitor_stride must be >= 1")
     if config["evolve"]["initial"] not in ("breather", "soliton"):
         raise ConfigError("evolve.initial must be 'breather' or 'soliton'")
-    if not config["evolve"]["soliton_c"] > 0.0:
+    soliton_c = config["evolve"]["soliton_c"]
+    if not soliton_c > 0.0:
         raise ConfigError("evolve.soliton_c must be positive")
+    if soliton_c > MAX_FREQUENCY**2:  # the soliton's frequency is sqrt(c)
+        raise ConfigError(
+            f"evolve.soliton_c={soliton_c!r} is above the bound {MAX_FREQUENCY**2:g}")
     stab = config["stability"]
     if stab["perturbation"] not in ("sech", "sech_cos", "random_band"):
         raise ConfigError("stability.perturbation must be sech, sech_cos or random_band")
@@ -279,11 +283,8 @@ def plan(command: str, config: dict
     dt, stride = run_steps(sized)
     t_end = config["integrator"]["t_end"]
     p = breather_params(config)
-    if command == "stability":
-        # imported here: loaded above, before spectral's scipy, it raised the
-        # spectrum command's peak RSS from 79.2 to 82.6 MB
-        from . import stability as st
-        integrator = st.default_stability_config(p, dt, t_end, stride)
+    if command == "stability":  # the breather's co-moving frame, a boundary guard at 5/beta
+        integrator = ev.IntegratorConfig(dt, t_end, -p.gamma, stride, boundary_margin=5.0 / p.beta)
     else:  # the initial profile's own co-moving frame, and no boundary guard
         frame = {"breather": -p.gamma, "soliton": config["evolve"]["soliton_c"]}
         integrator = ev.IntegratorConfig(dt, t_end, frame[config["evolve"]["initial"]], stride)

@@ -60,10 +60,9 @@ class IntegratorConfig:
     the centroid of u^2 comes within that distance of the domain boundary.
     config.plan derives both from the run's parameters and offers neither as
     a setting: evolve co-moves with its initial profile and sets no guard,
-    stability co-moves with the breather and guards at 5/beta (see
-    stability.default_stability_config).  The cubic flux is always truncated
-    to the 2/3-rule band: the band is part of the scheme (see _Stepper), not
-    a setting.
+    stability co-moves with the breather and guards at 5/beta.  The cubic
+    flux is always truncated to the 2/3-rule band: the band is part of the
+    scheme (see _Stepper), not a setting.
     """
 
     dt: float

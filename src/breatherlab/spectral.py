@@ -1,14 +1,15 @@
 """Dense spectral analysis of the linearized operator.
 
-The operator is discretized as a real symmetric N x N matrix built from
-Fourier differentiation matrices. Its four lowest eigenvalues, the fourth
+The operator is discretized as a real symmetric N x N matrix, each one
+assembled on its own from Fourier symbols: its constant-coefficient part is
+the circulant of its symbol, and its advection term the row derivative of
+one such circulant scaled by 5 B^2. Its four lowest eigenvalues, the fourth
 bounding all above it, classify it into the unique negative eigenvalue, the
 two-dimensional kernel, and the rest sitting above the continuum edge.
 spectrum is the one path to that split: it solves the four lowest pairs of
 the operator, classifies each phase-sweep sample from its four lowest
 eigenvalues alone, and solves the full eigenvalue list only for its report.
-One build of the grid's differentiation matrices serves the operator and
-every sample, and the first sample is the operator itself, solved once.
+The first sample is the operator itself, solved once.
 Both coercivity constants are roots of scalar secular equations on one
 pencil, the operator against the H^2 Gram matrix, whitened by the Gram
 matrix's Fourier multiplier into one standard symmetric problem and reduced
@@ -43,8 +44,8 @@ from . import _ONE_BLAS_THREAD
 from . import closed_forms as cf
 from .config import DENSE_BUDGET_BYTES, SPECTRUM_DENSE_ARRAYS
 from .functionals import apply_operator, coefficient_fields, potential, wronskian_residual
-from .grid import (GridField, PeriodicGrid, ScientificError, _forked_map, _read_only,
-                   residual_grid, spectral_derivatives)
+from .grid import (GridField, PeriodicGrid, ScientificError, _forked_map, residual_grid,
+                   spectral_derivatives)
 
 _CONSISTENCY_SEED = 1729
 _CONSISTENCY_TOL = 1e-8
@@ -58,11 +59,10 @@ _CLASSIFY_COUNT = 4
 # parent and 2 workers on 2 cores made the pooled sweep slower than the
 # sequential one. So the sweep pools only under _ONE_BLAS_THREAD, which the
 # package records as it pins one thread (breatherlab/__init__.py).
-# Each phase-sweep worker holds about this many dense N x N arrays of its
-# own while it assembles and solves a sample (traced in the workers: 3.0 N^2
-# doubles at N=512 and N=1024), and the workers together keep the 3
-# differentiation matrices alive after the calling process drops them.
-_SAMPLE_DENSE_ARRAYS = 3
+# Each phase-sweep worker holds about this many dense N x N arrays while it
+# assembles and solves a sample (traced: 4.0 N^2 doubles at N=512 and
+# N=1024, the row derivative of D1 diag(5 B^2) in assembly).
+_SAMPLE_DENSE_ARRAYS = 4
 
 
 class AssemblyError(ScientificError):
@@ -139,31 +139,18 @@ def continuum_edge(p: cf.BreatherParams) -> float:
     return 4.0 * a2 * b2
 
 
-def _derivative_matrices(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only Fourier differentiation matrices D1, D2, D4 (multipliers on the identity).
-
-    The identity is symmetric, so differentiating its rows along the
-    contiguous axis and transposing gives bitwise the matrix that the slower
-    strided transforms of its columns would.
-    """
-    rows = spectral_derivatives(np.eye(grid.n_points), grid, (1, 2, 4))
-    return tuple(_read_only(np.ascontiguousarray(m.T)) for m in rows)
-
-
-def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0, *,
-             matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-             ) -> DiscreteOperator:
+def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0) -> DiscreteOperator:
     """Assemble the symmetric matrix of the linearized operator.
 
     matrix = D4 - 2(beta^2-alpha^2) D2 + (alpha^2+beta^2)^2 I
              + D1 diag(5 B^2) D1 + diag(potential)
 
-    The advection pair enters in divergence form, so the matrix is symmetric
-    by construction (D1 is antisymmetric); it is symmetrized once more to
-    shave roundoff. Requires the grid to resolve the breather (boundary
-    samples below 1e-10) and self-checks against apply_operator on a random
-    field before returning. matrices, the grid's (D1, D2, D4) from
-    _derivative_matrices, saves building them again.
+    D4 - 2(beta^2-alpha^2) D2 is the circulant of its symbol, and the
+    advection pair, in divergence form, is minus the row derivative of
+    D1 diag(5 B^2), as D1 is antisymmetric. The matrix is thus symmetric by
+    construction; it is symmetrized once more to shave roundoff. Requires
+    the grid to resolve the breather (boundary samples below 1e-10) and
+    self-checks against apply_operator on a random field before returning.
     """
     b, bx, bxx = coefficient_fields(p, grid, t)
     if max(abs(b[0]), abs(b[-1])) >= _BOUNDARY_TOL:
@@ -171,8 +158,7 @@ def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0, *,
             f"grid does not resolve the breather: boundary value "
             f"{max(abs(b[0]), abs(b[-1])):.3e} >= {_BOUNDARY_TOL:g}"
         )
-    mat = _assemble_from_coefficients(p, b, bx, bxx, matrices or _derivative_matrices(grid))
-    op = DiscreteOperator(grid, mat, p, t)
+    op = DiscreteOperator(grid, _assemble_from_coefficients(p, grid, b, bx, bxx), p, t)
 
     rng = np.random.default_rng(_CONSISTENCY_SEED)
     z = GridField(grid, rng.standard_normal(grid.n_points), time_tag=t)
@@ -186,14 +172,28 @@ def assemble(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0, *,
     return op
 
 
-def _assemble_from_coefficients(p: cf.BreatherParams, b: np.ndarray, bx: np.ndarray,
-                                bxx: np.ndarray, matrices: tuple[np.ndarray, ...]) -> np.ndarray:
+def _assemble_from_coefficients(p: cf.BreatherParams, grid: PeriodicGrid, b: np.ndarray,
+                                bx: np.ndarray, bxx: np.ndarray) -> np.ndarray:
     a2, b2 = p.alpha**2, p.beta**2
-    d1, d2, d4 = matrices
-    pot = potential(p, b, bx, bxx)
-    mat = d4 - 2.0 * (b2 - a2) * d2 + (d1 * (5.0 * b**2)[None, :]) @ d1
-    mat[np.diag_indices_from(mat)] += (a2 + b2) ** 2 + pot
+    n = grid.n_points
+    advection = _circulant(grid.multiplier(1), n)
+    advection *= (5.0 * b**2)[None, :]
+    # D1 W D1 = -(D1 W) D1^T
+    mat = spectral_derivatives(advection, grid, (1,))[0]
+    del advection
+    mat *= -1.0
+    mat += _circulant(grid.multiplier(4) - 2.0 * (b2 - a2) * grid.multiplier(2), n)
+    mat[np.diag_indices_from(mat)] += (a2 + b2) ** 2 + potential(p, b, bx, bxx)
     return 0.5 * (mat + mat.T)
+
+
+def _circulant(symbol: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix of the Fourier multiplier symbol (rfft bins): the
+    circulant whose first column is irfft(symbol), row i the window of the
+    doubled reversed column that starts at n - 1 - i."""
+    column = np.fft.irfft(symbol, n=n)[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((column, column)), n)
+    return windows[n - 1::-1].copy()
 
 
 def eigensystem(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -253,34 +253,30 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
     phase-sweep sample: the operator with x1 = shift, for shifts empty or
     starting at p.x1.
 
-    One build of the differentiation matrices serves every operator. The
-    operator's four lowest eigenpairs are classified before any sample is
+    The operator's four lowest eigenpairs are classified before any sample is
     assembled, and they are the first sample. Every other sample runs the
     assembly's boundary check and self-check and is classified from its four
     lowest eigenvalues, without vectors; grid._forked_map runs them in
     forked workers while the kernel comparison, the coercivity constants and
     the full eigenvalue list are computed here, or here before those on one
     core, when BLAS may run more than one thread, or when the dense budget
-    has no room for two workers (_sweep_workers). The matrices are dropped
-    before the pencil, so its arrays never sit beside them; a failing
-    sample's error wins over the pencil's.
+    has no room for two workers (_sweep_workers). A failing sample's error
+    wins over the pencil's.
     """
     if shifts and shifts[0] != p.x1:
         raise ValueError(f"a phase sweep starts at x1 = {p.x1!r}, not at {shifts[0]!r}")
     edge = continuum_edge(p)
-    matrices = _derivative_matrices(grid)
-    op = assemble(p, grid, t, matrices=matrices)
+    op = assemble(p, grid, t)
     evals, evecs = eigensystem(op)
     ker_idx = _classify(evals, edge)
 
     def sample(x1: float) -> float:
-        lowest = scipy.linalg.eigh(assemble(replace(p, x1=x1), grid, t, matrices=matrices).matrix,
+        lowest = scipy.linalg.eigh(assemble(replace(p, x1=x1), grid, t).matrix,
                                    eigvals_only=True, subset_by_index=(0, _CLASSIFY_COUNT - 1))
         _classify(lowest, edge)
         return float(-lowest[0])
 
     with _forked_map(sample, shifts[1:], _sweep_workers(grid.n_points)) as collect:
-        del matrices  # forked workers keep their own copies
         jet = cf.breather_jet(p, t, grid.nodes)
         kernel_span = np.column_stack([jet.dx1, jet.dx2])
         # the angles' sines: the singular values of the part outside B1, B2
@@ -304,12 +300,11 @@ def spectrum(p: cf.BreatherParams, grid: PeriodicGrid, t: float = 0.0,
 def _sweep_workers(n_points: int) -> int:
     """The most forked workers a phase sweep on n_points may run: one (none
     forked) unless BLAS runs one thread, else as many as the dense budget has
-    room for beside the calling process's SPECTRUM_DENSE_ARRAYS and the
-    differentiation matrices the workers keep alive. At the largest admitted
-    N, 4096, that leaves room for one."""
+    room for beside the calling process's SPECTRUM_DENSE_ARRAYS. At the
+    largest admitted N, 4096, that leaves room for two."""
     if not _ONE_BLAS_THREAD:
         return 1
-    room = DENSE_BUDGET_BYTES // (8 * n_points**2) - SPECTRUM_DENSE_ARRAYS - 3
+    room = DENSE_BUDGET_BYTES // (8 * n_points**2) - SPECTRUM_DENSE_ARRAYS
     return room // _SAMPLE_DENSE_ARRAYS
 
 

@@ -203,15 +203,6 @@ def perturbation(grid: gr.PeriodicGrid, name: str, seed: int) -> gr.GridField:
     return field.with_values(vals / gr.h2_norm(field))
 
 
-def default_stability_config(p: cf.BreatherParams, dt: float, t_end: float,
-                             monitor_stride: int) -> ev.IntegratorConfig:
-    """The stability run's integrator at the caller's dt, t_end and stride:
-    the breather's co-moving frame (-gamma) and a boundary guard at 5/beta.
-    This is the one place the stability command's frame and guard are set."""
-    return ev.IntegratorConfig(dt=dt, t_end=t_end, frame_speed=-p.gamma,
-                               monitor_stride=monitor_stride, boundary_margin=5.0 / p.beta)
-
-
 def stability_experiment(
     p: cf.BreatherParams,
     perturbation: gr.GridField,

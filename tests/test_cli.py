@@ -102,6 +102,26 @@ def test_verify_detects_wrong_velocity(tmp_path, monkeypatch):
     assert failed == ["stationary"]
 
 
+def test_non_finite_report_value_exits_two_and_writes_nothing(tmp_path, capsys):
+    # at x1 = 1e300 the closed forms give NaN: the report cannot be rendered
+    with np.errstate(all="ignore"):
+        code = main(["verify", "--set", "x1=1e300", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["check failed: non-finite float in JSON output: nan"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["stability", "--set", "stability.perturbation=random_band"]],
+    ids=["verify", "stability"])
+def test_negative_seed_exits_one_before_running(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(command + ["--set", "seed=-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: seed=-1 must be non-negative\n"
+    assert not out.exists()
+
+
 def test_verify_soliton_grid_ignores_the_breather_beta(verify_out, tmp_path):
     # the c = 1 soliton has no beta: its residual grid is sized by sqrt(c)
     _, beta_one = _read(verify_out[0], ".report.json")
@@ -278,18 +298,14 @@ def test_spectrum_sweep_self_check_failure_exits_two(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 def _spy_dense_work(monkeypatch):
-    """Record each assemble's x1 and each _derivative_matrices' grid size,
-    and count the scipy.linalg.eigh and numpy.linalg.cholesky calls."""
-    assembled, built, solves = [], [], {"eigh": 0, "cholesky": 0}
-    real_assemble, real_build = sp.assemble, sp._derivative_matrices
+    """Record each assemble's x1, and count the scipy.linalg.eigh and
+    numpy.linalg.cholesky calls."""
+    assembled, solves = [], {"eigh": 0, "cholesky": 0}
+    real_assemble = sp.assemble
 
-    def assemble(p, grid, t=0.0, *, matrices=None):
+    def assemble(p, grid, t=0.0):
         assembled.append(p.x1)
-        return real_assemble(p, grid, t, matrices=matrices)
-
-    def build(grid):
-        built.append(grid.n_points)
-        return real_build(grid)
+        return real_assemble(p, grid, t)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -298,22 +314,19 @@ def _spy_dense_work(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sp, "assemble", assemble)
-    monkeypatch.setattr(sp, "_derivative_matrices", build)
     for owner, name in ((scipy.linalg, "eigh"), (np.linalg, "cholesky")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    return assembled, built, solves
+    return assembled, solves
 
 
 @pytest.mark.parametrize("n_samples", [4, 1])
 def test_spectrum_sweep_does_its_dense_work_once(tmp_path, monkeypatch, one_core, n_samples):
-    assembled, built, solves = _spy_dense_work(monkeypatch)
+    assembled, solves = _spy_dense_work(monkeypatch)
     monkeypatch.setattr(cli, "PHASE_SAMPLES", n_samples)
     code = main(["spectrum", "--set", "spectrum.phase_sweep=true", "--out", str(tmp_path)])
     assert code == 0
     # the first sample is the spectrum's own operator, assembled once
     assert len(assembled) == n_samples
-    # one D1, D2, D4 build for every operator
-    assert built == [512]
     # the operator's four lowest pairs, one four-value solve per other
     # sample, the pencil and the full list; one Cholesky certifies mu0
     assert solves == {"eigh": n_samples + 2, "cholesky": 1}
@@ -335,7 +348,7 @@ def test_spectrum_unclassified_base_assembles_no_sweep_sample(tmp_path, monkeypa
     monkeypatch.setitem(cfgmod._GRIDS, "spectrum", tuple(
         (where, profile, max_h_alpha, 0.25)
         for where, profile, max_h_alpha, _ in cfgmod._GRIDS["spectrum"]))
-    assembled, _, solves = _spy_dense_work(monkeypatch)
+    assembled, solves = _spy_dense_work(monkeypatch)
     code = main(["spectrum", "--set", "spectrum.n_points=256", "--set", "spectrum.phase_sweep=true",
                  "--out", str(tmp_path)])
     assert code == 2
@@ -384,12 +397,12 @@ def test_spectrum_sweep_killed_worker_exits_two(tmp_path, monkeypatch, capsys,
     parent = os.getpid()
     real = sp.assemble
 
-    def killed(p, grid, t=0.0, *, matrices=None):
+    def killed(p, grid, t=0.0):
         if p.x1 != 0.0:
             if os.getpid() == parent:
                 raise AssertionError("the sample was not sent to a worker")
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(p, grid, t, matrices=matrices)
+        return real(p, grid, t)
 
     monkeypatch.setattr(sp, "assemble", killed)
     monkeypatch.setattr(cli, "PHASE_SAMPLES", 4)
@@ -554,7 +567,8 @@ def test_evolve_impossible_tolerance_exits_two(tmp_path, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("override", ["integrator.dt=true", "evolve.soliton_c=-1"])
+@pytest.mark.parametrize("override", ["integrator.dt=true", "evolve.soliton_c=-1",
+                                      "evolve.soliton_c=1e300"])
 def test_evolve_invalid_number_exits_one_before_running(tmp_path, capsys, override):
     out = tmp_path / "out"
     assert main(["evolve", "--set", override, "--out", str(out)]) == 1

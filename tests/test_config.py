@@ -124,6 +124,8 @@ def test_coercion_rejects_wrong_types(assignment, message):
     ("integrator.monitor_stride=0", "monitor_stride"),
     ("evolve.initial=vortex", "breather"),
     ("evolve.soliton_c=0", "soliton_c"),
+    ("evolve.soliton_c=1e300", "soliton_c=1e\\+300 is above the bound 1e\\+06"),
+    ("seed=-1", "seed"),
     ("stability.eta_sweep=[]", "at least one eta"),
     ("stability.eta_sweep=[-0.001]", "eta_sweep"),
     ("stability.eta_sweep=[0.06]", "eta_sweep"),

@@ -332,8 +332,8 @@ def test_cubic_dealiasing_band_leaves_stability_results(monkeypatch, kind):
     # the 2/3 rule's results match it far below any check's tolerance
     grid = gr.PeriodicGrid(gr.quadrature_half_length(P.beta), 2048)
     pert = st.perturbation(grid, kind, 20406)
-    integ = config.DEFAULTS["integrator"]
-    cfg = st.default_stability_config(P, integ["dt"], 0.25, integ["monitor_stride"])
+    cfg = config.plan("stability", config.apply_overrides(config.default_config(),
+                                                          ["integrator.t_end=0.25"]))[1]
     third = st.stability_experiment(P, pert, 1e-2, cfg)
     built, bands = ev._Stepper, []
 

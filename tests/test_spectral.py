@@ -53,13 +53,13 @@ def _band_field(grid, seed, kmax=2.5):
 def _flat(p, grid):
     """The operator's constant-coefficient part: every breather term off."""
     zeros = np.zeros(grid.n_points)
-    mat = sp._assemble_from_coefficients(p, zeros, zeros, zeros, sp._derivative_matrices(grid))
+    mat = sp._assemble_from_coefficients(p, grid, zeros, zeros, zeros)
     return sp.DiscreteOperator(grid, mat, p, 0.0)
 
 
 def _assembling(monkeypatch, build):
     """spectrum's assemble replaced by build(p, grid) for synthetic operators."""
-    monkeypatch.setattr(sp, "assemble", lambda p, grid, t=0.0, *, matrices=None: build(p, grid))
+    monkeypatch.setattr(sp, "assemble", lambda p, grid, t=0.0: build(p, grid))
 
 
 def _l2_norm(grid, values):
@@ -539,11 +539,20 @@ def test_phase_sweep_is_bitwise_the_per_sample_classification(n_samples):
 
 @pytest.mark.parametrize("n", [16, 64, 512, 1024])
 def test_derivative_matrices_equal_the_column_build(n):
+    # the matrix assembled from Fourier symbols is the formula of assemble's
+    # docstring on differentiation matrices built column by column
     grid = _grid(n)
-    columns = _column_derivatives(grid, (1, 2, 4))
-    for built, reference in zip(sp._derivative_matrices(grid), columns, strict=True):
-        assert built.flags.c_contiguous
-        assert built.tobytes() == reference.tobytes()
+    b, bx, bxx = fn.coefficient_fields(P, grid, 0.0)
+    d1, d2, d4 = _column_derivatives(grid, (1, 2, 4))
+    a2, b2 = P.alpha**2, P.beta**2
+    ref = d4 - 2.0 * (b2 - a2) * d2 + (d1 * (5.0 * b**2)[None, :]) @ d1
+    ref[np.diag_indices_from(ref)] += (a2 + b2) ** 2 + fn.potential(P, b, bx, bxx)
+    mat = sp._assemble_from_coefficients(P, grid, b, bx, bxx)
+    assert mat.flags.c_contiguous
+    np.testing.assert_array_equal(mat, mat.T)
+    assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
+    if n == 512:
+        np.testing.assert_array_equal(sp.assemble(P, grid).matrix, mat)
 
 
 def test_phase_sweep_in_workers_is_bitwise_the_one_core_sweep(monkeypatch, one_core,
@@ -589,11 +598,11 @@ def test_a_failing_sample_wins_over_the_pencil(monkeypatch, one_blas_thread, cor
 
 
 def test_phase_sweep_forks_only_the_workers_the_dense_budget_holds(monkeypatch, one_blas_thread):
-    # at the largest admitted N the budget holds one worker's arrays beside
-    # the calling process's: the sweep runs here, however many cores there are
+    # at the largest admitted N the budget holds two workers' arrays beside
+    # the calling process's
     cfgmod.validate_config(cfgmod.apply_overrides(cfgmod.load_config(None),
                                                   ["spectrum.n_points=4096"]))
-    assert sp._sweep_workers(4096) == 1
+    assert sp._sweep_workers(4096) == 2
     pools = []
 
     class RecordingPool(futures.ProcessPoolExecutor):
@@ -605,29 +614,12 @@ def test_phase_sweep_forks_only_the_workers_the_dense_budget_holds(monkeypatch, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     shifts = _sweep_shifts(P, 3)
     for workers in (1, 2):
-        arrays = cfgmod.SPECTRUM_DENSE_ARRAYS + 3 + workers * sp._SAMPLE_DENSE_ARRAYS
+        arrays = cfgmod.SPECTRUM_DENSE_ARRAYS + workers * sp._SAMPLE_DENSE_ARRAYS
         monkeypatch.setattr(sp, "DENSE_BUDGET_BYTES", arrays * 8 * GRID.n_points**2)
         assert sp._sweep_workers(GRID.n_points) == workers
         sp.spectrum(P, GRID, 0.0, shifts)
     assert pools == [2]
     assert multiprocessing.active_children() == []
-
-
-def test_phase_sweep_shares_one_read_only_set_of_matrices(monkeypatch, one_core):
-    seen = []
-    real = sp.assemble
-
-    def spy(p, grid, t=0.0, *, matrices=None):
-        seen.append(matrices)
-        return real(p, grid, t, matrices=matrices)
-
-    monkeypatch.setattr(sp, "assemble", spy)
-    sp.spectrum(P, GRID, 0.0, _sweep_shifts(P, 3))
-    assert len(seen) == 3 and all(m is seen[0] for m in seen)
-    for m in seen[0]:
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
 
 
 def test_phase_sweep_checks_every_sample(monkeypatch, one_core):

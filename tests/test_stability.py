@@ -30,10 +30,11 @@ def _breather_field(p, grid, t=0.0):
     return gr.sample(lambda tt, x: cf.breather(p, tt, x), grid, t)
 
 
-def _stability_cfg(t_end):
-    # the stability command's integrator at the config's default dt and stride
-    integ = config.DEFAULTS["integrator"]
-    return st.default_stability_config(P, integ["dt"], t_end, integ["monitor_stride"])
+def _stability_cfg(t_end, *overrides):
+    # the stability command's integrator for the default config at t_end, with overrides
+    c = config.apply_overrides(config.default_config(), [f"integrator.t_end={t_end!r}", *overrides])
+    assert config.breather_params(c) == P
+    return config.plan("stability", c)[1]
 
 
 def _assert_jet_at_fit(state, t):
@@ -122,7 +123,9 @@ def test_default_perturbations_seeding():
 
 
 def test_default_stability_config():
-    cfg = st.default_stability_config(P, 2.5e-4, 0.5, 40)
+    # dt = 2.5e-4 is above the stepper's budget at N = 2048, not at 1024
+    cfg = _stability_cfg(0.5, "integrator.dt=2.5e-4", "integrator.monitor_stride=40",
+                         "stability.n_points=1024")
     assert cfg.frame_speed == -P.gamma
     assert cfg.boundary_margin == 5.0 / P.beta
     assert (cfg.dt, cfg.t_end, cfg.monitor_stride) == (2.5e-4, 0.5, 40)
